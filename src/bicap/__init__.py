@@ -14,7 +14,7 @@ from .model import (ModelDims, ModelParams, init_params, load_checkpoint,
                     reset_state, save_checkpoint, sentence_loss, step,
                     word_distribution)
 from .numkit import SeededRng
-from .training import TrainConfig, bptt, grad_check, train
+from .training import TrainConfig, grad_check, train
 
 __all__ = [
     "ClassedVocabulary", "Dataset", "build_vocab", "encode",
@@ -25,6 +25,6 @@ __all__ = [
     "reset_state", "save_checkpoint", "sentence_loss", "step",
     "word_distribution",
     "SeededRng",
-    "TrainConfig", "bptt", "grad_check", "train",
+    "TrainConfig", "grad_check", "train",
 ]
 __version__ = "0.1.0"

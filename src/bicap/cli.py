@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -135,20 +134,14 @@ def _load_model_and_data(model_path, data_path):
 
 
 def _generate_for_examples(params, vocab, meta, dataset, examples, seed,
-                           candidates, workers):
+                           candidates):
     hist = corpus.caption_length_counts(dataset, "train")
+    cfg = inference.GenConfig(length_hist=hist, candidate_count=candidates,
+                              lam_recon=meta["lambda_recon"], seed=0)
     root = SeededRng(seed)
-
-    def one(ex):
-        cfg = inference.GenConfig(length_hist=hist, candidate_count=candidates,
-                                  lam_recon=meta["lambda_recon"], seed=0)
-        rng = root.derive(f"generate/{ex.id}")
-        return inference.generate(params, vocab, ex.features, cfg, rng=rng)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, examples))
-    return [one(ex) for ex in examples]
+    return [inference.generate(params, vocab, ex.features, cfg,
+                               rng=root.derive(f"generate/{ex.id}"))
+            for ex in examples]
 
 
 def cmd_generate(args):
@@ -157,7 +150,7 @@ def cmd_generate(args):
     if not examples:
         raise ValueError(f"split '{args.split}' is empty")
     results = _generate_for_examples(params, vocab, meta, dataset, examples,
-                                     args.seed, args.candidates, args.workers)
+                                     args.seed, args.candidates)
     lines = []
     for ex, res in zip(examples, results):
         text = " ".join(res.sentence.tokens)
@@ -177,8 +170,7 @@ def cmd_retrieve(args):
         queries, gallery, truth = inference.image_retrieval_task(
             dataset, args.split, concat=concat)
     result = inference.rank_retrieval(params, vocab, queries, gallery, truth,
-                                      mode=args.mode, combine=args.combine,
-                                      workers=args.workers)
+                                      mode=args.mode, combine=args.combine)
     lines = [
         f"direction\t{args.direction}",
         f"protocol\t{args.protocol}",
@@ -214,7 +206,7 @@ def cmd_eval(args):
         ppl = metrics.perplexity(params, vocab, dataset, args.split)
         examples = dataset.split(args.split)
         results = _generate_for_examples(params, vocab, meta, dataset, examples,
-                                         args.seed, args.candidates, args.workers)
+                                         args.seed, args.candidates)
         gen_pairs = [(res.sentence.tokens, [c.tokens for c in ex.captions])
                      for ex, res in zip(examples, results)]
         bleu_pct = 100.0 * metrics.corpus_bleu(gen_pairs)
@@ -306,7 +298,6 @@ def build_parser():
     p.add_argument("--split", choices=corpus.SPLITS, default="test")
     p.add_argument("--candidates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -319,7 +310,6 @@ def build_parser():
     p.add_argument("--protocol", choices=("per-sentence", "concat"),
                    default="per-sentence")
     p.add_argument("--combine", choices=("zscore", "rank"), default="zscore")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retrieve)
 
@@ -329,7 +319,6 @@ def build_parser():
     p.add_argument("--split", choices=corpus.SPLITS, default="test")
     p.add_argument("--candidates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--human-consistency", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -343,8 +332,6 @@ def build_parser():
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--dims", choices=("small",), default="small",
-                   help="instance size (12-word vocab, 6-unit states, 4-dim features)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-4)

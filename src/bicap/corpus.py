@@ -285,9 +285,13 @@ def load_dataset(path, vocab=None, class_count=None):
             manifest = json.load(fh)
         if int(manifest["feature_dim"]) != dim:
             raise ValueError(
-                f"manifest feature_dim {manifest['feature_dim']} does not match data dim {dim}"
+                f"{mpath}: feature_dim {manifest['feature_dim']} does not match data dim {dim}"
             )
         norm_max = np.asarray(manifest["per_dim_max"], dtype=np.float64)
+        if norm_max.shape != (dim,):
+            raise ValueError(
+                f"{mpath}: per_dim_max has shape {norm_max.shape}, feature_dim needs ({dim},)"
+            )
     else:
         train_feats = [f for (_, f, _, s), _ in records if s == "train"]
         if not train_feats:

@@ -228,7 +228,7 @@ def _rank_rows(m):
     return order.astype(np.float64)
 
 
-def score_matrices(params, vocab, queries, gallery, lam_ignored=None, workers=None):
+def score_matrices(params, vocab, queries, gallery):
     """(T log-likelihood matrix, I reconstruction matrix) for a retrieval
     task. Queries of feature vectors rank a sentence gallery and vice
     versa; the I matrix is None for variants without the visual memory."""
@@ -237,15 +237,8 @@ def score_matrices(params, vocab, queries, gallery, lam_ignored=None, workers=No
     items = gallery if image_queries else queries
     feats = [np.asarray(f, dtype=np.float64) for f in feats]
 
-    def nll_row(item):
-        return [_word_nll(params, vocab, f, item) for f in feats]
-
-    if workers is not None and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nll = np.array(list(pool.map(nll_row, items)))
-    else:
-        nll = np.array([nll_row(item) for item in items])
+    nll = np.array([[_word_nll(params, vocab, f, item) for f in feats]
+                    for item in items])
     # nll is (items x feats); orient to (queries x gallery)
     t_loglik = -(nll if not image_queries else nll.T)
 
@@ -261,7 +254,7 @@ def score_matrices(params, vocab, queries, gallery, lam_ignored=None, workers=No
 
 
 def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
-                   combine="zscore", workers=None):
+                   combine="zscore"):
     """Rank a gallery for every query and aggregate R@K, median and mean
     rank of the (first) ground-truth item.
 
@@ -273,8 +266,7 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
         raise ValueError("gallery is empty")
     if len(truth) != len(queries):
         raise ValueError("one ground-truth set per query required")
-    t_loglik, i_scores = score_matrices(params, vocab, queries, gallery,
-                                        workers=workers)
+    t_loglik, i_scores = score_matrices(params, vocab, queries, gallery)
     if mode in ("i", "ti") and i_scores is None:
         raise ValueError("I scoring needs the reconstruction half (full variant)")
     if mode == "t":

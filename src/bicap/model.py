@@ -16,6 +16,7 @@ P(w | class(w)), with both the class and the within-class logits fed by
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -345,9 +346,13 @@ class SentenceTrace:
         return cls([], [], [state.s], [state.u], [], [], [], [], [], [], [], [], [], [], [])
 
 
-def sentence_forward(params, v, sent, vocab_classes, recon_kind="ce"):
+def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
     """Run a sentence from a fresh state, scoring each target token through
     its class and member softmax only (no full-vocabulary distribution).
+
+    Records step ``t`` into the trace and yields ``(t, trace)``. Weights the
+    consumer changes between yields are seen by the later steps, which is
+    how training applies its per-word online update.
     """
     dims = params.dims
     state = reset_state(params)
@@ -355,9 +360,8 @@ def sentence_forward(params, v, sent, vocab_classes, recon_kind="ce"):
     tr = SentenceTrace.empty(state)
     context = state.context
     s, u = state.s, state.u
-    eos = sent.ids[-1]
-    prev = eos  # begin-of-sentence pseudo-token
-    for target in sent.ids:
+    prev = sent.ids[-1]  # <eos> doubles as the begin-of-sentence pseudo-token
+    for t, target in enumerate(sent.ids):
         s, u, recon, pre_s, pre_u, pre_r = _advance(params, s, u, prev, v)
         context = shift_context(dims, context, prev)
         bases = maxent_bases(dims, context)
@@ -387,7 +391,14 @@ def sentence_forward(params, v, sent, vocab_classes, recon_kind="ce"):
         tr.member_range.append((lo, hi))
         tr.word_nll.append(nll)
         tr.recon_loss.append(rl)
+        yield t, tr
         prev = target
+
+
+def sentence_forward(params, v, sent, vocab_classes, recon_kind="ce"):
+    """The whole trace of ``forward_steps`` at fixed weights."""
+    for _, tr in forward_steps(params, v, sent, vocab_classes, recon_kind):
+        pass
     return tr
 
 
@@ -450,24 +461,40 @@ def save_checkpoint(path, params, vocab, lam_recon, seed_lineage=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, vocab, metadata dict)."""
+    """Read a checkpoint; returns (params, vocab, metadata dict).
+
+    A truncated or corrupt file, an unknown version, or blocks that differ
+    from the ones its dims call for raise ValueError naming the path.
+    """
     from .corpus import ClassedVocabulary
 
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        head_len = int.from_bytes(fh.read(8), "big")
-        meta = json.loads(fh.read(head_len).decode("utf-8"))
-        payload = fh.read()
-    dims = ModelDims(**meta["dims"])
-    blocks = {}
-    for b in meta["blocks"]:
-        raw = payload[b["offset"]:b["offset"] + b["nbytes"]]
-        arr = np.frombuffer(raw, dtype=b["dtype"]).reshape(b["shape"]).astype(np.float64)
-        blocks[b["name"]] = arr
-    params = ModelParams(dims, blocks)
-    vocab = ClassedVocabulary.from_dict(meta["vocab"])
-    if vocab.content_hash() != meta["vocab_hash"]:
-        raise ValueError(f"{path}: vocabulary hash mismatch")
-    return params, vocab, meta
+        raw = fh.read()
+    if not raw.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    start = len(CHECKPOINT_MAGIC) + 8
+    head_len = int.from_bytes(raw[len(CHECKPOINT_MAGIC):start], "big")
+    payload = memoryview(raw)[start + head_len:]
+    try:
+        meta = json.loads(raw[start:start + head_len].decode("utf-8"))
+        if meta["version"] != 1:
+            raise ValueError(f"unsupported version {meta['version']!r}")
+        dims = ModelDims(**meta["dims"])
+        expected = [(name, list(shape), "<f8") for name, shape in block_shapes(dims)]
+        found = [(b["name"], b["shape"], b["dtype"]) for b in meta["blocks"]]
+        if found != expected:
+            raise ValueError(f"blocks {found} do not match the dims, which need {expected}")
+        blocks = {}
+        for b in meta["blocks"]:
+            chunk = payload[b["offset"]:b["offset"] + b["nbytes"]]
+            need = 8 * math.prod(b["shape"])
+            if len(chunk) != need:
+                raise ValueError(f"block {b['name']} has {len(chunk)} payload bytes, "
+                                 f"its shape needs {need}")
+            blocks[b["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(b["shape"]).copy()
+        vocab = ClassedVocabulary.from_dict(meta["vocab"])
+        if vocab.content_hash() != meta["vocab_hash"]:
+            raise ValueError("vocabulary hash mismatch")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint ({type(exc).__name__}: {exc})") from exc
+    return ModelParams(dims, blocks), vocab, meta

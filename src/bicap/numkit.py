@@ -57,20 +57,6 @@ class SeededRng:
         self.generator.shuffle(seq)
 
 
-def affine(m, x, b):
-    """y = M x + b for a (rows, cols) matrix, with shape validation."""
-    m = np.asarray(m, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if m.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ValueError("affine expects a matrix and two vectors")
-    if m.shape[1] != x.shape[0]:
-        raise ValueError(f"affine: matrix has {m.shape[1]} cols but x has dim {x.shape[0]}")
-    if m.shape[0] != b.shape[0]:
-        raise ValueError(f"affine: matrix has {m.shape[0]} rows but b has dim {b.shape[0]}")
-    return m @ x + b
-
-
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
@@ -103,13 +89,6 @@ def softmax(z):
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-def log_softmax(z):
-    """log(softmax(z)) without forming intermediate probabilities."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
 
 
 def multinomial_sample(p, rng):

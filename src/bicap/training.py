@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import SeededRng, sigmoid_clip_mask, softmax
-from .model import (ONLINE_BLOCKS, SentenceTrace, _advance, block_shapes,
-                    class_logits, maxent_bases, member_logits,
-                    recon_cross_entropy, recon_squared_error, reset_state,
-                    sentence_forward, shift_context)
+from .numkit import SeededRng, sigmoid_clip_mask
+from .model import ONLINE_BLOCKS, block_shapes, forward_steps, sentence_forward
 
 
 @dataclass
@@ -59,6 +56,10 @@ def _dsig(value, pre, clip):
     """Derivative of the clipped sigmoid at a stored activation; exactly
     zero where the forward pass saturated at the clamp."""
     return value * (1.0 - value) * sigmoid_clip_mask(pre, clip)
+
+
+def _joint_loss(tr, lam):
+    return sum(w + lam * r for w, r in zip(tr.word_nll, tr.recon_loss))
 
 
 def _output_errors(params, tr, t):
@@ -178,19 +179,7 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
                 getattr(grads, name)[idx] += piece
         _recurrent_chain(params, tr, t, v, e_s, e_u, lam, unroll, recon_kind, grads)
     clip_gradients(grads, grad_clip)
-    total = sum(w + lam * r for w, r in zip(tr.word_nll, tr.recon_loss))
-    return grads, total
-
-
-def bptt(params, vocab, example, caption_index, config):
-    """Gradients of one caption's joint loss, truncated to
-    ``config.bptt_unroll`` recurrent transitions and clipped per element."""
-    sent = example.captions[caption_index]
-    grads, _ = sentence_gradients(params, vocab, example.features, sent,
-                                  config.lam_recon, config.bptt_unroll,
-                                  grad_clip=config.grad_clip,
-                                  recon_kind=config.recon_kind)
-    return grads
+    return grads, _joint_loss(tr, lam)
 
 
 def apply_update(params, grads, lr, blocks="all", weight_decay=0.0):
@@ -217,47 +206,10 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     and apply once when the sentence ends. ``on_step(t, params)`` runs
     after each word's online update (schedule introspection).
     """
-    dims = params.dims
-    bounds = np.asarray(vocab.class_bounds, dtype=np.int64)
-    state = reset_state(params)
-    tr = SentenceTrace.empty(state)
-    batch_names = [n for n, _ in block_shapes(dims) if n not in ONLINE_BLOCKS]
+    batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
     batch_grads = params.zeros_like(names=batch_names)
-    s, u, context = state.s, state.u, state.context
-    prev = sent.ids[-1]
-    total_joint = 0.0
     clip = config.grad_clip
-    for t, target in enumerate(sent.ids):
-        s, u, recon, pre_s, pre_u, pre_r = _advance(params, s, u, prev, v)
-        context = shift_context(dims, context, prev)
-        bases = maxent_bases(dims, context)
-        q = softmax(class_logits(params, s, u, bases))
-        g = int(np.searchsorted(bounds, target, side="right"))
-        lo = 0 if g == 0 else int(bounds[g - 1])
-        hi = int(bounds[g])
-        p = softmax(member_logits(params, s, u, bases, lo, hi))
-        nll = -float(np.log(q[g])) - float(np.log(p[target - lo]))
-        if dims.uses_u:
-            rl = (recon_cross_entropy(v, recon) if config.recon_kind == "ce"
-                  else recon_squared_error(v, recon))
-        else:
-            rl = 0.0
-        total_joint += nll + config.lam_recon * rl
-
-        tr.inputs.append(prev)
-        tr.targets.append(target)
-        tr.s.append(s)
-        tr.u.append(u)
-        tr.pre_s.append(pre_s)
-        tr.pre_u.append(pre_u)
-        tr.pre_r.append(pre_r)
-        tr.recon.append(recon)
-        tr.bases.append(bases)
-        tr.class_probs.append(q)
-        tr.class_ids.append(g)
-        tr.member_probs.append(p)
-        tr.member_range.append((lo, hi))
-
+    for t, tr in forward_steps(params, v, sent, vocab, config.recon_kind):
         dz_c, dz_w, lo, hi, e_s, e_u = _output_errors(params, tr, t)
         _recurrent_chain(params, tr, t, v, e_s, e_u, config.lam_recon,
                          config.bptt_unroll, config.recon_kind, batch_grads)
@@ -269,12 +221,11 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
                 getattr(params, name)[idx] -= lr * step_g
         if on_step is not None:
             on_step(t, params)
-        prev = target
 
     clip_gradients(batch_grads, clip)
     apply_update(params, batch_grads, lr, blocks="batch",
                  weight_decay=config.weight_decay)
-    return total_joint, len(sent.ids)
+    return _joint_loss(tr, config.lam_recon), len(sent.ids)
 
 
 def train(params, dataset, config, valid_metric=None, log_fn=None):

@@ -218,6 +218,19 @@ def test_manifest_dim_mismatch_rejected(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("per_dim_max", [[2.0], [4.0, 0.0], [4.0, 0.0, 1.0, 1.0]])
+def test_manifest_per_dim_max_length_rejected(tmp_path, per_dim_max):
+    path = tmp_path / "data.jsonl"
+    write_dataset_file(_records3(), path)
+    manifest_file = tmp_path / "data.jsonl.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["per_dim_max"] = per_dim_max
+    manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="per_dim_max") as info:
+        load_dataset(path)
+    assert str(manifest_file) in str(info.value)
+
+
 def test_synthetic_deterministic():
     a = synthetic_records(8, 40, SeededRng(3))
     b = synthetic_records(8, 40, SeededRng(3))

@@ -285,15 +285,6 @@ def test_rank_retrieval_runs_all_modes(tiny_dataset):
                        mode="nope")
 
 
-def test_rank_retrieval_workers_do_not_change_results(tiny_dataset):
-    params = init_params(small_dims(tiny_dataset.vocab, v_dim=6), SeededRng(2))
-    queries, gallery, truth = image_retrieval_task(tiny_dataset, "test")
-    a = rank_retrieval(params, tiny_dataset.vocab, queries, gallery, truth, mode="t")
-    b = rank_retrieval(params, tiny_dataset.vocab, queries, gallery, truth, mode="t",
-                       workers=4)
-    assert a.ranks == b.ranks
-
-
 def test_i_mode_rejected_without_visual_memory(tiny_dataset):
     params = init_params(small_dims(tiny_dataset.vocab, variant="rnn_if", v_dim=6),
                          SeededRng(2))

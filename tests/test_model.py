@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -342,3 +344,75 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(bad)
+
+
+def _saved_checkpoint(tmp_path):
+    vocab = _vocab5()
+    params = init_params(small_dims(vocab, v_dim=3), SeededRng(30))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, 1.0)
+    return path.read_bytes()
+
+
+def _header_len(raw):
+    magic = len(model.CHECKPOINT_MAGIC)
+    return magic + 8 + int.from_bytes(raw[magic:magic + 8], "big")
+
+
+@pytest.mark.parametrize("cut", [
+    lambda raw: 0,                          # empty file
+    lambda raw: 5,                          # inside the magic
+    lambda raw: len(model.CHECKPOINT_MAGIC) + 3,  # inside the length field
+    lambda raw: _header_len(raw) // 2,      # inside the metadata JSON
+    lambda raw: _header_len(raw) - 1,       # last header byte missing
+    lambda raw: _header_len(raw),           # no payload at all
+    lambda raw: _header_len(raw) + 1,       # one payload byte
+    lambda raw: len(raw) - 8,               # last value missing
+    lambda raw: len(raw) - 1,               # last byte missing
+], ids=["empty", "magic", "length", "header", "header_end", "no_payload",
+        "one_byte", "last_value", "last_byte"])
+def test_truncated_checkpoint_names_path(tmp_path, cut):
+    raw = _saved_checkpoint(tmp_path)
+    bad = tmp_path / "cut.ckpt"
+    bad.write_bytes(raw[:cut(raw)])
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        load_checkpoint(bad)
+
+
+def _rewrite_meta(raw, edit):
+    start = len(model.CHECKPOINT_MAGIC) + 8
+    end = _header_len(raw)
+    meta = json.loads(raw[start:end])
+    edit(meta)
+    head = json.dumps(meta).encode("utf-8")
+    return model.CHECKPOINT_MAGIC + len(head).to_bytes(8, "big") + head + raw[end:]
+
+
+def _set_version(meta):
+    meta["version"] = 2
+
+
+def _rename_block(meta):
+    meta["blocks"][0]["name"] = "W_xx"
+
+
+def _reshape_block(meta):
+    meta["blocks"][1]["shape"] = meta["blocks"][1]["shape"][::-1] + [1]
+
+
+def _grow_dims(meta):
+    meta["dims"]["s_dim"] += 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_version, "unsupported version 2"),
+    (_rename_block, "do not match the dims"),
+    (_reshape_block, "do not match the dims"),
+    (_grow_dims, "do not match the dims"),
+], ids=["version", "renamed_block", "reshaped_block", "other_dims"])
+def test_checkpoint_metadata_mismatch_names_path(tmp_path, edit, message):
+    bad = tmp_path / "edited.ckpt"
+    bad.write_bytes(_rewrite_meta(_saved_checkpoint(tmp_path), edit))
+    with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
+        load_checkpoint(bad)
+    assert message in str(info.value)

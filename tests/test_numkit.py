@@ -4,48 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicap.numkit import (SeededRng, affine, multinomial_sample,
-                          sigmoid_clipped, softmax)
+from bicap.numkit import SeededRng, multinomial_sample, sigmoid_clipped, softmax
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-
-
-def test_affine_identity():
-    y = affine(np.eye(2), [3.0, -1.0], [0.0, 0.0])
-    assert np.allclose(y, [3.0, -1.0])
-
-
-def test_affine_zero_matrix_returns_bias():
-    y = affine(np.zeros((2, 3)), [9.0, 9.0, 9.0], [5.0, 5.0])
-    assert np.allclose(y, [5.0, 5.0])
-
-
-def test_affine_hand_case():
-    y = affine([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [0.0, 0.0])
-    assert np.allclose(y, [3.0, 7.0])
-
-
-def test_affine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        affine(np.eye(2), [1.0, 2.0, 3.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        affine(np.eye(2), [1.0, 2.0], [0.0, 0.0, 0.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=2, max_size=2),
-       st.lists(finite_floats, min_size=3, max_size=3),
-       st.lists(finite_floats, min_size=3, max_size=3),
-       st.floats(min_value=-3, max_value=3, allow_nan=False),
-       st.floats(min_value=-3, max_value=3, allow_nan=False))
-def test_affine_linearity(m, x, y, a, b):
-    m = np.array(m)
-    x = np.array(x)
-    y = np.array(y)
-    zero = np.zeros(2)
-    lhs = affine(m, a * x + b * y, zero)
-    rhs = a * affine(m, x, zero) + b * affine(m, y, zero)
-    assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
 def test_sigmoid_at_zero():

@@ -3,9 +3,9 @@ import pytest
 
 from bicap import corpus
 from bicap.corpus import encode
-from bicap.model import ONLINE_BLOCKS, init_params
+from bicap.model import ONLINE_BLOCKS, init_params, sentence_loss
 from bicap.numkit import SeededRng
-from bicap.training import (TrainConfig, apply_update, bptt, grad_check,
+from bicap.training import (TrainConfig, apply_update, grad_check,
                             gradcheck_setup, sentence_gradients, train,
                             train_sentence)
 
@@ -79,10 +79,30 @@ def test_truncation_changes_gradients():
 
 def test_bptt_clips_elementwise():
     params, vocab, example = gradcheck_setup("full", seed=6)
-    cfg = TrainConfig(grad_clip=1e-4)
-    grads = bptt(params, vocab, example, 0, cfg)
+    sent = example.captions[0]
+    grads, _ = sentence_gradients(params, vocab, example.features, sent, 1.0,
+                                  unroll=5, grad_clip=1e-4)
     for _, arr in grads.named_blocks():
         assert np.all(arr <= 1e-4) and np.all(arr >= -1e-4)
+
+
+@pytest.mark.parametrize("recon_kind", ["ce", "mse"])
+@pytest.mark.parametrize("variant", ["rnn", "rnn_if", "full"])
+def test_training_runs_the_scoring_forward(variant, recon_kind):
+    # at lr 0 every weight stays put, so the training loop must reproduce
+    # the scoring forward's joint loss exactly, step for step
+    params, vocab, example = gradcheck_setup(variant, seed=10)
+    sent = example.captions[0]
+    assert len(sent.ids) > 2
+    cfg = TrainConfig(lam_recon=0.5, recon_kind=recon_kind)
+    start = params.copy()
+    expected = sentence_loss(params, example.features, sent, cfg.lam_recon,
+                             vocab, recon_kind)[0].joint
+    joint, ntok = train_sentence(params, vocab, example.features, sent, cfg, lr=0.0)
+    assert joint == expected
+    assert ntok == len(sent.ids)
+    for name, arr in params.named_blocks():
+        assert arr.tobytes() == getattr(start, name).tobytes(), name
 
 
 def test_online_schedule_mid_sentence_touches_only_output_blocks():
