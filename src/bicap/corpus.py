@@ -272,7 +272,12 @@ def load_dataset(path, vocab=None, class_count=None):
         raise ValueError("dataset file contains no records")
 
     dim = records[0][0][1].size
+    first_line = {}
     for (rid, feats, _, _), lineno in records:
+        if rid in first_line:
+            raise ValueError(f"{path}: line {lineno}: duplicate example id '{rid}' "
+                             f"(first on line {first_line[rid]})")
+        first_line[rid] = lineno
         if feats.size != dim:
             raise ValueError(
                 f"line {lineno}: record '{rid}' has feature dim {feats.size}, expected {dim}"

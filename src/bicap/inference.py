@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EncodedSentence
-from .model import reset_state, sentence_loss, step
+from .model import gallery_word_nll, reset_state, sentence_loss, step
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
 
@@ -106,14 +106,11 @@ def _sentences_of(item):
     return item if isinstance(item, (list, tuple)) else [item]
 
 
-def _word_nll(params, vocab, v, item):
-    """Log-likelihood cost of an item given features; groups sum their
-    sentences (the state resets between them)."""
-    total = 0.0
-    for sent in _sentences_of(item):
-        loss, _ = sentence_loss(params, v, sent, 0.0, vocab)
-        total += loss.word_nll
-    return total
+def _word_nll(params, vocab, feats, item):
+    """(N,) log-likelihood cost of an item under each row of an (N, v_dim)
+    feature matrix; groups sum their sentences (the state resets between
+    them)."""
+    return sum(gallery_word_nll(params, feats, sent, vocab) for sent in _sentences_of(item))
 
 
 def _logsumexp(x):
@@ -134,11 +131,12 @@ def text_score(params, vocab, v, sent, gallery, axis):
     gallery = list(gallery)
     if not gallery:
         raise ValueError("gallery is empty")
-    lp = -_word_nll(params, vocab, v, sent)
+    v = np.asarray(v, dtype=np.float64)
+    lp = -_word_nll(params, vocab, v[None], sent)[0]
     if axis == "images":
-        lps = [-_word_nll(params, vocab, vg, sent) for vg in gallery]
+        lps = -_word_nll(params, vocab, np.stack(gallery), sent)
     elif axis == "sentences":
-        lps = [-_word_nll(params, vocab, v, item) for item in gallery]
+        lps = [-_word_nll(params, vocab, v[None], item)[0] for item in gallery]
     else:
         raise ValueError("axis must be 'images' or 'sentences'")
     return float(math.exp(lp - _logsumexp(lps)))
@@ -235,10 +233,9 @@ def score_matrices(params, vocab, queries, gallery):
     image_queries = isinstance(queries[0], np.ndarray)
     feats = queries if image_queries else gallery
     items = gallery if image_queries else queries
-    feats = [np.asarray(f, dtype=np.float64) for f in feats]
+    f = np.asarray(feats, dtype=np.float64)          # (feats, v_dim)
 
-    nll = np.array([[_word_nll(params, vocab, f, item) for f in feats]
-                    for item in items])
+    nll = np.stack([_word_nll(params, vocab, f, item) for item in items])
     # nll is (items x feats); orient to (queries x gallery)
     t_loglik = -(nll if not image_queries else nll.T)
 
@@ -247,7 +244,6 @@ def score_matrices(params, vocab, queries, gallery):
         profiles = [_recon_profile(params, item) for item in items]
         a = np.stack([p[0] for p in profiles])      # (items, v_dim)
         b = np.stack([p[1] for p in profiles])
-        f = np.stack(feats)                          # (feats, v_dim)
         per_item = a @ f.T + b @ (1.0 - f).T         # (items, feats)
         i_scores = per_item if not image_queries else per_item.T
     return t_loglik, i_scores

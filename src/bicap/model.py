@@ -395,6 +395,60 @@ def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
         prev = target
 
 
+def gallery_word_nll(params, feats, sent, vocab_classes):
+    """(N,) word NLL of one sentence under each row of an (N, v_dim)
+    feature matrix, in one forward over an (N, s_dim) state matrix.
+
+    Only s sees the features, through ``W_vs @ v``, computed once per
+    sentence. The u recurrence, the u-side logits and the max-entropy terms
+    depend on the words alone: they are computed once per step and
+    broadcast over the rows. Row i equals ``sentence_loss(params, feats[i],
+    sent, 0.0, vocab_classes)[0].word_nll`` up to rounding. BLAS may round
+    identical rows of a product differently by where they sit, so repeated
+    rows (all rows, for ``rnn``, which ignores the features) are scored
+    once: exact ties stay exact, as in the scalar path.
+    """
+    dims = params.dims
+    if not sent.ids or sent.ids[-1] != vocab_classes.eos_id:
+        raise ValueError("sentence must be nonempty and end with <eos>")
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim != 2 or (dims.uses_v and feats.shape[1] != dims.v_dim):
+        raise ValueError(f"features must be an (N, {dims.v_dim}) matrix, "
+                         f"got shape {feats.shape}")
+    if dims.uses_v:
+        rows, inverse = np.unique(feats, axis=0, return_inverse=True)
+        drive = rows @ params.W_vs.T + params.b_s
+    else:
+        inverse = np.zeros(len(feats), dtype=np.int64)
+        drive = params.b_s[None, :]
+    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
+    clip = dims.sigmoid_clip
+    state = reset_state(params)
+    s = np.broadcast_to(state.s, drive.shape)
+    u, context = state.u, state.context
+    nll = np.zeros(len(drive))
+    prev = sent.ids[-1]
+    for target in sent.ids:
+        s = sigmoid_clipped(params.W_ws[:, prev] + s @ params.W_ss.T + drive, clip)
+        g = int(np.searchsorted(bounds, target, side="right"))
+        lo = 0 if g == 0 else int(bounds[g - 1])
+        hi = int(bounds[g])
+        zc = s @ params.W_sc.T + params.b_c
+        zw = s @ params.W_sw[lo:hi].T + params.b_w[lo:hi]
+        if dims.uses_u:
+            u = sigmoid_clipped(params.W_wu[:, prev] + params.W_uu @ u + params.b_u, clip)
+            zc = zc + params.W_uc @ u
+            zw = zw + params.W_uw[lo:hi] @ u
+        context = shift_context(dims, context, prev)
+        for _, cbase, wbase in maxent_bases(dims, context):
+            zc = zc + params.me_class[(cbase + np.arange(dims.class_count))
+                                      % dims.maxent_hash_size]
+            zw = zw + params.me_word[(wbase + np.arange(lo, hi)) % dims.maxent_hash_size]
+        nll += -np.log(softmax(zc)[:, g]) - np.log(softmax(zw)[:, target - lo])
+        prev = target
+    return nll[inverse.reshape(-1)]
+
+
 def sentence_forward(params, v, sent, vocab_classes, recon_kind="ce"):
     """The whole trace of ``forward_steps`` at fixed weights."""
     for _, tr in forward_steps(params, v, sent, vocab_classes, recon_kind):

@@ -85,10 +85,11 @@ def sigmoid_clip_mask(z, clip=DEFAULT_SIGMOID_CLIP):
 
 
 def softmax(z):
-    """Numerically stable softmax (max-subtracted), sums to 1."""
+    """Numerically stable softmax over the last axis (max-subtracted); each
+    row sums to 1."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def multinomial_sample(p, rng):

@@ -235,6 +235,9 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     halves the learning rate whenever validation perplexity fails to beat
     the best seen so far, floors it at initial/``lr_floor_divisor``, and
     stops after two consecutive failures at the floor (or ``max_epochs``).
+    An epoch whose train loss or validation perplexity is not finite also
+    counts as a failure, and first copies the best parameters back into
+    ``params`` so that training never goes on from NaN weights.
     Returns (best-validation parameters, history). ``valid_metric``
     overrides the perplexity computation (epoch, params) -> float.
     """
@@ -274,11 +277,18 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
             log_fn(f"epoch {epoch} train_joint_loss {stats.train_loss:.6f} "
                    f"valid_ppl {valid_ppl:.6f} lr {lr:.8f}")
 
-        if valid_ppl < best_ppl:
+        finite = math.isfinite(stats.train_loss) and math.isfinite(valid_ppl)
+        if finite and valid_ppl < best_ppl:
             best_ppl = valid_ppl
             best_params = params.copy()
             strikes = 0
         else:
+            if not finite:
+                for name, arr in best_params.named_blocks():
+                    getattr(params, name)[...] = arr
+                if log_fn is not None:
+                    log_fn(f"epoch {epoch} not finite (train_joint_loss {stats.train_loss} "
+                           f"valid_ppl {valid_ppl}): restored the best parameters")
             at_floor = lr <= floor * (1.0 + 1e-12)
             if at_floor:
                 strikes += 1

@@ -113,6 +113,7 @@ def test_criterion_03_decomposability():
         assert np.array_equal(traj_a, traj_b)
 
 
+@pytest.mark.slow
 def test_criterion_04_baseline_ordering(trained_bundle, bundle_test_ppls):
     with criterion(4, "held-out perplexity orders FULL < RNN_IF < RNN with "
                       ">=2% relative gaps, trained in <10min"):
@@ -130,6 +131,7 @@ def test_criterion_04_baseline_ordering(trained_bundle, bundle_test_ppls):
         assert trained_bundle["train_seconds"] < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_05_retrieval_trend(trained_bundle):
     with criterion(5, "T+I mean rank <= T mean rank on a 100-item gallery; "
                       "both beat random (50.5 - 3)"):
@@ -151,6 +153,7 @@ def test_criterion_05_retrieval_trend(trained_bundle):
         assert means["ti"] < 50.5 - 3.0
 
 
+@pytest.mark.slow
 def test_criterion_06_memory_stability(trained_bundle):
     with criterion(6, "visual-memory units change less per step than "
                       "word-context units on 100 test sentences"):
@@ -288,6 +291,7 @@ def test_criterion_10_lr_schedule():
 # ---------------------------------------------------------------------------
 # Trained-model oracles beyond the numbered criteria.
 
+@pytest.mark.slow
 def test_trained_generation_beats_permutation_baseline(trained_bundle):
     ds = trained_bundle["dataset"]
     params = trained_bundle["models"]["full"]
@@ -320,6 +324,7 @@ def test_trained_generation_beats_permutation_baseline(trained_bundle):
     assert real > chance
 
 
+@pytest.mark.slow
 def test_trained_reconstruction_beats_untrained(trained_bundle):
     ds = trained_bundle["dataset"]
     trained = trained_bundle["models"]["full"]
@@ -331,6 +336,7 @@ def test_trained_reconstruction_beats_untrained(trained_bundle):
     assert mean_score(trained) > mean_score(untrained)
 
 
+@pytest.mark.slow
 def test_trained_full_model_sgd_progress(trained_bundle):
     history = trained_bundle["histories"]["full"]
     losses = [e.train_loss for e in history.epochs]

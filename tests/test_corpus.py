@@ -166,6 +166,17 @@ def test_load_dataset_dim_mismatch_names_line(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_duplicate_id_names_file_and_lines(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    _write_jsonl(path, [
+        {"id": "a", "features": [1.0], "captions": ["a cat"], "split": "train"},
+        {"id": "a", "features": [2.0], "captions": ["a dog"], "split": "valid"},
+    ])
+    with pytest.raises(ValueError, match=r"dup\.jsonl: line 2: duplicate example id 'a' "
+                                         r"\(first on line 1\)"):
+        load_dataset(path)
+
+
 def test_load_dataset_malformed_json_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "r1", "features": [1], "captions": ["x"], "split": "train"}\n{oops\n')

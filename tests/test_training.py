@@ -227,6 +227,34 @@ def test_train_returns_best_validation_params():
         assert np.array_equal(arr, getattr(snaps[1], name)), name
 
 
+def test_non_finite_epoch_restores_best_params_and_halves_lr():
+    dataset, params = _small_training_setup(n=12)
+    snaps = {}
+    restored = []
+
+    def fake(epoch, p):
+        snaps[epoch] = p.copy()
+        if epoch == 2:
+            p.W_ss[0, 0] = np.nan  # the epoch blew up
+            return float("nan")
+        return 10.0 / epoch
+
+    def log_fn(line):
+        if "not finite" in line:
+            restored.append((line, params.copy()))
+
+    cfg = TrainConfig(learning_rate=0.4, max_epochs=3, seed=1)
+    _, history = train(params, dataset, cfg, valid_metric=fake, log_fn=log_fn)
+    assert [e.lr for e in history.epochs] == [0.4, 0.4, 0.2]
+    (line, start3), = restored
+    assert line.startswith("epoch 2 ")
+    # epoch 3 starts from the epoch-1 weights, restored into params in place
+    for name, arr in start3.named_blocks():
+        assert np.array_equal(arr, getattr(snaps[1], name)), name
+    assert np.isfinite(history.epochs[2].train_loss)
+    assert all(np.isfinite(arr).all() for _, arr in snaps[3].named_blocks())
+
+
 def test_train_deterministic_given_seed():
     dataset, params = _small_training_setup(n=20)
     cfg = TrainConfig(learning_rate=0.1, max_epochs=3, seed=11)
