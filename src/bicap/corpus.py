@@ -225,22 +225,24 @@ class Dataset:
 SPLITS = ("train", "valid", "test")
 
 
-def _parse_record(obj, lineno):
+def _parse_record(obj, where):
+    """Validate one raw record; ``where`` ("<file>: line N") prefixes every
+    error."""
     if not isinstance(obj, dict):
-        raise ValueError(f"line {lineno}: record is not an object")
+        raise ValueError(f"{where}: record is not an object")
     for key in ("id", "features", "captions", "split"):
         if key not in obj:
-            raise ValueError(f"line {lineno}: missing field '{key}'")
+            raise ValueError(f"{where}: missing field '{key}'")
     if obj["split"] not in SPLITS:
-        raise ValueError(f"line {lineno}: split must be one of {SPLITS}")
+        raise ValueError(f"{where}: split must be one of {SPLITS}")
     feats = np.asarray(obj["features"], dtype=np.float64)
     if feats.ndim != 1 or feats.size == 0:
-        raise ValueError(f"line {lineno}: features must be a flat nonempty array")
+        raise ValueError(f"{where}: features must be a flat nonempty array")
     if not np.all(np.isfinite(feats)) or np.any(feats < 0):
-        raise ValueError(f"line {lineno}: features must be finite and nonnegative")
+        raise ValueError(f"{where}: features must be finite and nonnegative")
     caps = obj["captions"]
     if not isinstance(caps, list) or not caps or not all(isinstance(c, str) for c in caps):
-        raise ValueError(f"line {lineno}: captions must be a nonempty list of strings")
+        raise ValueError(f"{where}: captions must be a nonempty list of strings")
     return str(obj["id"]), feats, caps, obj["split"]
 
 
@@ -266,10 +268,10 @@ def load_dataset(path, vocab=None, class_count=None):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            records.append((_parse_record(obj, lineno), lineno))
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            records.append((_parse_record(obj, f"{path}: line {lineno}"), lineno))
     if not records:
-        raise ValueError("dataset file contains no records")
+        raise ValueError(f"{path}: dataset file contains no records")
 
     dim = records[0][0][1].size
     first_line = {}
@@ -280,7 +282,8 @@ def load_dataset(path, vocab=None, class_count=None):
         first_line[rid] = lineno
         if feats.size != dim:
             raise ValueError(
-                f"line {lineno}: record '{rid}' has feature dim {feats.size}, expected {dim}"
+                f"{path}: line {lineno}: record '{rid}' has feature dim {feats.size}, "
+                f"expected {dim}"
             )
 
     norm_max = None
@@ -300,13 +303,14 @@ def load_dataset(path, vocab=None, class_count=None):
     else:
         train_feats = [f for (_, f, _, s), _ in records if s == "train"]
         if not train_feats:
-            raise ValueError("no train records and no manifest: cannot derive normalization")
+            raise ValueError(f"{path}: no train records and no manifest: "
+                             "cannot derive normalization")
         norm_max = np.max(np.stack(train_feats), axis=0)
 
     if vocab is None:
         train_caps = [tokenize(c) for (_, _, caps, s), _ in records if s == "train" for c in caps]
         if not train_caps:
-            raise ValueError("no train captions to build a vocabulary from")
+            raise ValueError(f"{path}: no train captions to build a vocabulary from")
         vocab = build_vocab(train_caps, class_count=class_count)
 
     denom = np.where(norm_max > 0, norm_max, 1.0)
@@ -325,7 +329,7 @@ def write_dataset_file(records, path):
     if not records:
         raise ValueError("refusing to write an empty dataset")
     for i, rec in enumerate(records, start=1):
-        _parse_record(rec, i)
+        _parse_record(rec, f"{path}: line {i}")
     dim = len(records[0]["features"])
     train_feats = [np.asarray(r["features"], dtype=np.float64) for r in records if r["split"] == "train"]
     if not train_feats:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EncodedSentence
-from .model import gallery_word_nll, reset_state, sentence_loss, step
+from .model import (advance_rows, feature_vector, gallery_word_nll, recon_cross_entropy,
+                    reset_state, sentence_loss, shift_context, step,
+                    word_distribution_rows)
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
 
@@ -42,6 +44,62 @@ def sample_length(hist, rng):
     return lengths[multinomial_sample(p, rng)]
 
 
+def sample_candidates(params, vocab, v, uniforms, lam_recon):
+    """Sample and score one candidate per row of a (C, length) block of
+    uniform variates, all C candidates in one batched pass.
+
+    Candidate i takes its t-th token from that step's next-word
+    distribution with <eos> and <unk> masked out and the rest
+    renormalized, by the rule of ``multinomial_sample`` applied to
+    ``uniforms[i, t]``; one more step appends <eos>. While sampling, each
+    candidate adds up the joint loss ``score_candidate`` computes: the
+    unmasked word NLL of each token plus ``lam_recon`` times the
+    reconstruction cross-entropy. Returns the (C, length + 1) ids and the
+    (C,) joint losses.
+    """
+    dims = params.dims
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.ndim != 2 or uniforms.shape[1] < 1:
+        raise ValueError("length must be >= 1")
+    count, length = uniforms.shape
+    v = feature_vector(dims, v)
+    drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
+    state = reset_state(params)
+    s = np.broadcast_to(state.s, (count, dims.s_dim))
+    u = state.u
+    contexts = [state.context] * count
+    bases_cache = {}
+    rows = np.arange(count)
+    ids = np.full((count, length + 1), vocab.eos_id)
+    scores = np.zeros(count)
+    prev = np.full(count, vocab.eos_id)
+    for t in range(length + 1):
+        s, u = advance_rows(params, s, u, prev, drive)
+        contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
+        qw, p = word_distribution_rows(params, s, u, contexts, vocab, bases_cache)
+        if t < length:
+            dist = qw * p
+            dist[:, [vocab.eos_id, vocab.unk_id]] = 0.0
+            mass = dist.sum(axis=1)
+            if not np.all(mass > 0.0):
+                raise ValueError("no probability mass left after masking <eos>/<unk>")
+            cdf = np.cumsum(dist / mass[:, None], axis=1)
+            draw = uniforms[:, t] * cdf[:, -1]
+            ids[:, t] = np.minimum((cdf <= draw[:, None]).sum(axis=1), dims.vocab_size - 1)
+        prev = ids[:, t]
+        joint = -np.log(qw[rows, prev]) - np.log(p[rows, prev])
+        if dims.uses_u:
+            recon = sigmoid_clipped(u @ params.W_uv.T + params.b_v, dims.sigmoid_clip)
+            joint = joint + lam_recon * recon_cross_entropy(v, recon)
+        scores += joint
+    return ids, scores
+
+
+def _encoded(vocab, ids):
+    ids = ids.tolist()
+    return EncodedSentence(ids=ids, tokens=[vocab.tokens[i] for i in ids[:-1]])
+
+
 def sample_sentence(params, vocab, v, length, rng):
     """Sample exactly ``length`` tokens from the model, then append <eos>.
 
@@ -50,21 +108,8 @@ def sample_sentence(params, vocab, v, length, rng):
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    state = reset_state(params)
-    prev = vocab.eos_id
-    ids = []
-    for _ in range(length):
-        state, out = step(params, state, prev, v, vocab)
-        dist = out.word_dist.copy()
-        dist[vocab.eos_id] = 0.0
-        dist[vocab.unk_id] = 0.0
-        mass = dist.sum()
-        if mass <= 0.0:
-            raise ValueError("no probability mass left after masking <eos>/<unk>")
-        prev = multinomial_sample(dist / mass, rng)
-        ids.append(prev)
-    ids.append(vocab.eos_id)
-    return EncodedSentence(ids=ids, tokens=[vocab.tokens[i] for i in ids[:-1]])
+    ids, _ = sample_candidates(params, vocab, v, rng.random((1, length)), 0.0)
+    return _encoded(vocab, ids[0])
 
 
 def score_candidate(params, vocab, v, sent, lam_recon, recon_kind="ce"):
@@ -84,21 +129,19 @@ class GenResult:
 
 def generate(params, vocab, v, cfg, rng=None):
     """Sample-and-rescore generation; deterministic given the seed, ties
-    broken by the earliest candidate."""
+    broken by the earliest candidate.
+
+    The length is drawn first; then one (candidate_count, length) block of
+    uniforms, in candidate-major order, feeds ``sample_candidates``.
+    """
     if rng is None:
         rng = SeededRng(cfg.seed)
     length = sample_length(cfg.length_hist, rng)
-    best = None
-    best_score = math.inf
-    scores = []
-    for _ in range(cfg.candidate_count):
-        cand = sample_sentence(params, vocab, v, length, rng)
-        s = score_candidate(params, vocab, v, cand, cfg.lam_recon)
-        scores.append(s)
-        if s < best_score:
-            best, best_score = cand, s
-    return GenResult(sentence=best, score=best_score, length=length,
-                     candidate_scores=scores)
+    ids, scores = sample_candidates(params, vocab, v,
+                                    rng.random((cfg.candidate_count, length)), cfg.lam_recon)
+    best = int(np.argmin(scores))
+    return GenResult(sentence=_encoded(vocab, ids[best]), score=float(scores[best]),
+                     length=length, candidate_scores=scores.tolist())
 
 
 def _sentences_of(item):

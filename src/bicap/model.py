@@ -294,16 +294,24 @@ def word_distribution(params, s, u, context, vocab_classes):
     return out
 
 
+def feature_vector(dims, v):
+    """``v`` as a float64 vector for the variants that read features; a
+    shape other than (v_dim,), or None, raises."""
+    if not dims.uses_v:
+        return v
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (dims.v_dim,):
+        raise ValueError(f"feature vector must have dim {dims.v_dim}")
+    return v
+
+
 def step(params, state, w_prev, v, vocab_classes):
     """One forward time step: consume ``w_prev``, emit the next-word
     distribution and (full variant) the running feature reconstruction."""
     dims = params.dims
     if not 0 <= w_prev < dims.vocab_size:
         raise ValueError(f"token id {w_prev} out of range [0, {dims.vocab_size})")
-    if dims.uses_v:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (dims.v_dim,):
-            raise ValueError(f"feature vector must have dim {dims.v_dim}")
+    v = feature_vector(dims, v)
     s2, u2, recon, _, _, _ = _advance(params, state.s, state.u, w_prev, v)
     context = shift_context(dims, state.context, w_prev)
     dist = word_distribution(params, s2, u2, context, vocab_classes)
@@ -312,9 +320,10 @@ def step(params, state, w_prev, v, vocab_classes):
 
 
 def recon_cross_entropy(v, recon):
-    """Elementwise cross-entropy between target features (in [0,1]) and the
-    sigmoid reconstruction (strictly inside (0,1))."""
-    return float(-(v * np.log(recon) + (1.0 - v) * np.log(1.0 - recon)).sum())
+    """Cross-entropy between target features (in [0,1]) and the sigmoid
+    reconstruction (strictly inside (0,1)), summed over the last axis: one
+    value per reconstruction row."""
+    return -(v * np.log(recon) + (1.0 - v) * np.log(1.0 - recon)).sum(axis=-1)
 
 
 def recon_squared_error(v, recon):
@@ -395,6 +404,65 @@ def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
         prev = target
 
 
+def advance_rows(params, s, u, prev, drive):
+    """One recurrence update of an (N, s_dim) state matrix.
+
+    ``u`` is one (u_dim,) state shared by every row or an (N, u_dim)
+    matrix (None without the visual memory); ``prev`` is one token id or
+    (N,) ids; ``drive`` is ``W_vs @ v + b_s`` per row, or ``b_s`` alone.
+    """
+    dims = params.dims
+    clip = dims.sigmoid_clip
+    s = sigmoid_clipped(params.W_ws.T[prev] + s @ params.W_ss.T + drive, clip)
+    if dims.uses_u:
+        u = sigmoid_clipped(params.W_wu.T[prev] + u @ params.W_uu.T + params.b_u, clip)
+    return s, u
+
+
+def logit_rows(params, s, u, lo, hi):
+    """Row-wise class logits and member logits of ids [lo, hi), without
+    the max-entropy terms, for states as ``advance_rows`` returns them."""
+    zc = s @ params.W_sc.T + params.b_c
+    zw = s @ params.W_sw[lo:hi].T + params.b_w[lo:hi]
+    if params.dims.uses_u:
+        zc = zc + u @ params.W_uc.T
+        zw = zw + u @ params.W_uw[lo:hi].T
+    return zc, zw
+
+
+def word_distribution_rows(params, s, u, contexts, vocab_classes, bases_cache):
+    """``word_distribution`` for every row of an (N, s_dim) state matrix
+    with (N, u_dim) u rows and one max-entropy context per row.
+
+    Returns (N, vocab) arrays ``qw`` and ``p``: the probability of each
+    id's class and each id's probability within its class. Their product
+    is the distribution. The member softmax runs per class segment with
+    ``np.maximum.reduceat``/``np.add.reduceat``. ``bases_cache`` (a dict
+    the caller owns) maps each context seen so far to its max-entropy
+    bases, so every distinct context is hashed once.
+    """
+    dims = params.dims
+    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
+    starts = np.concatenate(([0], bounds[:-1]))
+    class_ids = np.repeat(np.arange(len(bounds)), bounds - starts)
+    zc, zw = logit_rows(params, s, u, 0, dims.vocab_size)
+    if dims.maxent_order > 0:
+        slots = {}
+        rows = [slots.setdefault(ctx, len(slots)) for ctx in contexts]
+        for ctx in slots.keys() - bases_cache.keys():
+            bases_cache[ctx] = [(cbase, wbase) for _, cbase, wbase in maxent_bases(dims, ctx)]
+        bases = np.array([bases_cache[ctx] for ctx in slots])   # (contexts, orders, 2)
+        h = dims.maxent_hash_size
+        me_c = params.me_class[(bases[:, :, :1] + np.arange(dims.class_count)) % h][rows]
+        me_w = params.me_word[(bases[:, :, 1:] + np.arange(dims.vocab_size)) % h][rows]
+        for k in range(bases.shape[1]):
+            zc = zc + me_c[:, k]
+            zw = zw + me_w[:, k]
+    e = np.exp(zw - np.maximum.reduceat(zw, starts, axis=1)[:, class_ids])
+    p = e / np.add.reduceat(e, starts, axis=1)[:, class_ids]
+    return softmax(zc)[:, class_ids], p
+
+
 def gallery_word_nll(params, feats, sent, vocab_classes):
     """(N,) word NLL of one sentence under each row of an (N, v_dim)
     feature matrix, in one forward over an (N, s_dim) state matrix.
@@ -422,23 +490,17 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
         inverse = np.zeros(len(feats), dtype=np.int64)
         drive = params.b_s[None, :]
     bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
-    clip = dims.sigmoid_clip
     state = reset_state(params)
     s = np.broadcast_to(state.s, drive.shape)
     u, context = state.u, state.context
     nll = np.zeros(len(drive))
     prev = sent.ids[-1]
     for target in sent.ids:
-        s = sigmoid_clipped(params.W_ws[:, prev] + s @ params.W_ss.T + drive, clip)
+        s, u = advance_rows(params, s, u, prev, drive)
         g = int(np.searchsorted(bounds, target, side="right"))
         lo = 0 if g == 0 else int(bounds[g - 1])
         hi = int(bounds[g])
-        zc = s @ params.W_sc.T + params.b_c
-        zw = s @ params.W_sw[lo:hi].T + params.b_w[lo:hi]
-        if dims.uses_u:
-            u = sigmoid_clipped(params.W_wu[:, prev] + params.W_uu @ u + params.b_u, clip)
-            zc = zc + params.W_uc @ u
-            zw = zw + params.W_uw[lo:hi] @ u
+        zc, zw = logit_rows(params, s, u, lo, hi)
         context = shift_context(dims, context, prev)
         for _, cbase, wbase in maxent_bases(dims, context):
             zc = zc + params.me_class[(cbase + np.arange(dims.class_count))

@@ -47,8 +47,10 @@ class SeededRng:
     def uniform(self, low, high, size=None):
         return self.generator.uniform(low, high, size)
 
-    def random(self):
-        return self.generator.random()
+    def random(self, size=None):
+        """One float in [0, 1), or an array of ``size`` of them; a block of
+        n values equals n scalar draws taken one after another."""
+        return self.generator.random(size)
 
     def integers(self, low, high):
         return int(self.generator.integers(low, high))

@@ -162,7 +162,7 @@ def test_load_dataset_dim_mismatch_names_line(tmp_path):
     recs[2]["features"] = [1.0, 2.0]
     path = tmp_path / "bad.jsonl"
     _write_jsonl(path, recs)
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError, match=r"bad\.jsonl: line 3: record 'r3' has feature dim 2"):
         load_dataset(path)
 
 
@@ -180,17 +180,23 @@ def test_load_dataset_duplicate_id_names_file_and_lines(tmp_path):
 def test_load_dataset_malformed_json_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "r1", "features": [1], "captions": ["x"], "split": "train"}\n{oops\n')
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=r"bad\.jsonl: line 2: invalid JSON"):
         load_dataset(path)
 
 
 def test_load_dataset_missing_field_and_bad_split(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "r1", "features": [1], "split": "train"}\n')
-    with pytest.raises(ValueError, match="captions"):
+    with pytest.raises(ValueError, match=r"bad\.jsonl: line 1: missing field 'captions'"):
         load_dataset(path)
     path.write_text('{"id": "r1", "features": [1], "captions": ["x"], "split": "dev"}\n')
-    with pytest.raises(ValueError, match="split"):
+    with pytest.raises(ValueError, match=r"bad\.jsonl: line 1: split"):
+        load_dataset(path)
+    path.write_text('\n[1, 2]\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl: line 2: record is not an object"):
+        load_dataset(path)
+    path.write_text('\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl: dataset file contains no records"):
         load_dataset(path)
 
 

@@ -9,12 +9,12 @@ from bicap.corpus import EncodedSentence, build_vocab, encode
 from bicap.inference import (GenConfig, activation_trace,
                              aggregate_ranks, generate, image_retrieval_task,
                              rank_retrieval, ranks_from_scores, recon_score,
-                             recon_trajectory, sample_length, sample_sentence,
-                             score_candidate, sentence_retrieval_task,
-                             text_score)
+                             recon_trajectory, sample_candidates, sample_length,
+                             sample_sentence, score_candidate,
+                             sentence_retrieval_task, text_score)
 from bicap.model import (gallery_word_nll, init_params, maxent_bases, reset_state,
                          sentence_loss)
-from bicap.numkit import SeededRng
+from bicap.numkit import SeededRng, multinomial_sample
 from bicap.training import gradcheck_setup
 
 from conftest import small_dims
@@ -152,6 +152,86 @@ def test_generate_returns_minimum_score_deterministically():
     first_best = res1.candidate_scores.index(min(res1.candidate_scores))
     # earliest-index tie-break: everything before the winner scores worse
     assert all(s > res1.score for s in res1.candidate_scores[:first_best])
+
+
+
+def _reference_candidates(params, vocab, v, hist, count, lam_recon, rng):
+    """The one-candidate-at-a-time algorithm: draw the length, then sample
+    each candidate with scalar ``step`` calls and score it with
+    ``score_candidate``."""
+    length = sample_length(hist, rng)
+    cands, scores = [], []
+    for _ in range(count):
+        state = reset_state(params)
+        prev = vocab.eos_id
+        ids = []
+        for _ in range(length):
+            state, out = model.step(params, state, prev, v, vocab)
+            dist = out.word_dist.copy()
+            dist[vocab.eos_id] = 0.0
+            dist[vocab.unk_id] = 0.0
+            prev = multinomial_sample(dist / dist.sum(), rng)
+            ids.append(prev)
+        sent = EncodedSentence(ids=ids + [vocab.eos_id],
+                               tokens=[vocab.tokens[i] for i in ids])
+        cands.append(sent)
+        scores.append(score_candidate(params, vocab, v, sent, lam_recon))
+    return length, cands, scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([0, 3]),
+       seed=st.integers(0, 2 ** 16), count=st.integers(1, 7),
+       hist=st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1),
+       lam_recon=st.sampled_from([0.0, 1.0]))
+def test_batched_generation_matches_sequential_reference(variant, order, seed, count,
+                                                         hist, lam_recon):
+    params, vocab, example = gradcheck_setup(variant, seed=seed, maxent_order=order)
+    v = example.features
+    length, cands, ref_scores = _reference_candidates(params, vocab, v, hist, count,
+                                                      lam_recon, SeededRng(seed))
+    rng = SeededRng(seed)
+    assert sample_length(hist, rng) == length
+    ids, scores = sample_candidates(params, vocab, v, rng.random((count, length)),
+                                    lam_recon)
+    assert ids.tolist() == [c.ids for c in cands]
+    for got, ref in zip(scores, ref_scores):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    cfg = GenConfig(length_hist=hist, candidate_count=count, lam_recon=lam_recon, seed=seed)
+    res = generate(params, vocab, v, cfg)
+    assert res.length == length
+    assert res.candidate_scores == scores.tolist()
+    first = res.candidate_scores.index(min(res.candidate_scores))
+    assert res.score == res.candidate_scores[first]
+    assert res.sentence.ids == cands[first].ids
+    assert res.sentence.ids == cands[ref_scores.index(min(ref_scores))].ids
+
+
+def test_batched_generation_rejects_bad_features():
+    for variant in ("rnn_if", "full"):
+        params, vocab, _ = gradcheck_setup(variant, seed=2)
+        for v in (np.zeros(3), np.zeros((1, 4)), None):
+            with pytest.raises(ValueError, match="dim 4"):
+                sample_candidates(params, vocab, v, np.full((2, 3), 0.5), 1.0)
+            with pytest.raises(ValueError, match="dim 4"):
+                sample_sentence(params, vocab, v, 3, SeededRng(0))
+    params, vocab, _ = gradcheck_setup("rnn", seed=2)
+    ids, _ = sample_candidates(params, vocab, None, np.full((2, 3), 0.5), 1.0)
+    assert ids.shape == (2, 4)
+
+
+def test_batched_generation_no_mass_left_is_loud():
+    # <eos> and <unk> take all the mass: their classes and their member
+    # logits dwarf every other word's, whose probabilities underflow to 0.
+    params, vocab, _ = gradcheck_setup("rnn", seed=3, maxent_order=0)
+    params = model.ModelParams.zeros(params.dims)
+    for tid in (vocab.eos_id, vocab.unk_id):
+        params.b_c[vocab.class_of(tid)] = 1000.0
+        params.b_w[tid] = 1000.0
+    with pytest.raises(ValueError, match="no probability mass left"):
+        sample_candidates(params, vocab, None, np.full((3, 2), 0.5), 1.0)
+    with pytest.raises(ValueError, match="no probability mass left"):
+        generate(params, vocab, None, GenConfig(length_hist={2: 1}, candidate_count=3))
 
 
 def test_text_score_singleton_gallery_is_one():

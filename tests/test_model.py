@@ -231,6 +231,40 @@ def test_word_distribution_brute_force_factorization():
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+@pytest.mark.parametrize("order", [3, 0])
+def test_word_distribution_rows_match_scalar(variant, order):
+    # Criterion 2 for the batched distribution: every row sums to 1 and
+    # equals the scalar class loop for that row's state and context.
+    vocab = build_vocab([[f"w{i}" for i in range(20)],
+                         [f"w{i}" for i in range(0, 20, 2)]], class_count=5)
+    dims = small_dims(vocab, variant=variant, v_dim=5, s_dim=8, u_dim=8,
+                      maxent_order=order, maxent_hash_size=131)
+    rng = SeededRng(41)
+    cache = {}
+    for _ in range(20):
+        blocks = {name: rng.uniform(-2.0, 2.0, shape)
+                  for name, shape in model.block_shapes(dims)}
+        params = model.ModelParams(dims, blocks)
+        params.apply_vs_mask()
+        n = rng.integers(1, 9)
+        s = rng.uniform(0.01, 0.99, (n, dims.s_dim))
+        u = rng.uniform(0.01, 0.99, (n, dims.u_dim)) if dims.uses_u else None
+        # few distinct contexts, so rows share them
+        pool = [tuple(rng.integers(0, len(vocab)) for _ in range(max(0, order - 1)))
+                for _ in range(3)]
+        contexts = [pool[rng.integers(0, 3)] for _ in range(n)]
+        qw, p = model.word_distribution_rows(params, s, u, contexts, vocab, cache)
+        dist = qw * p
+        assert dist.shape == (n, len(vocab))
+        assert np.all(np.abs(dist.sum(axis=1) - 1.0) <= 1e-12)
+        for i in range(n):
+            expected = word_distribution(params, s[i], None if u is None else u[i],
+                                         contexts[i], vocab)
+            assert np.all(np.abs(dist[i] - expected) <= 1e-12)
+
+
 def test_sentence_loss_minimal_sentence():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(1))

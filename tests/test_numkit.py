@@ -108,3 +108,13 @@ def test_rng_reproducible_and_labelled_streams():
     assert child1.seed == child2.seed
     assert child1.seed != other.seed
     assert np.array_equal(child1.uniform(0, 1, 5), child2.uniform(0, 1, 5))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 6), (100, 12)])
+def test_rng_block_equals_scalar_draws(shape):
+    block = SeededRng(31).random(shape)
+    scalar = SeededRng(31)
+    expected = [scalar.random() for _ in range(shape[0] * shape[1])]
+    assert block.shape == shape
+    assert block.ravel().tolist() == expected
+    assert isinstance(scalar.random(), float)
