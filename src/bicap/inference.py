@@ -257,6 +257,11 @@ def aggregate_ranks(ranked_ids, ranks, mode=""):
                            mean_rank=float(ranks_arr.mean()), mode=mode)
 
 
+# Decimals kept of a z-scored T+I sum: z-scores are O(1), and the batched and
+# scalar scorers agree on them to about 1e-11.
+ZSCORE_DECIMALS = 9
+
+
 def _zscore_rows(m):
     mean = m.mean(axis=1, keepdims=True)
     std = m.std(axis=1, keepdims=True)
@@ -317,7 +322,11 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
         scores = i_scores
     elif mode == "ti":
         if combine == "zscore":
-            scores = _zscore_rows(t_loglik) + _zscore_rows(i_scores)
+            # Over two items each z-scored row is +-1, so the sum ties
+            # exactly whenever T and I disagree; rounding keeps such ties
+            # exact, to be broken by gallery index rather than by BLAS noise.
+            scores = np.round(_zscore_rows(t_loglik) + _zscore_rows(i_scores),
+                              ZSCORE_DECIMALS)
         elif combine == "rank":
             scores = _rank_rows(t_loglik) + _rank_rows(i_scores)
         else:

@@ -404,6 +404,13 @@ def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
         prev = target
 
 
+def _times_u(W, u):
+    """``W`` applied to each u row: ``W @ u`` for one shared (u_dim,)
+    state, which then rounds exactly as the scalar ``step`` does, and
+    ``u @ W.T`` for an (N, u_dim) matrix."""
+    return W @ u if u.ndim == 1 else u @ W.T
+
+
 def advance_rows(params, s, u, prev, drive):
     """One recurrence update of an (N, s_dim) state matrix.
 
@@ -415,7 +422,7 @@ def advance_rows(params, s, u, prev, drive):
     clip = dims.sigmoid_clip
     s = sigmoid_clipped(params.W_ws.T[prev] + s @ params.W_ss.T + drive, clip)
     if dims.uses_u:
-        u = sigmoid_clipped(params.W_wu.T[prev] + u @ params.W_uu.T + params.b_u, clip)
+        u = sigmoid_clipped(params.W_wu.T[prev] + _times_u(params.W_uu, u) + params.b_u, clip)
     return s, u
 
 
@@ -425,8 +432,8 @@ def logit_rows(params, s, u, lo, hi):
     zc = s @ params.W_sc.T + params.b_c
     zw = s @ params.W_sw[lo:hi].T + params.b_w[lo:hi]
     if params.dims.uses_u:
-        zc = zc + u @ params.W_uc.T
-        zw = zw + u @ params.W_uw[lo:hi].T
+        zc = zc + _times_u(params.W_uc, u)
+        zw = zw + _times_u(params.W_uw[lo:hi], u)
     return zc, zw
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from bicap import model
 from bicap.corpus import EncodedSentence, build_vocab, encode
-from bicap.inference import (GenConfig, activation_trace,
+from bicap.inference import (ZSCORE_DECIMALS, GenConfig, activation_trace,
                              aggregate_ranks, generate, image_retrieval_task,
                              rank_retrieval, ranks_from_scores, recon_score,
                              recon_trajectory, sample_candidates, sample_length,
-                             sample_sentence, score_candidate,
+                             sample_sentence, score_candidate, score_matrices,
                              sentence_retrieval_task, text_score)
 from bicap.model import (gallery_word_nll, init_params, maxent_bases, reset_state,
                          sentence_loss)
@@ -370,8 +370,10 @@ def test_rank_retrieval_runs_all_modes(tiny_dataset):
 
 # Features come from a coarse grid, so two gallery images either are the same
 # vector (an exact tie, which both paths must break by index) or differ by
-# far more than rounding. Groups hold at most two sentences, whose sum does
-# not depend on their order.
+# far more than rounding. Over a two-item gallery the z-scored T+I sum ties
+# exactly whenever T and I disagree; both paths round it to
+# ``ZSCORE_DECIMALS`` so the tie stays exact. Groups hold at most two
+# sentences, whose sum does not depend on their order.
 _grid_feature = st.lists(st.integers(0, 4).map(lambda k: k / 4.0), min_size=4, max_size=4)
 _words = st.lists(st.sampled_from([f"w{i}" for i in range(10)]), min_size=1, max_size=6)
 
@@ -414,7 +416,7 @@ def _scalar_ranking(params, vocab, queries, gallery, mode):
             score = e / e.sum()
         else:
             i = np.array([recon_score(params, item, v) for v, item in pairs])
-            score = _zscore(t) + _zscore(i)
+            score = np.round(_zscore(t) + _zscore(i), ZSCORE_DECIMALS)
         ranked.append(sorted(range(len(gallery)), key=lambda j: (-score[j], j)))
     return ranked
 
@@ -433,6 +435,19 @@ def test_gallery_scorer_matches_scalar_loss_and_ranking(case):
     for mode in ("t", "ti") if params.dims.uses_u else ("t",):
         res = rank_retrieval(params, vocab, queries, gallery, truth, mode=mode)
         assert res.ranked_ids == _scalar_ranking(params, vocab, queries, gallery, mode)
+
+
+def test_two_item_ti_tie_goes_to_earlier_item():
+    # T and I rank these two images oppositely, so each z-scored row is +-1
+    # and the sum ties; unrounded, rounding noise puts the second image first.
+    params, vocab, _ = gradcheck_setup("full", seed=0)
+    sent = encode(["w0"], vocab)
+    feats = [np.zeros(4), np.array([0.0, 0.0, 0.5, 0.5])]
+    t, i = score_matrices(params, vocab, [sent], feats)
+    assert (t[0, 0] - t[0, 1]) * (i[0, 0] - i[0, 1]) < 0
+    for gallery in (feats, feats[::-1]):
+        res = rank_retrieval(params, vocab, [sent], gallery, [{0}], mode="ti")
+        assert res.ranked_ids == [[0, 1]]
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)
