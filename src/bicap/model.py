@@ -15,6 +15,7 @@ P(w | class(w)), with both the class and the within-class logits fed by
 ``s``, ``u`` and hashed n-gram (max-entropy) feature tables.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -327,7 +328,17 @@ def recon_cross_entropy(v, recon):
 
 
 def recon_squared_error(v, recon):
-    return float(((recon - v) ** 2).sum())
+    """Squared error, summed over the last axis like recon_cross_entropy."""
+    return ((recon - v) ** 2).sum(axis=-1)
+
+
+def recon_losses(tr, v, recon_kind):
+    """Per-step reconstruction losses of a trace as floats, from one call
+    over its stacked (T, v_dim) reconstructions; zeros without u."""
+    if tr.recon[0] is None:
+        return [0.0] * len(tr.recon)
+    loss = recon_cross_entropy if recon_kind == "ce" else recon_squared_error
+    return loss(v, np.array(tr.recon)).tolist()
 
 
 @dataclass
@@ -348,20 +359,20 @@ class SentenceTrace:
     member_probs: list  # softmax over the target's class members per step
     member_range: list  # (lo, hi) of the target's class per step
     word_nll: list
-    recon_loss: list
 
     @classmethod
     def empty(cls, state):
-        return cls([], [], [state.s], [state.u], [], [], [], [], [], [], [], [], [], [], [])
+        return cls([], [], [state.s], [state.u], [], [], [], [], [], [], [], [], [], [])
 
 
-def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
+def forward_steps(params, v, sent, vocab_classes):
     """Run a sentence from a fresh state, scoring each target token through
     its class and member softmax only (no full-vocabulary distribution).
 
     Records step ``t`` into the trace and yields ``(t, trace)``. Weights the
     consumer changes between yields are seen by the later steps, which is
-    how training applies its per-word online update.
+    how training applies its per-word online update. ``recon_losses``
+    scores the reconstructions for the callers that need that loss.
     """
     dims = params.dims
     state = reset_state(params)
@@ -380,11 +391,6 @@ def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
         hi = int(bounds[g])
         p = softmax(member_logits(params, s, u, bases, lo, hi))
         nll = -float(np.log(q[g])) - float(np.log(p[target - lo]))
-        if dims.uses_u:
-            rl = (recon_cross_entropy(v, recon) if recon_kind == "ce"
-                  else recon_squared_error(v, recon))
-        else:
-            rl = 0.0
         tr.inputs.append(prev)
         tr.targets.append(target)
         tr.s.append(s)
@@ -399,7 +405,6 @@ def forward_steps(params, v, sent, vocab_classes, recon_kind="ce"):
         tr.member_probs.append(p)
         tr.member_range.append((lo, hi))
         tr.word_nll.append(nll)
-        tr.recon_loss.append(rl)
         yield t, tr
         prev = target
 
@@ -518,9 +523,9 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
     return nll[inverse.reshape(-1)]
 
 
-def sentence_forward(params, v, sent, vocab_classes, recon_kind="ce"):
+def sentence_forward(params, v, sent, vocab_classes):
     """The whole trace of ``forward_steps`` at fixed weights."""
-    for _, tr in forward_steps(params, v, sent, vocab_classes, recon_kind):
+    for _, tr in forward_steps(params, v, sent, vocab_classes):
         pass
     return tr
 
@@ -534,9 +539,9 @@ def sentence_loss(params, v, sent, lam_recon, vocab_classes, recon_kind="ce"):
     """
     if not sent.ids or sent.ids[-1] != vocab_classes.eos_id:
         raise ValueError("sentence must be nonempty and end with <eos>")
-    tr = sentence_forward(params, v, sent, vocab_classes, recon_kind)
+    tr = sentence_forward(params, v, sent, vocab_classes)
     steps = [StepLoss(word_nll=w, recon_loss=r, joint=w + lam_recon * r)
-             for w, r in zip(tr.word_nll, tr.recon_loss)]
+             for w, r in zip(tr.word_nll, recon_losses(tr, v, recon_kind))]
     total = StepLoss(
         word_nll=sum(s.word_nll for s in steps),
         recon_loss=sum(s.recon_loss for s in steps),
@@ -550,9 +555,9 @@ CHECKPOINT_MAGIC = b"BICAP-CKPT-v1\n"
 
 def save_checkpoint(path, params, vocab, lam_recon, seed_lineage=None):
     """Write a checkpoint: magic, big-endian u64 metadata length, metadata
-    JSON (dims, vocabulary, hash, loss weight, seed lineage, block index),
-    then the raw little-endian float64 block payloads. Byte-stable for
-    identical inputs and bit-exact on round trip."""
+    JSON (dims, vocabulary, hash, loss weight, seed lineage, block index,
+    payload sha256), then the raw little-endian float64 block payloads.
+    Byte-stable for identical inputs and bit-exact on round trip."""
     blocks = []
     offset = 0
     payload = []
@@ -571,6 +576,7 @@ def save_checkpoint(path, params, vocab, lam_recon, seed_lineage=None):
         "vocab": vocab.to_dict(),
         "vocab_hash": vocab.content_hash(),
         "blocks": blocks,
+        "payload_sha256": hashlib.sha256(b"".join(payload)).hexdigest(),
     }
     head = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = str(path) + ".tmp"
@@ -586,8 +592,10 @@ def save_checkpoint(path, params, vocab, lam_recon, seed_lineage=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, vocab, metadata dict).
 
-    A truncated or corrupt file, an unknown version, or blocks that differ
-    from the ones its dims call for raise ValueError naming the path.
+    A truncated or corrupt file, an unknown version, blocks that differ
+    from the ones its dims call for, or a payload whose sha256 differs from
+    the recorded one raise ValueError naming the path. Files written before
+    the checksum existed have no ``payload_sha256`` and load unchecked.
     """
     from .corpus import ClassedVocabulary
 
@@ -615,6 +623,9 @@ def load_checkpoint(path):
                 raise ValueError(f"block {b['name']} has {len(chunk)} payload bytes, "
                                  f"its shape needs {need}")
             blocks[b["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(b["shape"]).copy()
+        digest = meta.get("payload_sha256")
+        if digest is not None and hashlib.sha256(payload).hexdigest() != digest:
+            raise ValueError("payload sha256 does not match the recorded one")
         vocab = ClassedVocabulary.from_dict(meta["vocab"])
         if vocab.content_hash() != meta["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch")

@@ -1,7 +1,8 @@
 """Backpropagation through time and the training loop.
 
 Gradients flow backward from each step's loss through at most
-``bptt_unroll`` recurrent transitions. Updates follow a mixed schedule:
+``bptt_unroll`` recurrent transitions, for all steps of a sentence at once
+when it ends. Updates follow a mixed schedule:
 the output-side weights (class/word projections, their biases and the
 max-entropy tables) move after every word, everything else accumulates
 over the sentence and moves once at its end. Learning-rate halving is
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import SeededRng, sigmoid_clip_mask
-from .model import ONLINE_BLOCKS, block_shapes, forward_steps, sentence_forward
+from .model import (ONLINE_BLOCKS, block_shapes, forward_steps, recon_losses,
+                    sentence_forward)
 
 
 @dataclass
@@ -58,8 +60,8 @@ def _dsig(value, pre, clip):
     return value * (1.0 - value) * sigmoid_clip_mask(pre, clip)
 
 
-def _joint_loss(tr, lam):
-    return sum(w + lam * r for w, r in zip(tr.word_nll, tr.recon_loss))
+def _joint_loss(tr, v, lam, recon_kind):
+    return sum(w + lam * r for w, r in zip(tr.word_nll, recon_losses(tr, v, recon_kind)))
 
 
 def _output_errors(params, tr, t):
@@ -80,8 +82,9 @@ def _output_errors(params, tr, t):
 def _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
     """(block, index, gradient) pieces for the online-updated blocks.
 
-    Index arrays (max-entropy tables) may repeat and must be consumed with
-    unbuffered addition; slice indices never repeat.
+    A max-entropy table gets one piece: the indices of every order in turn,
+    with the gradient tiled. Index arrays may repeat and must be consumed
+    with unbuffered addition; slice indices never repeat.
     """
     dims = params.dims
     s_t = tr.s[t + 1]
@@ -93,62 +96,74 @@ def _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
         u_t = tr.u[t + 1]
         yield "W_uc", slice(None), np.outer(dz_c, u_t)
         yield "W_uw", slice(lo, hi), np.outer(dz_w, u_t)
-    for _, cbase, wbase in tr.bases[t]:
-        cidx = (cbase + np.arange(dims.class_count)) % dims.maxent_hash_size
-        yield "me_class", cidx, dz_c
-        widx = (wbase + np.arange(lo, hi)) % dims.maxent_hash_size
-        yield "me_word", widx, dz_w
+    if tr.bases[t]:
+        bases = np.array([(cbase, wbase) for _, cbase, wbase in tr.bases[t]])
+        size = dims.maxent_hash_size
+        cidx = (bases[:, :1] + np.arange(dims.class_count)) % size
+        yield "me_class", cidx.ravel(), np.concatenate([dz_c] * len(bases))
+        widx = (bases[:, 1:] + np.arange(lo, hi)) % size
+        yield "me_word", widx.ravel(), np.concatenate([dz_w] * len(bases))
 
 
-def _recurrent_chain(params, tr, t, v, e_s, e_u, lam, unroll, recon_kind, g_batch):
+def _hop_sums(delta, W, dsig, unroll):
+    """Truncated chain of one recurrent state for all source steps at once.
+
+    Row t of ``delta`` is step t's error, through the sigmoid derivative
+    ``dsig[t]``; hop h moves the errors of steps t >= h to positions t - h
+    with one (T - h, dim) @ (dim, dim) product. Returns the deltas summed
+    per position, and the sum of the position-0 deltas of hops below
+    ``unroll``, which have one transition left, to the initial state.
+    """
+    acc = delta.copy()
+    first = delta[0].copy()
+    for h in range(1, min(unroll, len(acc) - 1) + 1):
+        delta = (delta[1:] @ W) * dsig[:len(delta) - 1]
+        acc[:len(delta)] += delta
+        if h < unroll:
+            first += delta[0]
+    return acc, first
+
+
+def _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, g_batch):
     """Reconstruction-head gradients plus the truncated backward chain of
-    step ``t``, accumulated into the batch-side container.
+    a sentence, accumulated into the batch-side container.
 
-    ``unroll`` bounds how many recurrent transitions the error traverses;
-    unroll >= sentence length reproduces the untruncated gradient.
+    ``e_s``/``e_u`` list the errors each step's softmax injects into s_t
+    and u_t. ``unroll`` bounds how many recurrent transitions an error
+    traverses; unroll >= sentence length gives the untruncated gradient.
+    The chain reads only batch blocks, fixed within a sentence, so it runs
+    once at its end over (T, dim) arrays (Williams & Peng's BPTT(h; h')).
     """
     dims = params.dims
     clip = dims.sigmoid_clip
+    inputs = np.array(tr.inputs)
+    s = np.array(tr.s)
+    dsig_s = _dsig(s[1:], np.array(tr.pre_s), clip)
+    acc_s, _ = _hop_sums(np.array(e_s) * dsig_s, params.W_ss, dsig_s, unroll)
+    g_batch.W_ss += acc_s.T @ s[:-1]
+    np.add.at(g_batch.W_ws.T, inputs, acc_s)
+    col_s = acc_s.sum(axis=0)
+    g_batch.b_s += col_s
+    if dims.uses_v:
+        nrows = dims.vs_connected_rows
+        g_batch.W_vs[:nrows] += np.outer(col_s[:nrows], v)
     if dims.uses_u:
-        recon, pre_r, u_t = tr.recon[t], tr.pre_r[t], tr.u[t + 1]
+        u = np.array(tr.u)
+        recon = np.array(tr.recon)
+        mask_r = sigmoid_clip_mask(np.array(tr.pre_r), clip)
         if recon_kind == "ce":
-            dr = lam * (recon - v) * sigmoid_clip_mask(pre_r, clip)
+            dr = lam * (recon - v) * mask_r
         else:
-            dr = lam * 2.0 * (recon - v) * recon * (1.0 - recon) * sigmoid_clip_mask(pre_r, clip)
-        g_batch.W_uv += np.outer(dr, u_t)
-        g_batch.b_v += dr
-        e_u = e_u + params.W_uv.T @ dr
-        delta_u = e_u * _dsig(u_t, tr.pre_u[t], clip)
-    else:
-        delta_u = None
-    delta_s = e_s * _dsig(tr.s[t + 1], tr.pre_s[t], clip)
-
-    nrows = dims.vs_connected_rows if dims.uses_v else 0
-    m = t + 1  # state index; tr.s[m] was produced by step m-1
-    hops = 0
-    while True:
-        x = tr.inputs[m - 1]
-        g_batch.W_ws[:, x] += delta_s
-        g_batch.W_ss += np.outer(delta_s, tr.s[m - 1])
-        g_batch.b_s += delta_s
-        if dims.uses_v:
-            g_batch.W_vs[:nrows] += np.outer(delta_s[:nrows], v)
-        if dims.uses_u:
-            g_batch.W_wu[:, x] += delta_u
-            g_batch.W_uu += np.outer(delta_u, tr.u[m - 1])
-            g_batch.b_u += delta_u
-        if hops == unroll:
-            break
-        if m == 1:
-            # one more transition reaches the learned initial state u_0
-            if dims.uses_u:
-                g_batch.u0 += (params.W_uu.T @ delta_u) * _dsig(tr.u[0], params.u0, clip)
-            break
-        delta_s = (params.W_ss.T @ delta_s) * _dsig(tr.s[m - 1], tr.pre_s[m - 2], clip)
-        if dims.uses_u:
-            delta_u = (params.W_uu.T @ delta_u) * _dsig(tr.u[m - 1], tr.pre_u[m - 2], clip)
-        m -= 1
-        hops += 1
+            dr = lam * 2.0 * (recon - v) * recon * (1.0 - recon) * mask_r
+        g_batch.W_uv += dr.T @ u[1:]
+        g_batch.b_v += dr.sum(axis=0)
+        dsig_u = _dsig(u[1:], np.array(tr.pre_u), clip)
+        acc_u, first_u = _hop_sums((np.array(e_u) + dr @ params.W_uv) * dsig_u,
+                                   params.W_uu, dsig_u, unroll)
+        g_batch.W_uu += acc_u.T @ u[:-1]
+        np.add.at(g_batch.W_wu.T, inputs, acc_u)
+        g_batch.b_u += acc_u.sum(axis=0)
+        g_batch.u0 += (params.W_uu.T @ first_u) * _dsig(u[0], params.u0, clip)
 
 
 def clip_gradients(grads, limit):
@@ -168,18 +183,21 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     final per-element clamp (used by the finite-difference check, which
     validates raw derivatives).
     """
-    tr = sentence_forward(params, v, sent, vocab, recon_kind)
+    tr = sentence_forward(params, v, sent, vocab)
     grads = params.zeros_like()
+    e_s, e_u = [], []
     for t in range(len(sent.ids)):
-        dz_c, dz_w, lo, hi, e_s, e_u = _output_errors(params, tr, t)
+        dz_c, dz_w, lo, hi, es, eu = _output_errors(params, tr, t)
         for name, idx, piece in _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
             if isinstance(idx, np.ndarray):
                 np.add.at(getattr(grads, name), idx, piece)
             else:
                 getattr(grads, name)[idx] += piece
-        _recurrent_chain(params, tr, t, v, e_s, e_u, lam, unroll, recon_kind, grads)
+        e_s.append(es)
+        e_u.append(eu)
+    _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, grads)
     clip_gradients(grads, grad_clip)
-    return grads, _joint_loss(tr, lam)
+    return grads, _joint_loss(tr, v, lam, recon_kind)
 
 
 def apply_update(params, grads, lr, blocks="all", weight_decay=0.0):
@@ -202,19 +220,21 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     """One sentence of mixed online/batch SGD; returns (joint loss, tokens).
 
     Output-side weights move after every word (so later steps of the same
-    sentence already see the updates); recurrent-side gradients accumulate
-    and apply once when the sentence ends. ``on_step(t, params)`` runs
-    after each word's online update (schedule introspection).
+    sentence already see the updates); recurrent-side gradients come from
+    one backward chain at the sentence end and apply once. ``on_step(t,
+    params)`` runs after each word's online update (schedule
+    introspection).
     """
     batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
     batch_grads = params.zeros_like(names=batch_names)
     clip = config.grad_clip
-    for t, tr in forward_steps(params, v, sent, vocab, config.recon_kind):
-        dz_c, dz_w, lo, hi, e_s, e_u = _output_errors(params, tr, t)
-        _recurrent_chain(params, tr, t, v, e_s, e_u, config.lam_recon,
-                         config.bptt_unroll, config.recon_kind, batch_grads)
+    e_s, e_u = [], []
+    for t, tr in forward_steps(params, v, sent, vocab):
+        dz_c, dz_w, lo, hi, es, eu = _output_errors(params, tr, t)
+        e_s.append(es)
+        e_u.append(eu)
         for name, idx, piece in _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
-            step_g = np.clip(piece, -clip, clip)
+            step_g = piece.clip(-clip, clip)
             if isinstance(idx, np.ndarray):
                 np.add.at(getattr(params, name), idx, -lr * step_g)
             else:
@@ -222,10 +242,12 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
         if on_step is not None:
             on_step(t, params)
 
+    _recurrent_chain(params, tr, v, e_s, e_u, config.lam_recon, config.bptt_unroll,
+                     config.recon_kind, batch_grads)
     clip_gradients(batch_grads, clip)
     apply_update(params, batch_grads, lr, blocks="batch",
                  weight_decay=config.weight_decay)
-    return _joint_loss(tr, config.lam_recon), len(sent.ids)
+    return _joint_loss(tr, v, config.lam_recon, config.recon_kind), len(sent.ids)
 
 
 def train(params, dataset, config, valid_metric=None, log_fn=None):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicap import model
 from bicap.corpus import EncodedSentence, build_vocab, encode
@@ -450,3 +451,33 @@ def test_checkpoint_metadata_mismatch_names_path(tmp_path, edit, message):
     with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
         load_checkpoint(bad)
     assert message in str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=st.integers(min_value=0), mask=st.integers(1, 255))
+def test_flipped_payload_byte_names_path(tmp_path_factory, where, mask):
+    raw = bytearray(_saved_checkpoint(tmp_path_factory.mktemp("ckpt")))
+    start = _header_len(raw)
+    raw[start + where % (len(raw) - start)] ^= mask
+    bad = tmp_path_factory.mktemp("flipped") / "flipped.ckpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
+        load_checkpoint(bad)
+    assert "payload sha256" in str(info.value)
+
+
+def _drop_checksum(meta):
+    del meta["payload_sha256"]
+
+
+def test_checkpoint_without_checksum_still_loads(tmp_path):
+    # files written before the checksum existed carry no payload_sha256
+    raw = _saved_checkpoint(tmp_path)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_rewrite_meta(raw, _drop_checksum))
+    loaded, _, meta = load_checkpoint(old)
+    _, _, current = load_checkpoint(tmp_path / "model.ckpt")
+    assert "payload_sha256" not in meta and "payload_sha256" in current
+    params = init_params(small_dims(_vocab5(), v_dim=3), SeededRng(30))
+    for name, arr in params.named_blocks():
+        assert np.array_equal(arr, getattr(loaded, name)), name

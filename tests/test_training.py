@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bicap import corpus
+from bicap import corpus, model
 from bicap.corpus import encode
-from bicap.model import ONLINE_BLOCKS, init_params, sentence_loss
-from bicap.numkit import SeededRng
-from bicap.training import (TrainConfig, apply_update, grad_check,
-                            gradcheck_setup, sentence_gradients, train,
-                            train_sentence)
+from bicap.model import (ONLINE_BLOCKS, block_shapes, forward_steps, init_params,
+                         sentence_forward, sentence_loss)
+from bicap.numkit import SeededRng, sigmoid_clip_mask
+from bicap.training import (TrainConfig, _dsig, _output_errors, apply_update,
+                            clip_gradients, grad_check, gradcheck_setup,
+                            sentence_gradients, train, train_sentence)
 
 from conftest import small_dims
 
@@ -271,3 +273,142 @@ def test_gradcheck_setup_matches_stated_size():
     assert params.dims.s_dim == 6 and params.dims.u_dim == 6
     assert params.dims.v_dim == 4
     assert params.dims.maxent_order == 3
+
+
+# ---------------------------------------------------------------------------
+# Slow reference: the backward chain one source step and one hop at a time,
+# and the online update one max-entropy order at a time.
+
+def _reference_chain(params, tr, t, v, e_s, e_u, lam, unroll, recon_kind, g):
+    dims = params.dims
+    clip = dims.sigmoid_clip
+    if dims.uses_u:
+        recon, pre_r, u_t = tr.recon[t], tr.pre_r[t], tr.u[t + 1]
+        if recon_kind == "ce":
+            dr = lam * (recon - v) * sigmoid_clip_mask(pre_r, clip)
+        else:
+            dr = lam * 2.0 * (recon - v) * recon * (1.0 - recon) * sigmoid_clip_mask(pre_r, clip)
+        g.W_uv += np.outer(dr, u_t)
+        g.b_v += dr
+        e_u = e_u + params.W_uv.T @ dr
+        delta_u = e_u * _dsig(u_t, tr.pre_u[t], clip)
+    delta_s = e_s * _dsig(tr.s[t + 1], tr.pre_s[t], clip)
+    m = t + 1  # state index; tr.s[m] was produced by step m-1
+    for hops in range(unroll + 1):
+        x = tr.inputs[m - 1]
+        g.W_ws[:, x] += delta_s
+        g.W_ss += np.outer(delta_s, tr.s[m - 1])
+        g.b_s += delta_s
+        if dims.uses_v:
+            g.W_vs[:dims.vs_connected_rows] += np.outer(delta_s[:dims.vs_connected_rows], v)
+        if dims.uses_u:
+            g.W_wu[:, x] += delta_u
+            g.W_uu += np.outer(delta_u, tr.u[m - 1])
+            g.b_u += delta_u
+        if hops == unroll:
+            break
+        if m == 1:
+            # one more transition reaches the learned initial state u_0
+            if dims.uses_u:
+                g.u0 += (params.W_uu.T @ delta_u) * _dsig(tr.u[0], params.u0, clip)
+            break
+        delta_s = (params.W_ss.T @ delta_s) * _dsig(tr.s[m - 1], tr.pre_s[m - 2], clip)
+        if dims.uses_u:
+            delta_u = (params.W_uu.T @ delta_u) * _dsig(tr.u[m - 1], tr.pre_u[m - 2], clip)
+        m -= 1
+
+
+def _reference_pieces(params, tr, t, dz_c, dz_w, lo, hi):
+    dims = params.dims
+    yield "W_sc", slice(None), np.outer(dz_c, tr.s[t + 1])
+    yield "b_c", slice(None), dz_c
+    yield "W_sw", slice(lo, hi), np.outer(dz_w, tr.s[t + 1])
+    yield "b_w", slice(lo, hi), dz_w
+    if dims.uses_u:
+        yield "W_uc", slice(None), np.outer(dz_c, tr.u[t + 1])
+        yield "W_uw", slice(lo, hi), np.outer(dz_w, tr.u[t + 1])
+    for _, cbase, wbase in tr.bases[t]:
+        yield "me_class", (cbase + np.arange(dims.class_count)) % dims.maxent_hash_size, dz_c
+        yield "me_word", (wbase + np.arange(lo, hi)) % dims.maxent_hash_size, dz_w
+
+
+def _reference_joint(tr, v, lam, recon_kind):
+    total = 0.0
+    for t, nll in enumerate(tr.word_nll):
+        recon = 0.0
+        if tr.recon[t] is not None:
+            recon = float(model.recon_cross_entropy(v, tr.recon[t]) if recon_kind == "ce"
+                          else ((tr.recon[t] - v) ** 2).sum())
+        total += nll + lam * recon
+    return total
+
+
+def _reference_gradients(params, vocab, v, sent, lam, unroll, recon_kind):
+    tr = sentence_forward(params, v, sent, vocab)
+    grads = params.zeros_like()
+    for t in range(len(sent.ids)):
+        dz_c, dz_w, lo, hi, e_s, e_u = _output_errors(params, tr, t)
+        for name, idx, piece in _reference_pieces(params, tr, t, dz_c, dz_w, lo, hi):
+            if isinstance(idx, np.ndarray):
+                np.add.at(getattr(grads, name), idx, piece)
+            else:
+                getattr(grads, name)[idx] += piece
+        _reference_chain(params, tr, t, v, e_s, e_u, lam, unroll, recon_kind, grads)
+    return grads, _reference_joint(tr, v, lam, recon_kind)
+
+
+def _reference_train_sentence(params, vocab, v, sent, config, lr):
+    batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
+    batch_grads = params.zeros_like(names=batch_names)
+    clip = config.grad_clip
+    for t, tr in forward_steps(params, v, sent, vocab):
+        dz_c, dz_w, lo, hi, e_s, e_u = _output_errors(params, tr, t)
+        _reference_chain(params, tr, t, v, e_s, e_u, config.lam_recon,
+                         config.bptt_unroll, config.recon_kind, batch_grads)
+        for name, idx, piece in _reference_pieces(params, tr, t, dz_c, dz_w, lo, hi):
+            step_g = np.clip(piece, -clip, clip)
+            if isinstance(idx, np.ndarray):
+                np.add.at(getattr(params, name), idx, -lr * step_g)
+            else:
+                getattr(params, name)[idx] -= lr * step_g
+    clip_gradients(batch_grads, clip)
+    apply_update(params, batch_grads, lr, blocks="batch", weight_decay=config.weight_decay)
+    return _reference_joint(tr, v, config.lam_recon, config.recon_kind)
+
+
+def _assert_blocks_close(got, ref):
+    for name, arr in ref.named_blocks():
+        tol = 1e-12 * max(1.0, float(np.abs(arr).max()))
+        assert np.abs(getattr(got, name) - arr).max() <= tol, name
+
+
+@st.composite
+def _chain_case(draw):
+    words = draw(st.lists(st.integers(0, 9), max_size=7))
+    return (draw(st.sampled_from(model.VARIANTS)), draw(st.integers(0, 2 ** 16)), words,
+            draw(st.integers(1, len(words) + 3)),  # unroll 1 .. T + 2
+            draw(st.sampled_from(["ce", "mse"])), draw(st.sampled_from([0.0, 1.0])),
+            draw(st.sampled_from([0.05, 0.5])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chain_case())
+def test_stacked_chain_matches_per_hop_reference(case):
+    variant, seed, words, unroll, recon_kind, lam, lr = case
+    params, vocab, example = gradcheck_setup(variant, seed=seed)
+    v = example.features
+    sent = encode([f"w{i}" for i in words], vocab)
+    grads, loss = sentence_gradients(params, vocab, v, sent, lam, unroll,
+                                     recon_kind=recon_kind)
+    ref_grads, ref_loss = _reference_gradients(params, vocab, v, sent, lam, unroll,
+                                               recon_kind)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    _assert_blocks_close(grads, ref_grads)
+
+    cfg = TrainConfig(learning_rate=lr, bptt_unroll=unroll, lam_recon=lam,
+                      recon_kind=recon_kind, grad_clip=0.5)
+    trained, ref_trained = params.copy(), params.copy()
+    joint, _ = train_sentence(trained, vocab, v, sent, cfg, lr)
+    ref_joint = _reference_train_sentence(ref_trained, vocab, v, sent, cfg, lr)
+    assert abs(joint - ref_joint) <= 1e-12 * abs(ref_joint)
+    _assert_blocks_close(trained, ref_trained)
