@@ -250,6 +250,43 @@ def manifest_path(path):
     return str(path) + ".manifest.json"
 
 
+def _read_manifest(mpath, dim):
+    """``per_dim_max`` of a sidecar manifest, checked against the data dim.
+
+    Malformed JSON, a missing field, a ``feature_dim`` other than ``dim``,
+    or a ``per_dim_max`` that is not ``dim`` finite values >= 0 raise
+    ValueError naming the manifest and the field.
+    """
+    with open(mpath, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{mpath}: invalid JSON ({exc.msg})") from exc
+    for name in ("feature_dim", "per_dim_max"):
+        if not isinstance(manifest, dict) or name not in manifest:
+            raise ValueError(f"{mpath}: manifest has no {name} field")
+    try:
+        feature_dim = int(manifest["feature_dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{mpath}: feature_dim is not an integer") from exc
+    if feature_dim != dim:
+        raise ValueError(
+            f"{mpath}: feature_dim {manifest['feature_dim']} does not match data dim {dim}"
+        )
+    try:
+        norm_max = np.asarray(manifest["per_dim_max"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{mpath}: per_dim_max is not a list of numbers") from exc
+    if norm_max.shape != (dim,):
+        raise ValueError(
+            f"{mpath}: per_dim_max has shape {norm_max.shape}, feature_dim needs ({dim},)"
+        )
+    bad = norm_max[~(np.isfinite(norm_max) & (norm_max >= 0))]
+    if bad.size:
+        raise ValueError(f"{mpath}: per_dim_max holds {bad[0]}; need finite values >= 0")
+    return norm_max
+
+
 def load_dataset(path, vocab=None, class_count=None):
     """Load a JSONL dataset and normalize features to [0, 1].
 
@@ -289,17 +326,7 @@ def load_dataset(path, vocab=None, class_count=None):
     norm_max = None
     mpath = manifest_path(path)
     if os.path.exists(mpath):
-        with open(mpath, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if int(manifest["feature_dim"]) != dim:
-            raise ValueError(
-                f"{mpath}: feature_dim {manifest['feature_dim']} does not match data dim {dim}"
-            )
-        norm_max = np.asarray(manifest["per_dim_max"], dtype=np.float64)
-        if norm_max.shape != (dim,):
-            raise ValueError(
-                f"{mpath}: per_dim_max has shape {norm_max.shape}, feature_dim needs ({dim},)"
-            )
+        norm_max = _read_manifest(mpath, dim)
     else:
         train_feats = [f for (_, f, _, s), _ in records if s == "train"]
         if not train_feats:

@@ -4,9 +4,102 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .model import sentence_forward
+import numpy as np
+
+from .model import (advance_rows, feature_vector, reset_state, shift_context,
+                    word_distribution_rows)
 
 LOG2 = math.log(2.0)
+
+# Rows per batched perplexity forward: bounds the (rows, vocab) arrays that
+# ``word_distribution_rows`` builds at large vocabularies.
+ROW_SLICE = 256
+
+
+def _checked_features(dims, vocab, pairs):
+    """Features of the pairs as an (N, v_dim) matrix, (N, 0) for the rnn
+    variant, which reads none. An empty caption, one without a final
+    <eos>, an id outside the vocabulary or features that are not (v_dim,)
+    raise ValueError naming the example."""
+    feats = []
+    for ex, cap in pairs:
+        ids = cap.ids
+        try:
+            if not ids:
+                raise ValueError("empty caption")
+            if ids[-1] != vocab.eos_id:
+                raise ValueError("caption does not end with <eos>")
+            bad = [i for i in ids if not 0 <= i < dims.vocab_size]
+            if bad:
+                raise ValueError(f"token id {bad[0]} outside [0, {dims.vocab_size})")
+            feats.append(feature_vector(dims, ex.features) if dims.uses_v else ())
+        except ValueError as exc:
+            raise ValueError(f"example {ex.id!r}: {exc}") from None
+    return np.array(feats, dtype=np.float64)
+
+
+def _rows_word_nll(params, vocab, feats, sents, bases_cache):
+    """Word NLL of captions sorted longest first, run as the rows of one
+    forward; returns one (T,) array per caption.
+
+    Each row has its own drive ``W_vs @ v + b_s``, u row and max-entropy
+    context. A step runs on the rows whose caption has not ended yet, which
+    the sort makes a prefix, and reads each row's target from ``qw`` and ``p``.
+    """
+    dims = params.dims
+    lengths = np.array([len(ids) for ids in sents])
+    count, steps = len(sents), int(lengths[0])
+    targets = np.full((count, steps), vocab.eos_id)
+    for r, ids in enumerate(sents):
+        targets[r, :len(ids)] = ids
+    if dims.uses_v:
+        drive = feats @ params.W_vs.T + params.b_s
+    else:
+        drive = np.broadcast_to(params.b_s, (count, dims.s_dim))
+    state = reset_state(params)
+    s = np.broadcast_to(state.s, (count, dims.s_dim))
+    u = state.u
+    contexts = [state.context] * count
+    prev = np.full(count, vocab.eos_id)
+    nll = np.zeros((count, steps))
+    for t in range(steps):
+        live = int(np.count_nonzero(lengths > t))
+        if live < len(s):   # never at t = 0, while u may still be one shared state
+            s, drive, prev, contexts = s[:live], drive[:live], prev[:live], contexts[:live]
+            u = None if u is None else u[:live]
+        s, u = advance_rows(params, s, u, prev, drive)
+        contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
+        qw, p = word_distribution_rows(params, s, u, contexts, vocab, bases_cache)
+        rows = np.arange(live)
+        prev = targets[:live, t]
+        nll[:live, t] = -np.log(qw[rows, prev]) - np.log(p[rows, prev])
+    return [nll[r, :k] for r, k in enumerate(lengths)]
+
+
+def pair_word_nll(params, vocab, pairs):
+    """Per-token word NLL of each (example, caption) pair, one (T,) array
+    per pair in input order; entry t equals ``sentence_forward(params,
+    ex.features, cap, vocab).word_nll[t]`` up to rounding.
+
+    The pairs run as the rows of one batched forward, ``ROW_SLICE`` rows at
+    a time. BLAS may round a row differently by where it sits in a matrix,
+    so the rows first go into a canonical order: length descending, then
+    token ids, then feature bytes. Each value then depends only on the
+    multiset of pairs, never on their order. Bad pairs raise ValueError
+    before any forward runs.
+    """
+    feats = _checked_features(params.dims, vocab, pairs)
+    order = sorted(range(len(pairs)), key=lambda i: (-len(pairs[i][1].ids),
+                                                     pairs[i][1].ids, feats[i].tobytes()))
+    out = [None] * len(pairs)
+    bases_cache = {}
+    for start in range(0, len(order), ROW_SLICE):
+        chunk = order[start:start + ROW_SLICE]
+        nll = _rows_word_nll(params, vocab, feats[chunk],
+                             [pairs[i][1].ids for i in chunk], bases_cache)
+        for i, row in zip(chunk, nll):
+            out[i] = row
+    return out
 
 
 def perplexity_of_pairs(params, vocab, pairs):
@@ -14,17 +107,13 @@ def perplexity_of_pairs(params, vocab, pairs):
 
     Every word prediction counts, including the <eos> that terminates each
     sentence; the model is reset per sentence and the reconstruction loss
-    plays no part. fsum keeps the result independent of sentence order.
+    plays no part. The canonical row order of ``pair_word_nll`` and fsum
+    over the per-token terms keep the result independent of sentence order.
     """
     if not pairs:
         raise ValueError("perplexity over an empty split")
-    log2_terms = []
-    n_tokens = 0
-    for ex, cap in pairs:
-        tr = sentence_forward(params, ex.features, cap, vocab)
-        log2_terms.extend(-nll / LOG2 for nll in tr.word_nll)
-        n_tokens += len(cap.ids)
-    return 2.0 ** (-math.fsum(log2_terms) / n_tokens)
+    nll = np.concatenate(pair_word_nll(params, vocab, pairs))
+    return 2.0 ** (-math.fsum((-nll / LOG2).tolist()) / len(nll))
 
 
 def perplexity(params, vocab, dataset, split="valid"):

@@ -248,6 +248,43 @@ def test_manifest_per_dim_max_length_rejected(tmp_path, per_dim_max):
     assert str(manifest_file) in str(info.value)
 
 
+@pytest.mark.parametrize("per_dim_max", [[float("nan"), 0.0, 1.0], [4.0, float("inf"), 1.0],
+                                         [4.0, 0.0, float("-inf")], [4.0, -1.0, 1.0]])
+def test_manifest_per_dim_max_nonfinite_or_negative_rejected(tmp_path, per_dim_max):
+    path = tmp_path / "data.jsonl"
+    write_dataset_file(_records3(), path)
+    manifest_file = tmp_path / "data.jsonl.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["per_dim_max"] = per_dim_max
+    manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="per_dim_max") as info:
+        load_dataset(path)
+    assert str(manifest_file) in str(info.value)
+
+
+@pytest.mark.parametrize("field", ["feature_dim", "per_dim_max"])
+def test_manifest_missing_field_rejected(tmp_path, field):
+    path = tmp_path / "data.jsonl"
+    write_dataset_file(_records3(), path)
+    manifest_file = tmp_path / "data.jsonl.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    del manifest[field]
+    manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=field) as info:
+        load_dataset(path)
+    assert str(manifest_file) in str(info.value)
+
+
+def test_manifest_invalid_json_rejected(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_dataset_file(_records3(), path)
+    manifest_file = tmp_path / "data.jsonl.manifest.json"
+    manifest_file.write_text(manifest_file.read_text()[:-5])
+    with pytest.raises(ValueError, match="invalid JSON") as info:
+        load_dataset(path)
+    assert str(manifest_file) in str(info.value)
+
+
 def test_synthetic_deterministic():
     a = synthetic_records(8, 40, SeededRng(3))
     b = synthetic_records(8, 40, SeededRng(3))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicap import model
-from bicap.corpus import CaptionedExample, build_vocab, encode
-from bicap.metrics import (MetricReport, bleu, corpus_bleu,
-                           human_consistency_pairs, perplexity,
+from bicap import corpus, model
+from bicap.corpus import CaptionedExample, EncodedSentence, build_vocab, encode
+from bicap.metrics import (ROW_SLICE, MetricReport, bleu, corpus_bleu,
+                           human_consistency_pairs, pair_word_nll, perplexity,
                            perplexity_of_pairs, render_report, report_tsv)
 from bicap.numkit import SeededRng
+from bicap.training import gradcheck_setup
 
 from conftest import small_dims
 
@@ -75,6 +76,114 @@ def test_perplexity_empty_split_rejected():
     params, vocab = _uniform_model(5)
     with pytest.raises(ValueError):
         perplexity_of_pairs(params, vocab, [])
+
+
+def _bad_caption(vocab, kind):
+    w0 = vocab.token_to_id["w0"]
+    ids = {"empty": [], "no_eos": [w0], "too_big": [w0, len(vocab), vocab.eos_id],
+           "negative": [-1, vocab.eos_id]}[kind]
+    return EncodedSentence(ids=ids, tokens=[])
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("empty", "empty caption"),
+    ("no_eos", "does not end with <eos>"),
+    ("too_big", r"token id 12 outside \[0, 12\)"),
+    ("negative", r"token id -1 outside \[0, 12\)"),
+    ("short_features", "dim 4"),
+    ("matrix_features", "dim 4"),
+    ("no_features", "dim 4"),
+])
+def test_perplexity_bad_pair_names_example(kind, message):
+    params, vocab, good = gradcheck_setup("full", seed=2)
+    bad = CaptionedExample(id="bad7", features=good.features, captions=[], split="test")
+    cap = good.captions[0]
+    if kind.endswith("features"):
+        bad.features = {"short_features": np.zeros(3), "matrix_features": np.zeros((1, 4)),
+                        "no_features": None}[kind]
+    else:
+        cap = _bad_caption(vocab, kind)
+    pairs = [(good, good.captions[0]), (bad, cap), (good, good.captions[0])]
+    with pytest.raises(ValueError, match=message) as info:
+        perplexity_of_pairs(params, vocab, pairs)
+    assert "'bad7'" in str(info.value)
+
+
+def _perturbed(params, rng):
+    """Every block drawn at random, so biases, u0 and the max-entropy
+    tables all reach the scores."""
+    for _, arr in params.named_blocks():
+        arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    params.apply_vs_mask()
+    return params
+
+
+def _scalar_word_nll(params, vocab, pairs):
+    return [model.sentence_forward(params, ex.features, cap, vocab).word_nll
+            for ex, cap in pairs]
+
+
+def _assert_rows_match(got, want):
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert row.shape == (len(ref),)
+        assert np.max(np.abs(row - np.array(ref))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([0, 3]),
+       seed=st.integers(0, 2 ** 16),
+       captions=st.lists(st.lists(st.integers(0, 9), max_size=7), min_size=1, max_size=5),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1,
+                      max_size=12))
+def test_batched_word_nll_matches_sentence_forward(variant, order, seed, captions, picks):
+    params, vocab, _ = gradcheck_setup(variant, seed=seed, maxent_order=order)
+    rng = SeededRng(seed).derive("test")
+    _perturbed(params, rng)
+    feats = [rng.uniform(0.0, 1.0, 4) for _ in range(3)]
+    sents = [encode([f"w{i}" for i in words], vocab) for words in captions]
+    # the leading picks come back once more: repeated (features, caption) pairs
+    pairs = [(CaptionedExample(id=str(k), features=feats[f], captions=[], split="test"),
+              sents[c % len(sents)]) for k, (c, f) in enumerate(picks + picks[:2])]
+    _assert_rows_match(pair_word_nll(params, vocab, pairs),
+                       _scalar_word_nll(params, vocab, pairs))
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_batched_word_nll_crosses_row_slices(variant):
+    params, vocab, _ = gradcheck_setup(variant, seed=4, s_dim=4, u_dim=4)
+    rng = SeededRng(4).derive("test")
+    _perturbed(params, rng)
+    pairs = []
+    for k in range(ROW_SLICE + 44):
+        words = [f"w{rng.integers(0, 10)}" for _ in range(rng.integers(0, 8))]
+        ex = CaptionedExample(id=str(k), features=rng.uniform(0.0, 1.0, 4), captions=[],
+                              split="test")
+        pairs.append((ex, encode(words, vocab)))
+    _assert_rows_match(pair_word_nll(params, vocab, pairs),
+                       _scalar_word_nll(params, vocab, pairs))
+
+
+def test_perplexity_exactly_invariant_to_pair_order_at_bundle_width():
+    # At s = u = 32 BLAS rounds a row by where it sits in the matrix; the
+    # canonical row order must keep every permutation's floats identical,
+    # each token's NLL as well as the perplexity.
+    dataset = corpus.generate_synthetic(8, 40, SeededRng(3), captions_per_example=2)
+    dims = model.ModelDims(vocab_size=len(dataset.vocab), class_count=dataset.vocab.n_classes,
+                           v_dim=dataset.feature_dim, s_dim=32, u_dim=32,
+                           maxent_order=3, maxent_hash_size=4096)
+    params = _perturbed(model.init_params(dims, SeededRng(3)), SeededRng(4))
+    pairs = [(ex, cap) for ex in dataset.examples for cap in ex.captions]
+    assert len(pairs) >= 40
+    want = perplexity_of_pairs(params, dataset.vocab, pairs)
+    want_rows = pair_word_nll(params, dataset.vocab, pairs)
+    for seed in range(10):
+        order = list(range(len(pairs)))
+        SeededRng(seed).shuffle(order)
+        shuffled = [pairs[i] for i in order]
+        assert perplexity_of_pairs(params, dataset.vocab, shuffled) == want
+        rows = pair_word_nll(params, dataset.vocab, shuffled)
+        assert all(np.array_equal(row, want_rows[i]) for row, i in zip(rows, order))
 
 
 def test_bleu_identical_candidate_scores_one():
