@@ -27,7 +27,9 @@ def _write_text(path, text):
 
 
 def load_config(path, overrides, defaults):
-    """Merge defaults <- config file <- explicit flags; reject unknown keys."""
+    """Merge defaults <- config file <- explicit flags; reject unknown keys
+    and file values whose type is not the default's (an int may stand for
+    a float, and for the None of a derived default; a bool for neither)."""
     merged = dict(defaults)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -37,6 +39,14 @@ def load_config(path, overrides, defaults):
         unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            allowed = {type(defaults[key])}
+            if defaults[key] is None or allowed == {float}:
+                allowed.add(int)
+            if type(value) not in allowed:
+                names = " or ".join(sorted(t.__name__ for t in allowed))
+                raise ValueError(f"{path}: config key {key!r} must be {names}, "
+                                 f"got {json.dumps(value)}")
         merged.update(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged

@@ -8,14 +8,13 @@ negated average feature-reconstruction error (I), or by their combination
 (T+I).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import EncodedSentence
 from .model import (advance_rows, feature_vector, gallery_word_nll, recon_cross_entropy,
-                    reset_state, sentence_loss, shift_context, step,
+                    reset_state, sentence_loss, sentence_states, shift_context,
                     word_distribution_rows)
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
@@ -154,35 +153,6 @@ def _word_nll(params, vocab, feats, item):
     feature matrix; groups sum their sentences (the state resets between
     them)."""
     return sum(gallery_word_nll(params, feats, sent, vocab) for sent in _sentences_of(item))
-
-
-def _logsumexp(x):
-    x = np.asarray(x, dtype=np.float64)
-    m = x.max()
-    return m + math.log(np.exp(x - m).sum())
-
-
-def text_score(params, vocab, v, sent, gallery, axis):
-    """Likelihood of the (v, sent) pairing normalized over a gallery.
-
-    ``axis='images'``: gallery holds feature vectors and the denominator
-    sums P(sent | v') over them. ``axis='sentences'``: gallery holds
-    sentences (or groups) and the denominator sums P(sent' | v). The
-    pairing's own item must be among the gallery for scores over that
-    gallery to sum to 1.
-    """
-    gallery = list(gallery)
-    if not gallery:
-        raise ValueError("gallery is empty")
-    v = np.asarray(v, dtype=np.float64)
-    lp = -_word_nll(params, vocab, v[None], sent)[0]
-    if axis == "images":
-        lps = -_word_nll(params, vocab, np.stack(gallery), sent)
-    elif axis == "sentences":
-        lps = [-_word_nll(params, vocab, v[None], item)[0] for item in gallery]
-    else:
-        raise ValueError("axis must be 'images' or 'sentences'")
-    return float(math.exp(lp - _logsumexp(lps)))
 
 
 def recon_trajectory(params, item):
@@ -413,23 +383,13 @@ def _stability(rows):
 
 def activation_trace(params, vocab, v, sent):
     """Record s_t and u_t after every token of a sentence, plus a per-unit
-    temporal-stability statistic (mean absolute step-to-step change)."""
-    state = reset_state(params)
-    tokens = []
-    s_rows = []
-    u_rows = []
-    prev = sent.ids[-1]
-    for target in sent.ids:
-        state, _ = step(params, state, prev, v, vocab)
-        tokens.append(vocab.tokens[prev])
-        s_rows.append(state.s)
-        if state.u is not None:
-            u_rows.append(state.u)
-        prev = target
-    s_rows = np.stack(s_rows)
-    u_rows = np.stack(u_rows) if u_rows else None
+    temporal-stability statistic (mean absolute step-to-step change). Only
+    the recurrence runs; no next-word distribution is built."""
+    tr = sentence_states(params, v, sent, vocab)
+    s_rows = tr.s[1:]
+    u_rows = None if tr.u is None else tr.u[1:]
     return ActivationTrace(
-        tokens=tokens,
+        tokens=[vocab.tokens[i] for i in tr.inputs],
         s_rows=s_rows,
         u_rows=u_rows,
         stability_s=_stability(s_rows),

@@ -60,6 +60,9 @@ class ModelDims:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.vocab_size < 1 or not 1 <= self.class_count <= self.vocab_size:
             raise ValueError("need 1 <= class_count <= vocab_size")
+        for name in ("s_dim", "u_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.variant == "full" and self.s_dim % 2 != 0:
             raise ValueError("s_dim must be even for the full variant (half connection)")
         if self.variant != "rnn" and self.v_dim < 1:
@@ -68,8 +71,9 @@ class ModelDims:
             raise ValueError("maxent_order must be >= 0")
         if self.maxent_order > 0 and self.maxent_hash_size < 1:
             raise ValueError("maxent_hash_size must be >= 1")
-        if self.sigmoid_clip <= 0:
-            raise ValueError("sigmoid_clip must be positive")
+        if not 0 < self.sigmoid_clip < math.inf:
+            raise ValueError(f"sigmoid_clip must be positive and finite, "
+                             f"got {self.sigmoid_clip!r}")
 
     @property
     def uses_v(self):
@@ -280,8 +284,8 @@ def member_logits(params, s, u, bases, lo, hi):
 def word_distribution(params, s, u, context, vocab_classes):
     """Full class-factorized next-word distribution over the vocabulary.
 
-    ``vocab_classes`` supplies the contiguous class ranges (a
-    ClassedVocabulary or anything with ``class_bounds``).
+    ``vocab_classes`` is the ClassedVocabulary that supplies the
+    contiguous class ranges.
     """
     dims = params.dims
     bases = maxent_bases(dims, context)
@@ -334,79 +338,66 @@ def recon_squared_error(v, recon):
 
 def recon_losses(tr, v, recon_kind):
     """Per-step reconstruction losses of a trace as floats, from one call
-    over its stacked (T, v_dim) reconstructions; zeros without u."""
-    if tr.recon[0] is None:
-        return [0.0] * len(tr.recon)
+    over its (T, v_dim) reconstructions; zeros without u."""
+    if tr.recon is None:
+        return [0.0] * len(tr.targets)
     loss = recon_cross_entropy if recon_kind == "ce" else recon_squared_error
-    return loss(v, np.array(tr.recon)).tolist()
+    return loss(v, tr.recon).tolist()
 
 
 @dataclass
 class SentenceTrace:
-    """Everything the backward pass needs from one sentence forward pass."""
+    """One sentence's recurrence, computed before any output step. Row t
+    of a per-step array belongs to step t; ``s``/``u`` row t + 1 is the
+    state that step t produces. The u-side arrays are None without u."""
 
-    inputs: list        # token fed at each step (BOS = <eos>)
-    targets: list       # token predicted at each step
-    s: list             # states s_0 .. s_T
-    u: list             # states u_0 .. u_T (empty-u variants: [None]* )
-    pre_s: list         # pre-activations per step (index 0 -> step 1)
-    pre_u: list
-    pre_r: list
-    recon: list
-    bases: list         # maxent bases active at each step
-    class_probs: list   # softmax over classes per step
-    class_ids: list     # class of the target per step
-    member_probs: list  # softmax over the target's class members per step
-    member_range: list  # (lo, hi) of the target's class per step
-    word_nll: list
-
-    @classmethod
-    def empty(cls, state):
-        return cls([], [], [state.s], [state.u], [], [], [], [], [], [], [], [], [], [])
+    inputs: np.ndarray   # (T,) token fed at each step (BOS = <eos>)
+    targets: np.ndarray  # (T,) token predicted at each step
+    classes: list        # (class, lo, hi) of each target's class
+    bases: list          # max-entropy bases active at each step
+    s: np.ndarray        # (T + 1, s_dim): s_0 .. s_T
+    pre_s: np.ndarray    # (T, s_dim) pre-activations
+    u: np.ndarray        # (T + 1, u_dim): u_0 .. u_T
+    pre_u: np.ndarray
+    pre_r: np.ndarray
+    recon: np.ndarray    # (T, v_dim)
+    word_nll: list       # appended by ``output_step``, in step order
 
 
-def forward_steps(params, v, sent, vocab_classes):
-    """Run a sentence from a fresh state, scoring each target token through
-    its class and member softmax only (no full-vocabulary distribution).
-
-    Records step ``t`` into the trace and yields ``(t, trace)``. Weights the
-    consumer changes between yields are seen by the later steps, which is
-    how training applies its per-word online update. ``recon_losses``
-    scores the reconstructions for the callers that need that loss.
-    """
+def sentence_states(params, v, sent, vocab):
+    """The recurrence of a sentence from a fresh state, with no output
+    step. s and u read only the batch blocks, which stay fixed within a
+    sentence, so the whole recurrence can run before training moves the
+    output blocks word by word."""
     dims = params.dims
+    v = feature_vector(dims, v)
     state = reset_state(params)
-    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
-    tr = SentenceTrace.empty(state)
-    context = state.context
-    s, u = state.s, state.u
-    prev = sent.ids[-1]  # <eos> doubles as the begin-of-sentence pseudo-token
-    for t, target in enumerate(sent.ids):
-        s, u, recon, pre_s, pre_u, pre_r = _advance(params, s, u, prev, v)
+    s, u, context = [state.s], [state.u], state.context
+    recon, pre_s, pre_u, pre_r, classes, bases = [], [], [], [], [], []
+    inputs = [sent.ids[-1]] + list(sent.ids[:-1])  # <eos> doubles as begin-of-sentence
+    for prev, target in zip(inputs, sent.ids):
+        for rows, x in zip((s, u, recon, pre_s, pre_u, pre_r),
+                           _advance(params, s[-1], u[-1], prev, v)):
+            rows.append(x)
         context = shift_context(dims, context, prev)
-        bases = maxent_bases(dims, context)
-        q = softmax(class_logits(params, s, u, bases))
-        g = int(np.searchsorted(bounds, target, side="right"))
-        lo = 0 if g == 0 else int(bounds[g - 1])
-        hi = int(bounds[g])
-        p = softmax(member_logits(params, s, u, bases, lo, hi))
-        nll = -float(np.log(q[g])) - float(np.log(p[target - lo]))
-        tr.inputs.append(prev)
-        tr.targets.append(target)
-        tr.s.append(s)
-        tr.u.append(u)
-        tr.pre_s.append(pre_s)
-        tr.pre_u.append(pre_u)
-        tr.pre_r.append(pre_r)
-        tr.recon.append(recon)
-        tr.bases.append(bases)
-        tr.class_probs.append(q)
-        tr.class_ids.append(g)
-        tr.member_probs.append(p)
-        tr.member_range.append((lo, hi))
-        tr.word_nll.append(nll)
-        yield t, tr
-        prev = target
+        bases.append(maxent_bases(dims, context))
+        g = vocab.class_of(target)
+        classes.append((g, *vocab.class_range(g)))
+    u_side = [np.array(rows) if dims.uses_u else None for rows in (u, pre_u, pre_r, recon)]
+    return SentenceTrace(np.array(inputs), np.array(sent.ids), classes, bases,
+                         np.array(s), np.array(pre_s), *u_side, word_nll=[])
+
+
+def output_step(params, tr, t):
+    """Class softmax and target-class member softmax of step ``t`` at the
+    current output weights; appends the target's NLL to ``tr.word_nll``."""
+    s = tr.s[t + 1]
+    u = None if tr.u is None else tr.u[t + 1]
+    g, lo, hi = tr.classes[t]
+    q = softmax(class_logits(params, s, u, tr.bases[t]))
+    p = softmax(member_logits(params, s, u, tr.bases[t], lo, hi))
+    tr.word_nll.append(-float(np.log(q[g])) - float(np.log(p[tr.targets[t] - lo])))
+    return q, p
 
 
 def _times_u(W, u):
@@ -501,7 +492,6 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
     else:
         inverse = np.zeros(len(feats), dtype=np.int64)
         drive = params.b_s[None, :]
-    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
     state = reset_state(params)
     s = np.broadcast_to(state.s, drive.shape)
     u, context = state.u, state.context
@@ -509,9 +499,8 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
     prev = sent.ids[-1]
     for target in sent.ids:
         s, u = advance_rows(params, s, u, prev, drive)
-        g = int(np.searchsorted(bounds, target, side="right"))
-        lo = 0 if g == 0 else int(bounds[g - 1])
-        hi = int(bounds[g])
+        g = vocab_classes.class_of(target)
+        lo, hi = vocab_classes.class_range(g)
         zc, zw = logit_rows(params, s, u, lo, hi)
         context = shift_context(dims, context, prev)
         for _, cbase, wbase in maxent_bases(dims, context):
@@ -523,10 +512,11 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
     return nll[inverse.reshape(-1)]
 
 
-def sentence_forward(params, v, sent, vocab_classes):
-    """The whole trace of ``forward_steps`` at fixed weights."""
-    for _, tr in forward_steps(params, v, sent, vocab_classes):
-        pass
+def sentence_forward(params, v, sent, vocab):
+    """``sentence_states`` plus every output step, at fixed weights."""
+    tr = sentence_states(params, v, sent, vocab)
+    for t in range(len(sent.ids)):
+        output_step(params, tr, t)
     return tr
 
 

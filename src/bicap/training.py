@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import SeededRng, sigmoid_clip_mask
-from .model import (ONLINE_BLOCKS, block_shapes, forward_steps, recon_losses,
-                    sentence_forward)
+from .model import ONLINE_BLOCKS, block_shapes, output_step, recon_losses, sentence_states
 
 
 @dataclass
@@ -32,12 +31,20 @@ class TrainConfig:
     lr_floor_divisor: float = 1024.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.bptt_unroll < 1:
-            raise ValueError("bptt_unroll must be >= 1")
-        if self.recon_kind not in ("ce", "mse"):
-            raise ValueError("recon_kind must be 'ce' or 'mse'")
+        # NaN fails every comparison, so each check also rejects it
+        checks = [
+            ("learning_rate", 0 < self.learning_rate < math.inf, "positive and finite"),
+            ("bptt_unroll", self.bptt_unroll >= 1, ">= 1"),
+            ("grad_clip", self.grad_clip > 0, "positive (inf turns the clamp off)"),
+            ("lam_recon", 0 <= self.lam_recon < math.inf, ">= 0 and finite"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, ">= 0 and finite"),
+            ("recon_kind", self.recon_kind in ("ce", "mse"), "'ce' or 'mse'"),
+            ("lr_floor_divisor", self.lr_floor_divisor >= 1, ">= 1"),
+        ]
+        for name, ok, need in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -65,44 +72,54 @@ def _joint_loss(tr, v, lam, recon_kind):
 
 
 def _output_errors(params, tr, t):
-    """Softmax-gradient pieces of step ``t`` and the errors they inject
-    into s_t and u_t."""
-    dims = params.dims
-    dz_c = tr.class_probs[t].copy()
-    dz_c[tr.class_ids[t]] -= 1.0
-    lo, hi = tr.member_range[t]
-    dz_w = tr.member_probs[t].copy()
+    """Softmax-gradient pieces of step ``t`` at the current output weights
+    and the errors they inject into s_t and u_t."""
+    dz_c, dz_w = output_step(params, tr, t)
+    g, lo, hi = tr.classes[t]
+    dz_c[g] -= 1.0
     dz_w[tr.targets[t] - lo] -= 1.0
     e_s = params.W_sc.T @ dz_c + params.W_sw[lo:hi].T @ dz_w
     e_u = (params.W_uc.T @ dz_c + params.W_uw[lo:hi].T @ dz_w
-           if dims.uses_u else None)
-    return dz_c, dz_w, lo, hi, e_s, e_u
+           if params.dims.uses_u else None)
+    return dz_c, dz_w, e_s, e_u
 
 
-def _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
-    """(block, index, gradient) pieces for the online-updated blocks.
+def _output_steps(params, tr, target, scale, limit, on_step=None):
+    """Run the output steps of a trace in order, adding ``scale`` times
+    each step's online-block gradient, clamped to [-limit, limit], into
+    ``target``. With ``target`` the params themselves, later steps see the
+    earlier updates. Returns the (T, dim) errors the steps inject into s
+    and u (None without u). ``on_step(t, params)`` runs after each step.
 
-    A max-entropy table gets one piece: the indices of every order in turn,
-    with the gradient tiled. Index arrays may repeat and must be consumed
-    with unbuffered addition; slice indices never repeat.
+    A max-entropy table gets the indices of every order at once, with the
+    gradient tiled; the indices may repeat, so they add unbuffered.
     """
     dims = params.dims
-    s_t = tr.s[t + 1]
-    yield "W_sc", slice(None), np.outer(dz_c, s_t)
-    yield "b_c", slice(None), dz_c
-    yield "W_sw", slice(lo, hi), np.outer(dz_w, s_t)
-    yield "b_w", slice(lo, hi), dz_w
-    if dims.uses_u:
-        u_t = tr.u[t + 1]
-        yield "W_uc", slice(None), np.outer(dz_c, u_t)
-        yield "W_uw", slice(lo, hi), np.outer(dz_w, u_t)
-    if tr.bases[t]:
-        bases = np.array([(cbase, wbase) for _, cbase, wbase in tr.bases[t]])
-        size = dims.maxent_hash_size
-        cidx = (bases[:, :1] + np.arange(dims.class_count)) % size
-        yield "me_class", cidx.ravel(), np.concatenate([dz_c] * len(bases))
-        widx = (bases[:, 1:] + np.arange(lo, hi)) % size
-        yield "me_word", widx.ravel(), np.concatenate([dz_w] * len(bases))
+    size = dims.maxent_hash_size
+    e_s = np.empty((len(tr.targets), dims.s_dim))
+    e_u = np.empty((len(tr.targets), dims.u_dim)) if dims.uses_u else None
+    for t in range(len(tr.targets)):
+        dz_c, dz_w, e_s[t], eu = _output_errors(params, tr, t)
+        _, lo, hi = tr.classes[t]
+        pieces = [(target.W_sc, np.outer(dz_c, tr.s[t + 1])), (target.b_c, dz_c),
+                  (target.W_sw[lo:hi], np.outer(dz_w, tr.s[t + 1])),
+                  (target.b_w[lo:hi], dz_w)]
+        if dims.uses_u:
+            e_u[t] = eu
+            pieces += [(target.W_uc, np.outer(dz_c, tr.u[t + 1])),
+                       (target.W_uw[lo:hi], np.outer(dz_w, tr.u[t + 1]))]
+        for block, piece in pieces:
+            block += scale * piece.clip(-limit, limit)
+        if tr.bases[t]:
+            bases = np.array([(cbase, wbase) for _, cbase, wbase in tr.bases[t]])
+            cidx = (bases[:, :1] + np.arange(dims.class_count)) % size
+            widx = (bases[:, 1:] + np.arange(lo, hi)) % size
+            for table, idx, dz in ((target.me_class, cidx, dz_c), (target.me_word, widx, dz_w)):
+                tiled = np.concatenate([dz] * len(bases))
+                np.add.at(table, idx.ravel(), scale * tiled.clip(-limit, limit))
+        if on_step is not None:
+            on_step(t, params)
+    return e_s, e_u
 
 
 def _hop_sums(delta, W, dsig, unroll):
@@ -128,40 +145,38 @@ def _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, g_batch):
     """Reconstruction-head gradients plus the truncated backward chain of
     a sentence, accumulated into the batch-side container.
 
-    ``e_s``/``e_u`` list the errors each step's softmax injects into s_t
-    and u_t. ``unroll`` bounds how many recurrent transitions an error
+    ``e_s``/``e_u`` are the (T, dim) errors each step's softmax injects
+    into s_t and u_t. ``unroll`` bounds how many recurrent transitions an error
     traverses; unroll >= sentence length gives the untruncated gradient.
     The chain reads only batch blocks, fixed within a sentence, so it runs
     once at its end over (T, dim) arrays (Williams & Peng's BPTT(h; h')).
     """
     dims = params.dims
     clip = dims.sigmoid_clip
-    inputs = np.array(tr.inputs)
-    s = np.array(tr.s)
-    dsig_s = _dsig(s[1:], np.array(tr.pre_s), clip)
-    acc_s, _ = _hop_sums(np.array(e_s) * dsig_s, params.W_ss, dsig_s, unroll)
+    s = tr.s
+    dsig_s = _dsig(s[1:], tr.pre_s, clip)
+    acc_s, _ = _hop_sums(e_s * dsig_s, params.W_ss, dsig_s, unroll)
     g_batch.W_ss += acc_s.T @ s[:-1]
-    np.add.at(g_batch.W_ws.T, inputs, acc_s)
+    np.add.at(g_batch.W_ws.T, tr.inputs, acc_s)
     col_s = acc_s.sum(axis=0)
     g_batch.b_s += col_s
     if dims.uses_v:
         nrows = dims.vs_connected_rows
         g_batch.W_vs[:nrows] += np.outer(col_s[:nrows], v)
     if dims.uses_u:
-        u = np.array(tr.u)
-        recon = np.array(tr.recon)
-        mask_r = sigmoid_clip_mask(np.array(tr.pre_r), clip)
+        u, recon = tr.u, tr.recon
+        mask_r = sigmoid_clip_mask(tr.pre_r, clip)
         if recon_kind == "ce":
             dr = lam * (recon - v) * mask_r
         else:
             dr = lam * 2.0 * (recon - v) * recon * (1.0 - recon) * mask_r
         g_batch.W_uv += dr.T @ u[1:]
         g_batch.b_v += dr.sum(axis=0)
-        dsig_u = _dsig(u[1:], np.array(tr.pre_u), clip)
-        acc_u, first_u = _hop_sums((np.array(e_u) + dr @ params.W_uv) * dsig_u,
+        dsig_u = _dsig(u[1:], tr.pre_u, clip)
+        acc_u, first_u = _hop_sums((e_u + dr @ params.W_uv) * dsig_u,
                                    params.W_uu, dsig_u, unroll)
         g_batch.W_uu += acc_u.T @ u[:-1]
-        np.add.at(g_batch.W_wu.T, inputs, acc_u)
+        np.add.at(g_batch.W_wu.T, tr.inputs, acc_u)
         g_batch.b_u += acc_u.sum(axis=0)
         g_batch.u0 += (params.W_uu.T @ first_u) * _dsig(u[0], params.u0, clip)
 
@@ -183,18 +198,9 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     final per-element clamp (used by the finite-difference check, which
     validates raw derivatives).
     """
-    tr = sentence_forward(params, v, sent, vocab)
+    tr = sentence_states(params, v, sent, vocab)
     grads = params.zeros_like()
-    e_s, e_u = [], []
-    for t in range(len(sent.ids)):
-        dz_c, dz_w, lo, hi, es, eu = _output_errors(params, tr, t)
-        for name, idx, piece in _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
-            if isinstance(idx, np.ndarray):
-                np.add.at(getattr(grads, name), idx, piece)
-            else:
-                getattr(grads, name)[idx] += piece
-        e_s.append(es)
-        e_u.append(eu)
+    e_s, e_u = _output_steps(params, tr, grads, 1.0, math.inf)
     _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, grads)
     clip_gradients(grads, grad_clip)
     return grads, _joint_loss(tr, v, lam, recon_kind)
@@ -219,29 +225,17 @@ def apply_update(params, grads, lr, blocks="all", weight_decay=0.0):
 def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     """One sentence of mixed online/batch SGD; returns (joint loss, tokens).
 
-    Output-side weights move after every word (so later steps of the same
-    sentence already see the updates); recurrent-side gradients come from
-    one backward chain at the sentence end and apply once. ``on_step(t,
-    params)`` runs after each word's online update (schedule
-    introspection).
+    The recurrence runs first: it reads only recurrent-side weights, which
+    move once, at the sentence end, by one backward chain. Output-side
+    weights then move after every word, so later steps of the same
+    sentence already see the updates. ``on_step(t, params)`` runs after
+    each word's online update (schedule introspection).
     """
     batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
     batch_grads = params.zeros_like(names=batch_names)
     clip = config.grad_clip
-    e_s, e_u = [], []
-    for t, tr in forward_steps(params, v, sent, vocab):
-        dz_c, dz_w, lo, hi, es, eu = _output_errors(params, tr, t)
-        e_s.append(es)
-        e_u.append(eu)
-        for name, idx, piece in _online_grad_pieces(params, tr, t, dz_c, dz_w, lo, hi):
-            step_g = piece.clip(-clip, clip)
-            if isinstance(idx, np.ndarray):
-                np.add.at(getattr(params, name), idx, -lr * step_g)
-            else:
-                getattr(params, name)[idx] -= lr * step_g
-        if on_step is not None:
-            on_step(t, params)
-
+    tr = sentence_states(params, v, sent, vocab)
+    e_s, e_u = _output_steps(params, tr, params, -lr, clip, on_step)
     _recurrent_chain(params, tr, v, e_s, e_u, config.lam_recon, config.bptt_unroll,
                      config.recon_kind, batch_grads)
     clip_gradients(batch_grads, clip)

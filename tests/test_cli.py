@@ -126,6 +126,34 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_key" in err and "other" in err
 
 
+@pytest.mark.parametrize("config, flags, field", [
+    ({"s_dim": "8"}, [], "s_dim"),
+    ({"max_epochs": True}, [], "max_epochs"),
+    ({"grad_clip": False}, [], "grad_clip"),
+    ({"class_count": 2.5}, [], "class_count"),
+    ({"recon_kind": 1}, [], "recon_kind"),
+    ({}, ["--grad-clip", -1], "grad_clip"),
+    ({}, ["--lr", "nan"], "learning_rate"),
+    ({}, ["--lambda-recon", -1], "lam_recon"),
+    ({}, ["--epochs", 0], "max_epochs"),
+    ({}, ["--s-dim", 0], "s_dim"),
+    ({}, ["--sigmoid-clip", "nan"], "sigmoid_clip"),
+])
+def test_bad_training_settings_fail_before_any_checkpoint(tmp_path, capsys, config, flags,
+                                                          field):
+    data = _synth(tmp_path)
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--data", data, "--out", out, "--config", cfg_path, *flags)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert field in err
+    if config:
+        assert str(cfg_path) in err
+
+
 def test_empty_config_uses_documented_defaults(tmp_path):
     cfg_path = tmp_path / "empty.json"
     cfg_path.write_text("{}")

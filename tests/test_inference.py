@@ -11,7 +11,7 @@ from bicap.inference import (ZSCORE_DECIMALS, GenConfig, activation_trace,
                              rank_retrieval, ranks_from_scores, recon_score,
                              recon_trajectory, sample_candidates, sample_length,
                              sample_sentence, score_candidate, score_matrices,
-                             sentence_retrieval_task, text_score)
+                             sentence_retrieval_task)
 from bicap.model import (gallery_word_nll, init_params, maxent_bases, reset_state,
                          sentence_loss)
 from bicap.numkit import SeededRng, multinomial_sample
@@ -232,45 +232,6 @@ def test_batched_generation_no_mass_left_is_loud():
         sample_candidates(params, vocab, None, np.full((3, 2), 0.5), 1.0)
     with pytest.raises(ValueError, match="no probability mass left"):
         generate(params, vocab, None, GenConfig(length_hist={2: 1}, candidate_count=3))
-
-
-def test_text_score_singleton_gallery_is_one():
-    vocab = _vocab5()
-    params = init_params(small_dims(vocab, v_dim=3), SeededRng(4))
-    v = np.array([1.0, 0.0, 0.0])
-    sent = encode(["aa", "bb"], vocab)
-    assert text_score(params, vocab, v, sent, [v], axis="images") == pytest.approx(1.0, abs=1e-12)
-    assert text_score(params, vocab, v, sent, [sent], axis="sentences") == pytest.approx(1.0, abs=1e-12)
-
-
-def test_text_score_sums_to_one_and_matches_brute_force():
-    vocab = _vocab5()
-    params = init_params(small_dims(vocab, v_dim=3), SeededRng(4))
-    gallery_v = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                 np.array([1.0, 1.0, 1.0])]
-    sent = encode(["aa", "bb", "cc"], vocab)
-    scores = [text_score(params, vocab, vg, sent, gallery_v, axis="images")
-              for vg in gallery_v]
-    assert sum(scores) == pytest.approx(1.0, abs=1e-9)
-    nlls = [sentence_loss(params, vg, sent, 0.0, vocab)[0].word_nll
-            for vg in gallery_v]
-    probs = [math.exp(-n) for n in nlls]
-    expected = [p / sum(probs) for p in probs]
-    assert np.allclose(scores, expected, atol=1e-12)
-
-    sentences = [encode(["aa"], vocab), encode(["bb", "cc"], vocab),
-                 encode(["cc", "aa", "aa"], vocab)]
-    v = gallery_v[0]
-    s_scores = [text_score(params, vocab, v, s, sentences, axis="sentences")
-                for s in sentences]
-    assert sum(s_scores) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_text_score_empty_gallery_rejected():
-    vocab = _vocab5()
-    params = init_params(small_dims(vocab, v_dim=3), SeededRng(4))
-    with pytest.raises(ValueError):
-        text_score(params, vocab, np.zeros(3), encode(["aa"], vocab), [], axis="images")
 
 
 def test_recon_score_zero_weight_model():
@@ -498,6 +459,26 @@ def test_retrieval_task_builders(tiny_dataset):
         sentence_retrieval_task(tiny_dataset, "no-such-split")
     with pytest.raises(ValueError):
         image_retrieval_task(tiny_dataset, "no-such-split")
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_activation_trace_rows_are_the_step_states(variant):
+    params, vocab, example = gradcheck_setup(variant, seed=12)
+    sent = example.captions[0]
+    trace = activation_trace(params, vocab, example.features, sent)
+    assert (trace.u_rows is None) == (variant != "full")
+    state, prev = reset_state(params), sent.ids[-1]
+    for t, target in enumerate(sent.ids):
+        state, _ = model.step(params, state, prev, example.features, vocab)
+        assert trace.tokens[t] == vocab.tokens[prev]
+        assert trace.s_rows[t].tobytes() == state.s.tobytes()
+        if state.u is not None:
+            assert trace.u_rows[t].tobytes() == state.u.tobytes()
+        prev = target
+    assert len(trace.tokens) == len(sent.ids)
+    if variant != "rnn":
+        with pytest.raises(ValueError, match="feature vector"):
+            activation_trace(params, vocab, example.features[:-1], sent)
 
 
 def test_activation_trace_shape_and_range(tiny_dataset):

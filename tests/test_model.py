@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,15 @@ def test_dims_validation():
         ModelDims(vocab_size=10, class_count=11, v_dim=4)
     with pytest.raises(ValueError):
         ModelDims(vocab_size=10, class_count=3, v_dim=4, variant="lstm")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigmoid_clip", float("nan")), ("sigmoid_clip", 0.0), ("sigmoid_clip", float("inf")),
+    ("s_dim", 0), ("s_dim", -2), ("u_dim", 0),
+])
+def test_bad_dims_name_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelDims(vocab_size=10, class_count=3, v_dim=4, **{field: value})
 
 
 def test_init_masks_upper_half_of_vs():
@@ -292,6 +302,30 @@ def test_sentence_loss_requires_eos_termination():
     with pytest.raises(ValueError):
         sentence_loss(params, np.zeros(3), EncodedSentence(ids=[0], tokens=["aa"]),
                       1.0, vocab)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_sentence_states_read_no_online_block(variant):
+    from bicap.training import gradcheck_setup
+
+    params, vocab, example = gradcheck_setup(variant, seed=13)
+    v, sent = example.features, example.captions[0]
+    perturbed = params.copy()
+    rng = np.random.default_rng(0)
+    for name, arr in perturbed.named_blocks():
+        if name in model.ONLINE_BLOCKS:
+            arr += rng.uniform(-1.0, 1.0, arr.shape)
+    a = model.sentence_states(params, v, sent, vocab)
+    b = model.sentence_states(perturbed, v, sent, vocab)
+    for field in dataclasses.fields(model.SentenceTrace):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert type(x) is type(y), field.name
+        assert x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y, field.name
+    # the perturbation does reach the output steps
+    for t in range(len(sent.ids)):
+        model.output_step(params, a, t)
+        model.output_step(perturbed, b, t)
+    assert a.word_nll != b.word_nll
 
 
 def test_decomposability_u_trajectory_ignores_features():

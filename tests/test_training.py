@@ -1,15 +1,17 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicap import corpus, model
 from bicap.corpus import encode
-from bicap.model import (ONLINE_BLOCKS, block_shapes, forward_steps, init_params,
-                         sentence_forward, sentence_loss)
-from bicap.numkit import SeededRng, sigmoid_clip_mask
-from bicap.training import (TrainConfig, _dsig, _output_errors, apply_update,
-                            clip_gradients, grad_check, gradcheck_setup,
-                            sentence_gradients, train, train_sentence)
+from bicap.model import (ONLINE_BLOCKS, _advance, block_shapes, class_logits, init_params,
+                         maxent_bases, member_logits, reset_state, sentence_loss,
+                         sentence_states, shift_context)
+from bicap.numkit import SeededRng, sigmoid_clip_mask, softmax
+from bicap.training import (TrainConfig, _dsig, apply_update, clip_gradients, grad_check,
+                            gradcheck_setup, sentence_gradients, train, train_sentence)
 
 from conftest import small_dims
 
@@ -267,6 +269,18 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(arr, getattr(best2, name))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+    ("bptt_unroll", 0), ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", float("nan")),
+    ("lam_recon", -0.5), ("lam_recon", float("nan")), ("lam_recon", float("inf")),
+    ("max_epochs", 0), ("weight_decay", -0.1), ("weight_decay", float("nan")),
+    ("recon_kind", "l1"), ("lr_floor_divisor", 0.5), ("lr_floor_divisor", float("nan")),
+])
+def test_bad_train_config_names_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_gradcheck_setup_matches_stated_size():
     params, vocab, example = gradcheck_setup("full")
     assert len(vocab) == 12
@@ -276,8 +290,100 @@ def test_gradcheck_setup_matches_stated_size():
 
 
 # ---------------------------------------------------------------------------
-# Slow reference: the backward chain one source step and one hop at a time,
-# and the online update one max-entropy order at a time.
+# Slow reference: the forward as a generator that records each step into
+# parallel lists, the backward chain one source step and one hop at a time,
+# and the online update one max-entropy order at a time, applied between
+# the generator's yields.
+
+@dataclass
+class SentenceTrace:
+    """Everything the backward pass needs from one sentence forward pass."""
+
+    inputs: list        # token fed at each step (BOS = <eos>)
+    targets: list       # token predicted at each step
+    s: list             # states s_0 .. s_T
+    u: list             # states u_0 .. u_T (empty-u variants: [None]* )
+    pre_s: list         # pre-activations per step (index 0 -> step 1)
+    pre_u: list
+    pre_r: list
+    recon: list
+    bases: list         # maxent bases active at each step
+    class_probs: list   # softmax over classes per step
+    class_ids: list     # class of the target per step
+    member_probs: list  # softmax over the target's class members per step
+    member_range: list  # (lo, hi) of the target's class per step
+    word_nll: list
+
+    @classmethod
+    def empty(cls, state):
+        return cls([], [], [state.s], [state.u], [], [], [], [], [], [], [], [], [], [])
+
+
+def forward_steps(params, v, sent, vocab_classes):
+    """Run a sentence from a fresh state, scoring each target token through
+    its class and member softmax only (no full-vocabulary distribution).
+
+    Records step ``t`` into the trace and yields ``(t, trace)``. Weights the
+    consumer changes between yields are seen by the later steps, which is
+    how training applies its per-word online update. ``recon_losses``
+    scores the reconstructions for the callers that need that loss.
+    """
+    dims = params.dims
+    state = reset_state(params)
+    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
+    tr = SentenceTrace.empty(state)
+    context = state.context
+    s, u = state.s, state.u
+    prev = sent.ids[-1]  # <eos> doubles as the begin-of-sentence pseudo-token
+    for t, target in enumerate(sent.ids):
+        s, u, recon, pre_s, pre_u, pre_r = _advance(params, s, u, prev, v)
+        context = shift_context(dims, context, prev)
+        bases = maxent_bases(dims, context)
+        q = softmax(class_logits(params, s, u, bases))
+        g = int(np.searchsorted(bounds, target, side="right"))
+        lo = 0 if g == 0 else int(bounds[g - 1])
+        hi = int(bounds[g])
+        p = softmax(member_logits(params, s, u, bases, lo, hi))
+        nll = -float(np.log(q[g])) - float(np.log(p[target - lo]))
+        tr.inputs.append(prev)
+        tr.targets.append(target)
+        tr.s.append(s)
+        tr.u.append(u)
+        tr.pre_s.append(pre_s)
+        tr.pre_u.append(pre_u)
+        tr.pre_r.append(pre_r)
+        tr.recon.append(recon)
+        tr.bases.append(bases)
+        tr.class_probs.append(q)
+        tr.class_ids.append(g)
+        tr.member_probs.append(p)
+        tr.member_range.append((lo, hi))
+        tr.word_nll.append(nll)
+        yield t, tr
+        prev = target
+
+
+def sentence_forward(params, v, sent, vocab_classes):
+    """The whole trace of ``forward_steps`` at fixed weights."""
+    for _, tr in forward_steps(params, v, sent, vocab_classes):
+        pass
+    return tr
+
+
+def _output_errors(params, tr, t):
+    """Softmax-gradient pieces of step ``t`` and the errors they inject
+    into s_t and u_t."""
+    dims = params.dims
+    dz_c = tr.class_probs[t].copy()
+    dz_c[tr.class_ids[t]] -= 1.0
+    lo, hi = tr.member_range[t]
+    dz_w = tr.member_probs[t].copy()
+    dz_w[tr.targets[t] - lo] -= 1.0
+    e_s = params.W_sc.T @ dz_c + params.W_sw[lo:hi].T @ dz_w
+    e_u = (params.W_uc.T @ dz_c + params.W_uw[lo:hi].T @ dz_w
+           if dims.uses_u else None)
+    return dz_c, dz_w, lo, hi, e_s, e_u
+
 
 def _reference_chain(params, tr, t, v, e_s, e_u, lam, unroll, recon_kind, g):
     dims = params.dims
@@ -412,3 +518,29 @@ def test_stacked_chain_matches_per_hop_reference(case):
     ref_joint = _reference_train_sentence(ref_trained, vocab, v, sent, cfg, lr)
     assert abs(joint - ref_joint) <= 1e-12 * abs(ref_joint)
     _assert_blocks_close(trained, ref_trained)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_states_match_reference_forward_under_online_updates(variant):
+    # the recurrence reads no online block, so the states the reference
+    # generator records while the online update runs between its yields
+    # are the ones sentence_states computes before any update
+    params, vocab, example = gradcheck_setup(variant, seed=11)
+    v, sent = example.features, example.captions[0]
+    states = sentence_states(params, v, sent, vocab)
+    moving = params.copy()
+    for t, ref in forward_steps(moving, v, sent, vocab):
+        dz_c, dz_w, lo, hi, _, _ = _output_errors(moving, ref, t)
+        for name, idx, piece in _reference_pieces(moving, ref, t, dz_c, dz_w, lo, hi):
+            np.add.at(getattr(moving, name), idx, -0.5 * piece)
+    assert not moving.allclose(params)
+    assert states.inputs.tolist() == ref.inputs
+    assert states.targets.tolist() == ref.targets
+    assert states.bases == ref.bases
+    assert states.classes == [(g, *r) for g, r in zip(ref.class_ids, ref.member_range)]
+    for name in ("s", "pre_s", "u", "pre_u", "pre_r", "recon"):
+        got, rows = getattr(states, name), getattr(ref, name)
+        if got is None:
+            assert all(row is None for row in rows), name
+        else:
+            assert got.tobytes() == np.array(rows).tobytes(), name
