@@ -74,6 +74,12 @@ TRAIN_DEFAULTS = {
     "weight_decay": 0.0,
     "recon_kind": "ce",
 }
+# The config key of each TrainConfig setting, and the train flags that are
+# not "--" plus the key with dashes.
+TRAIN_FIELDS = {"learning_rate": "learning_rate", "bptt_unroll": "bptt_unroll",
+                "grad_clip": "grad_clip", "lam_recon": "lambda_recon", "max_epochs": "max_epochs",
+                "weight_decay": "weight_decay", "recon_kind": "recon_kind"}
+TRAIN_FLAGS = {"learning_rate": "--lr", "max_epochs": "--epochs", "bptt_unroll": "--unroll"}
 
 
 def cmd_synth(args):
@@ -88,19 +94,16 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    overrides = {
-        "variant": args.variant, "s_dim": args.s_dim, "u_dim": args.u_dim,
-        "class_count": args.class_count, "maxent_order": args.maxent_order,
-        "maxent_hash_size": args.maxent_hash_size,
-        "sigmoid_clip": args.sigmoid_clip,
-        "learning_rate": args.lr, "max_epochs": args.epochs,
-        "bptt_unroll": args.unroll, "grad_clip": args.grad_clip,
-        "lambda_recon": args.lambda_recon, "weight_decay": args.weight_decay,
-        "recon_kind": args.recon_kind,
-    }
+    overrides = {key: getattr(args, key) for key in TRAIN_DEFAULTS}
     cfg = load_config(args.config, overrides, TRAIN_DEFAULTS)
     log_lines = []
     _echo_config(cfg, log_lines)
+    for field, key in TRAIN_FIELDS.items():
+        try:
+            training.TrainConfig(**{field: cfg[key]})
+        except ValueError as exc:
+            flag = TRAIN_FLAGS.get(key, "--" + key.replace("_", "-"))
+            raise ValueError(f"config key {key!r} (flag {flag}): {exc}") from None
 
     dataset = corpus.load_dataset(args.data, class_count=cfg["class_count"])
     vocab = dataset.vocab
@@ -112,11 +115,8 @@ def cmd_train(args):
         sigmoid_clip=cfg["sigmoid_clip"], variant=cfg["variant"])
     root = SeededRng(args.seed)
     params = model.init_params(dims, root.derive("init"))
-    train_cfg = training.TrainConfig(
-        learning_rate=cfg["learning_rate"], bptt_unroll=cfg["bptt_unroll"],
-        grad_clip=cfg["grad_clip"], lam_recon=cfg["lambda_recon"],
-        max_epochs=cfg["max_epochs"], weight_decay=cfg["weight_decay"],
-        recon_kind=cfg["recon_kind"], seed=args.seed)
+    train_cfg = training.TrainConfig(seed=args.seed,
+                                     **{field: cfg[key] for field, key in TRAIN_FIELDS.items()})
 
     def log_fn(line):
         print(line)
@@ -291,9 +291,9 @@ def build_parser():
     p.add_argument("--maxent-order", type=int, default=None)
     p.add_argument("--maxent-hash-size", type=int, default=None)
     p.add_argument("--sigmoid-clip", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--unroll", type=int, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
+    p.add_argument("--epochs", dest="max_epochs", type=int, default=None)
+    p.add_argument("--unroll", dest="bptt_unroll", type=int, default=None)
     p.add_argument("--grad-clip", type=float, default=None)
     p.add_argument("--lambda-recon", type=float, default=None)
     p.add_argument("--weight-decay", type=float, default=None)

@@ -67,7 +67,6 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     s = np.broadcast_to(state.s, (count, dims.s_dim))
     u = state.u
     contexts = [state.context] * count
-    bases_cache = {}
     rows = np.arange(count)
     ids = np.full((count, length + 1), vocab.eos_id)
     scores = np.zeros(count)
@@ -75,7 +74,7 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     for t in range(length + 1):
         s, u = advance_rows(params, s, u, prev, drive)
         contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
-        qw, p = word_distribution_rows(params, s, u, contexts, vocab, bases_cache)
+        qw, p = word_distribution_rows(params, s, u, contexts, vocab)
         if t < length:
             dist = qw * p
             dist[:, [vocab.eos_id, vocab.unk_id]] = 0.0

@@ -38,7 +38,7 @@ def _checked_features(dims, vocab, pairs):
     return np.array(feats, dtype=np.float64)
 
 
-def _rows_word_nll(params, vocab, feats, sents, bases_cache):
+def _rows_word_nll(params, vocab, feats, sents):
     """Word NLL of captions sorted longest first, run as the rows of one
     forward; returns one (T,) array per caption.
 
@@ -69,7 +69,7 @@ def _rows_word_nll(params, vocab, feats, sents, bases_cache):
             u = None if u is None else u[:live]
         s, u = advance_rows(params, s, u, prev, drive)
         contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
-        qw, p = word_distribution_rows(params, s, u, contexts, vocab, bases_cache)
+        qw, p = word_distribution_rows(params, s, u, contexts, vocab)
         rows = np.arange(live)
         prev = targets[:live, t]
         nll[:live, t] = -np.log(qw[rows, prev]) - np.log(p[rows, prev])
@@ -92,11 +92,9 @@ def pair_word_nll(params, vocab, pairs):
     order = sorted(range(len(pairs)), key=lambda i: (-len(pairs[i][1].ids),
                                                      pairs[i][1].ids, feats[i].tobytes()))
     out = [None] * len(pairs)
-    bases_cache = {}
     for start in range(0, len(order), ROW_SLICE):
         chunk = order[start:start + ROW_SLICE]
-        nll = _rows_word_nll(params, vocab, feats[chunk],
-                             [pairs[i][1].ids for i in chunk], bases_cache)
+        nll = _rows_word_nll(params, vocab, feats[chunk], [pairs[i][1].ids for i in chunk])
         for i, row in zip(chunk, nll):
             out[i] = row
     return out

@@ -15,10 +15,12 @@ P(w | class(w)), with both the class and the within-class logits fed by
 ``s``, ``u`` and hashed n-gram (max-entropy) feature tables.
 """
 
+import functools
 import hashlib
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -90,8 +92,8 @@ class ModelDims:
         return self.s_dim if self.variant == "rnn_if" else self.s_dim // 2
 
 
-# Weights updated after every word during training; the rest accumulate
-# over a sentence and update once at its end.
+# Weights on the per-word online schedule in training (see ``output_pass``);
+# the rest accumulate over a sentence and update once at its end.
 ONLINE_BLOCKS = frozenset({"W_sc", "W_uc", "W_sw", "W_uw", "b_c", "b_w",
                            "me_class", "me_word"})
 
@@ -225,19 +227,21 @@ def shift_context(dims, context, token_id):
 
 def maxent_bases(dims, context):
     """(order, class_base, word_base) for each feature order whose history
-    is available; order k uses the k-1 most recent tokens."""
-    if dims.maxent_order == 0:
-        return []
+    is available; order k uses the k-1 most recent tokens. Memoized."""
+    return _hashed_bases(dims.maxent_order, dims.maxent_hash_size, context)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _hashed_bases(order, size, context):
     bases = []
-    h = dims.maxent_hash_size
-    for k in range(1, dims.maxent_order + 1):
+    for k in range(1, order + 1):
         if len(context) < k - 1:
             break
         hist = context[len(context) - (k - 1):]
         bases.append((k,
-                      _hash_ngram(_ME_CLASS_SALT, k, hist) % h,
-                      _hash_ngram(_ME_WORD_SALT, k, hist) % h))
-    return bases
+                      _hash_ngram(_ME_CLASS_SALT, k, hist) % size,
+                      _hash_ngram(_ME_WORD_SALT, k, hist) % size))
+    return tuple(bases)
 
 
 def _advance(params, s, u, w_prev, v):
@@ -361,7 +365,7 @@ class SentenceTrace:
     pre_u: np.ndarray
     pre_r: np.ndarray
     recon: np.ndarray    # (T, v_dim)
-    word_nll: list       # appended by ``output_step``, in step order
+    word_nll: list       # set by ``output_pass``, in step order
 
 
 def sentence_states(params, v, sent, vocab):
@@ -388,16 +392,76 @@ def sentence_states(params, v, sent, vocab):
                          np.array(s), np.array(pre_s), *u_side, word_nll=[])
 
 
-def output_step(params, tr, t):
-    """Class softmax and target-class member softmax of step ``t`` at the
-    current output weights; appends the target's NLL to ``tr.word_nll``."""
-    s = tr.s[t + 1]
-    u = None if tr.u is None else tr.u[t + 1]
-    g, lo, hi = tr.classes[t]
-    q = softmax(class_logits(params, s, u, tr.bases[t]))
-    p = softmax(member_logits(params, s, u, tr.bases[t], lo, hi))
-    tr.word_nll.append(-float(np.log(q[g])) - float(np.log(p[tr.targets[t] - lo])))
-    return q, p
+def output_blocks(dims, a):
+    """(name, view) of the dense online blocks in ``a`` = [[W_sc, b_c, W_uc],
+    [W_sw, b_w, W_uw]], which maps [s, 1, u] to the class, then word logits."""
+    c, s = dims.class_count, dims.s_dim
+    views = {"W_sc": a[:c, :s], "b_c": a[:c, s], "W_sw": a[c:, :s], "b_w": a[c:, s]}
+    if dims.uses_u:
+        views.update(W_uc=a[:c, s + 1:], W_uw=a[c:, s + 1:])
+    return views.items()
+
+
+OutputPass = namedtuple("OutputPass", "x a0 dz residual residual_err me_steps cslots wslots")
+
+
+def output_pass(params, tr, lr, limit, on_step=None):
+    """Class and member softmax of each step of a trace, where each step
+    first adds ``-lr`` times its gradient pieces, clamped to [-limit,
+    limit], to the output weights. Sets ``tr.word_nll``; ``lr=0`` scores.
+
+    The max-entropy tables move in place, then ``on_step(t, params)`` runs.
+    The dense blocks stay at A0 and take the steps in one product at the
+    sentence end: SGD on a linear layer is attention over its inputs (Irie
+    et al. 2022), so with rows x_t = [s_t, 1, u_t], A(t) = A0 - lr sum_{k<t}
+    dz_k x_k^T and step t reads X A0^T - lr (X X^T)[t] @ dz, whose rows from
+    t on are still zero. As s, u in [0, 1] and |dz| <= 1, the clamp acts only
+    if ``limit < 1``; its residuals clip(piece) - piece are then carried
+    densely. Returns an ``OutputPass`` (``output_blocks`` layout), with the
+    step and table slots of each (step, order) max-entropy feature.
+    """
+    dims = params.dims
+    c = dims.class_count
+    x = np.hstack([tr.s[1:], np.ones((len(tr.targets), 1))] + ([tr.u[1:]] if dims.uses_u else []))
+    a0 = np.empty((c + dims.vocab_size, x.shape[1]))
+    for name, view in output_blocks(dims, a0):
+        view[...] = getattr(params, name)
+    z0, gram = x @ a0.T, -lr * (x @ x.T)
+    dz, residual, residual_err = np.zeros((len(x), len(a0))), np.zeros_like(a0), np.zeros_like(x)
+    clamped, maxent, h = limit < 1.0, dims.maxent_order > 0, dims.maxent_hash_size
+    me_bases = np.array([(t, cbase, wbase) for t, bases in enumerate(tr.bases)
+                         for _, cbase, wbase in bases], dtype=np.int64).reshape(-1, 3)
+    cslots = (me_bases[:, 1:2] + np.arange(c)) % h
+    wslots = (me_bases[:, 2:] + np.arange(dims.vocab_size)) % h
+    end, nll = 0, []
+    for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
+        z = z0[t] + gram[t] @ dz
+        if clamped:
+            z -= lr * (residual @ x[t])
+        zc, zw = z[:c], z[c + lo:c + hi]
+        if maxent:
+            start, end = end, end + len(tr.bases[t])
+            cs, ws = cslots[start:end], wslots[start:end, lo:hi]
+            zc, zw = zc + params.me_class[cs].sum(axis=0), zw + params.me_word[ws].sum(axis=0)
+        q, p = softmax(zc), softmax(zw)
+        nll.append(-float(np.log(q[g])) - float(np.log(p[target - lo])))  # inf, not an error, at 0
+        d = dz[t]
+        d[:c], d[c + lo:c + hi] = q, p
+        d[g] -= 1.0
+        d[c + target] -= 1.0
+        if clamped:
+            residual_err[t] = -lr * (d @ residual)
+            piece = np.outer(d, x[t])
+            residual += piece.clip(-limit, limit) - piece
+        if maxent and lr:
+            step = -lr * (d.clip(-limit, limit) if clamped else d)
+            # ufunc.at mis-broadcasts a row over 2-D slots in some numpy releases
+            np.add.at(params.me_class, cs, np.broadcast_to(step[:c], cs.shape))
+            np.add.at(params.me_word, ws, np.broadcast_to(step[c + lo:c + hi], ws.shape))
+        if on_step is not None:
+            on_step(t, params)
+    tr.word_nll = nll
+    return OutputPass(x, a0, dz, residual, residual_err, me_bases[:, 0], cslots, wslots)
 
 
 def _times_u(W, u):
@@ -433,16 +497,14 @@ def logit_rows(params, s, u, lo, hi):
     return zc, zw
 
 
-def word_distribution_rows(params, s, u, contexts, vocab_classes, bases_cache):
+def word_distribution_rows(params, s, u, contexts, vocab_classes):
     """``word_distribution`` for every row of an (N, s_dim) state matrix
     with (N, u_dim) u rows and one max-entropy context per row.
 
     Returns (N, vocab) arrays ``qw`` and ``p``: the probability of each
     id's class and each id's probability within its class. Their product
     is the distribution. The member softmax runs per class segment with
-    ``np.maximum.reduceat``/``np.add.reduceat``. ``bases_cache`` (a dict
-    the caller owns) maps each context seen so far to its max-entropy
-    bases, so every distinct context is hashed once.
+    ``np.maximum.reduceat``/``np.add.reduceat``.
     """
     dims = params.dims
     bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
@@ -452,12 +514,10 @@ def word_distribution_rows(params, s, u, contexts, vocab_classes, bases_cache):
     if dims.maxent_order > 0:
         slots = {}
         rows = [slots.setdefault(ctx, len(slots)) for ctx in contexts]
-        for ctx in slots.keys() - bases_cache.keys():
-            bases_cache[ctx] = [(cbase, wbase) for _, cbase, wbase in maxent_bases(dims, ctx)]
-        bases = np.array([bases_cache[ctx] for ctx in slots])   # (contexts, orders, 2)
+        bases = np.array([maxent_bases(dims, ctx) for ctx in slots])   # (contexts, orders, 3)
         h = dims.maxent_hash_size
-        me_c = params.me_class[(bases[:, :, :1] + np.arange(dims.class_count)) % h][rows]
-        me_w = params.me_word[(bases[:, :, 1:] + np.arange(dims.vocab_size)) % h][rows]
+        me_c = params.me_class[(bases[:, :, 1:2] + np.arange(dims.class_count)) % h][rows]
+        me_w = params.me_word[(bases[:, :, 2:] + np.arange(dims.vocab_size)) % h][rows]
         for k in range(bases.shape[1]):
             zc = zc + me_c[:, k]
             zw = zw + me_w[:, k]
@@ -513,10 +573,9 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
 
 
 def sentence_forward(params, v, sent, vocab):
-    """``sentence_states`` plus every output step, at fixed weights."""
+    """``sentence_states`` plus the output pass, at fixed weights."""
     tr = sentence_states(params, v, sent, vocab)
-    for t in range(len(sent.ids)):
-        output_step(params, tr, t)
+    output_pass(params, tr, 0.0, math.inf)
     return tr
 
 

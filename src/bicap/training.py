@@ -5,8 +5,9 @@ Gradients flow backward from each step's loss through at most
 when it ends. Updates follow a mixed schedule:
 the output-side weights (class/word projections, their biases and the
 max-entropy tables) move after every word, everything else accumulates
-over the sentence and moves once at its end. Learning-rate halving is
-driven by validation perplexity.
+over the sentence and moves once at its end (the dense output blocks in
+dual form, see ``model.output_pass``). Learning-rate halving is driven by
+validation perplexity.
 """
 
 import math
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import SeededRng, sigmoid_clip_mask
-from .model import ONLINE_BLOCKS, block_shapes, output_step, recon_losses, sentence_states
+from .model import (ONLINE_BLOCKS, block_shapes, output_blocks, output_pass, recon_losses,
+                    sentence_states)
 
 
 @dataclass
@@ -71,55 +73,14 @@ def _joint_loss(tr, v, lam, recon_kind):
     return sum(w + lam * r for w, r in zip(tr.word_nll, recon_losses(tr, v, recon_kind)))
 
 
-def _output_errors(params, tr, t):
-    """Softmax-gradient pieces of step ``t`` at the current output weights
-    and the errors they inject into s_t and u_t."""
-    dz_c, dz_w = output_step(params, tr, t)
-    g, lo, hi = tr.classes[t]
-    dz_c[g] -= 1.0
-    dz_w[tr.targets[t] - lo] -= 1.0
-    e_s = params.W_sc.T @ dz_c + params.W_sw[lo:hi].T @ dz_w
-    e_u = (params.W_uc.T @ dz_c + params.W_uw[lo:hi].T @ dz_w
-           if params.dims.uses_u else None)
-    return dz_c, dz_w, e_s, e_u
-
-
-def _output_steps(params, tr, target, scale, limit, on_step=None):
-    """Run the output steps of a trace in order, adding ``scale`` times
-    each step's online-block gradient, clamped to [-limit, limit], into
-    ``target``. With ``target`` the params themselves, later steps see the
-    earlier updates. Returns the (T, dim) errors the steps inject into s
-    and u (None without u). ``on_step(t, params)`` runs after each step.
-
-    A max-entropy table gets the indices of every order at once, with the
-    gradient tiled; the indices may repeat, so they add unbuffered.
-    """
-    dims = params.dims
-    size = dims.maxent_hash_size
-    e_s = np.empty((len(tr.targets), dims.s_dim))
-    e_u = np.empty((len(tr.targets), dims.u_dim)) if dims.uses_u else None
-    for t in range(len(tr.targets)):
-        dz_c, dz_w, e_s[t], eu = _output_errors(params, tr, t)
-        _, lo, hi = tr.classes[t]
-        pieces = [(target.W_sc, np.outer(dz_c, tr.s[t + 1])), (target.b_c, dz_c),
-                  (target.W_sw[lo:hi], np.outer(dz_w, tr.s[t + 1])),
-                  (target.b_w[lo:hi], dz_w)]
-        if dims.uses_u:
-            e_u[t] = eu
-            pieces += [(target.W_uc, np.outer(dz_c, tr.u[t + 1])),
-                       (target.W_uw[lo:hi], np.outer(dz_w, tr.u[t + 1]))]
-        for block, piece in pieces:
-            block += scale * piece.clip(-limit, limit)
-        if tr.bases[t]:
-            bases = np.array([(cbase, wbase) for _, cbase, wbase in tr.bases[t]])
-            cidx = (bases[:, :1] + np.arange(dims.class_count)) % size
-            widx = (bases[:, 1:] + np.arange(lo, hi)) % size
-            for table, idx, dz in ((target.me_class, cidx, dz_c), (target.me_word, widx, dz_w)):
-                tiled = np.concatenate([dz] * len(bases))
-                np.add.at(table, idx.ravel(), scale * tiled.clip(-limit, limit))
-        if on_step is not None:
-            on_step(t, params)
-    return e_s, e_u
+def _output_errors(params, out, lr):
+    """The (T, dim) errors the output layer injects into s and u (None
+    without u). Step t's is A(t)^T dz_t for the dense blocks A(t) it read
+    (``model.output_pass``): dz_t A0 - lr sum_{k<t} (dz_t . dz_k) x_k, plus
+    the clamp's share."""
+    e = out.dz @ out.a0 - lr * (np.tril(out.dz @ out.dz.T, -1) @ out.x) + out.residual_err
+    s = params.dims.s_dim
+    return e[:, :s], (e[:, s + 1:] if params.dims.uses_u else None)
 
 
 def _hop_sums(delta, W, dsig, unroll):
@@ -198,9 +159,16 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     final per-element clamp (used by the finite-difference check, which
     validates raw derivatives).
     """
+    dims = params.dims
     tr = sentence_states(params, v, sent, vocab)
+    out = output_pass(params, tr, 0.0, math.inf)
     grads = params.zeros_like()
-    e_s, e_u = _output_steps(params, tr, grads, 1.0, math.inf)
+    for name, view in output_blocks(dims, out.dz.T @ out.x):
+        getattr(grads, name)[...] = view
+    if dims.maxent_order > 0:
+        np.add.at(grads.me_class, out.cslots, out.dz[out.me_steps, :dims.class_count])
+        np.add.at(grads.me_word, out.wslots, out.dz[out.me_steps, dims.class_count:])
+    e_s, e_u = _output_errors(params, out, 0.0)
     _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, grads)
     clip_gradients(grads, grad_clip)
     return grads, _joint_loss(tr, v, lam, recon_kind)
@@ -228,16 +196,20 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     The recurrence runs first: it reads only recurrent-side weights, which
     move once, at the sentence end, by one backward chain. Output-side
     weights then move after every word, so later steps of the same
-    sentence already see the updates. ``on_step(t, params)`` runs after
-    each word's online update (schedule introspection).
+    sentence already see the updates; the dense blocks take them in one
+    product at the sentence end. ``on_step(t, params)`` runs after each
+    word's max-entropy update (schedule introspection).
     """
     batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
     batch_grads = params.zeros_like(names=batch_names)
     clip = config.grad_clip
     tr = sentence_states(params, v, sent, vocab)
-    e_s, e_u = _output_steps(params, tr, params, -lr, clip, on_step)
+    out = output_pass(params, tr, lr, clip, on_step)
+    e_s, e_u = _output_errors(params, out, lr)
     _recurrent_chain(params, tr, v, e_s, e_u, config.lam_recon, config.bptt_unroll,
                      config.recon_kind, batch_grads)
+    for name, view in output_blocks(params.dims, out.dz.T @ out.x + out.residual):
+        getattr(params, name)[...] -= lr * view
     clip_gradients(batch_grads, clip)
     apply_update(params, batch_grads, lr, blocks="batch",
                  weight_decay=config.weight_decay)

@@ -154,6 +154,25 @@ def test_bad_training_settings_fail_before_any_checkpoint(tmp_path, capsys, conf
         assert str(cfg_path) in err
 
 
+@pytest.mark.parametrize("config, flags, key, flag", [
+    ({}, ["--lambda-recon", -1], "lambda_recon", "--lambda-recon"),
+    ({"lambda_recon": -1}, [], "lambda_recon", "--lambda-recon"),
+    ({}, ["--lr", "nan"], "learning_rate", "--lr"),
+    ({}, ["--unroll", 0], "bptt_unroll", "--unroll"),
+    ({}, ["--epochs", 0], "max_epochs", "--epochs"),
+])
+def test_bad_training_setting_error_names_key_and_flag(tmp_path, capsys, config, flags, key,
+                                                        flag):
+    data = _synth(tmp_path)
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--data", data, "--out", out, "--config", cfg_path, *flags) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err and f"flag {flag})" in err
+
+
 def test_empty_config_uses_documented_defaults(tmp_path):
     cfg_path = tmp_path / "empty.json"
     cfg_path.write_text("{}")

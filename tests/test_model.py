@@ -253,7 +253,6 @@ def test_word_distribution_rows_match_scalar(variant, order):
     dims = small_dims(vocab, variant=variant, v_dim=5, s_dim=8, u_dim=8,
                       maxent_order=order, maxent_hash_size=131)
     rng = SeededRng(41)
-    cache = {}
     for _ in range(20):
         blocks = {name: rng.uniform(-2.0, 2.0, shape)
                   for name, shape in model.block_shapes(dims)}
@@ -266,7 +265,7 @@ def test_word_distribution_rows_match_scalar(variant, order):
         pool = [tuple(rng.integers(0, len(vocab)) for _ in range(max(0, order - 1)))
                 for _ in range(3)]
         contexts = [pool[rng.integers(0, 3)] for _ in range(n)]
-        qw, p = model.word_distribution_rows(params, s, u, contexts, vocab, cache)
+        qw, p = model.word_distribution_rows(params, s, u, contexts, vocab)
         dist = qw * p
         assert dist.shape == (n, len(vocab))
         assert np.all(np.abs(dist.sum(axis=1) - 1.0) <= 1e-12)
@@ -296,6 +295,21 @@ def test_sentence_loss_lambda_zero_is_word_nll():
     assert all(s.recon_loss >= 0 and s.word_nll >= 0 for s in steps)
 
 
+def test_underflowed_target_gives_infinite_loss_not_an_error():
+    # training rolls back an epoch whose loss is not finite; a target
+    # probability that underflows to 0 must reach it as inf
+    from bicap.training import gradcheck_setup
+
+    params, vocab, example = gradcheck_setup("full", seed=1)
+    params.b_c[:] = 0.0
+    params.b_c[0] = 2000.0
+    sent = example.captions[0]
+    assert any(vocab.class_of(t) != 0 for t in sent.ids)
+    with np.errstate(divide="ignore"):
+        total, _ = sentence_loss(params, example.features, sent, 1.0, vocab)
+    assert total.joint == math.inf
+
+
 def test_sentence_loss_requires_eos_termination():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(1))
@@ -322,9 +336,8 @@ def test_sentence_states_read_no_online_block(variant):
         assert type(x) is type(y), field.name
         assert x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y, field.name
     # the perturbation does reach the output steps
-    for t in range(len(sent.ids)):
-        model.output_step(params, a, t)
-        model.output_step(perturbed, b, t)
+    model.output_pass(params, a, 0.0, math.inf)
+    model.output_pass(perturbed, b, 0.0, math.inf)
     assert a.word_nll != b.word_nll
 
 

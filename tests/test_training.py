@@ -544,3 +544,59 @@ def test_states_match_reference_forward_under_online_updates(variant):
             assert all(row is None for row in rows), name
         else:
             assert got.tobytes() == np.array(rows).tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def bundle_pairs():
+    from conftest import _bundle_dataset
+
+    dataset = _bundle_dataset()
+    return dataset, dataset.caption_pairs("train")[:40]
+
+
+@pytest.mark.parametrize("grad_clip", [1e-3, 0.5, 1.0, 15.0])
+@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_online_clamp_matches_reference_at_bundle_width(bundle_pairs, variant, order, grad_clip):
+    # s = u = 32 on the bundle vocabulary (26 words, 6 classes): the clamp
+    # acts on every piece at 1e-3, on about 0.5% of them at 0.5 and on none
+    # from 1 up; drift in the dual form would compound over the carried weights
+    dataset, pairs = bundle_pairs
+    dims = model.ModelDims(vocab_size=len(dataset.vocab), class_count=dataset.vocab.n_classes,
+                           v_dim=dataset.feature_dim, s_dim=32, u_dim=32, maxent_order=order,
+                           maxent_hash_size=65536, variant=variant)
+    assert (dims.vocab_size, dims.class_count) == (26, 6)
+    params = init_params(dims, SeededRng(5).derive("init"))
+    ref_params = params.copy()
+    cfg = TrainConfig(learning_rate=0.5, grad_clip=grad_clip)
+    for ex, sent in pairs:
+        joint, _ = train_sentence(params, dataset.vocab, ex.features, sent, cfg, 0.5)
+        ref_joint = _reference_train_sentence(ref_params, dataset.vocab, ex.features, sent,
+                                              cfg, 0.5)
+        assert abs(joint - ref_joint) <= 1e-12 * abs(ref_joint)
+        _assert_blocks_close(params, ref_params)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_scoring_forward_matches_reference_forward(variant, order):
+    params, vocab, example = gradcheck_setup(variant, seed=12, maxent_order=order)
+    v = example.features
+    rng = np.random.default_rng(order)
+    for length in (0, 1, 4, 9):
+        sent = encode([f"w{i}" for i in rng.integers(0, 10, length)], vocab)
+        got = model.sentence_forward(params, v, sent, vocab).word_nll
+        want = sentence_forward(params, v, sent, vocab).word_nll
+        assert len(got) == len(want) == length + 1
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_gradients_match_reference_without_maxent(variant):
+    params, vocab, example = gradcheck_setup(variant, seed=14, maxent_order=0)
+    v, sent = example.features, example.captions[0]
+    grads, loss = sentence_gradients(params, vocab, v, sent, 1.0, 3)
+    ref_grads, ref_loss = _reference_gradients(params, vocab, v, sent, 1.0, 3, "ce")
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    _assert_blocks_close(grads, ref_grads)
