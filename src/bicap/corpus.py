@@ -194,11 +194,6 @@ def encode(tokens, vocab):
     return EncodedSentence(ids=ids, tokens=list(tokens))
 
 
-def decode(sentence, vocab):
-    """Token strings for an encoded sentence, excluding the trailing <eos>."""
-    return [vocab.tokens[i] for i in sentence.ids if i != vocab.eos_id]
-
-
 @dataclass
 class CaptionedExample:
     id: str
@@ -323,30 +318,39 @@ def load_dataset(path, vocab=None, class_count=None):
                 f"expected {dim}"
             )
 
-    norm_max = None
     mpath = manifest_path(path)
-    if os.path.exists(mpath):
-        norm_max = _read_manifest(mpath, dim)
-    else:
-        train_feats = [f for (_, f, _, s), _ in records if s == "train"]
-        if not train_feats:
-            raise ValueError(f"{path}: no train records and no manifest: "
-                             "cannot derive normalization")
-        norm_max = np.max(np.stack(train_feats), axis=0)
+    norm_max = _read_manifest(mpath, dim) if os.path.exists(mpath) else None
+    return _assemble([rec for rec, _ in records], path, vocab, class_count, norm_max)
 
+
+def _train_max(rows, where):
+    """Per-dimension max of the features of the train rows."""
+    train_feats = [feats for _, feats, _, split in rows if split == "train"]
+    if not train_feats:
+        raise ValueError(f"{where}: no train records to derive the normalization from")
+    return np.max(np.stack(train_feats), axis=0)
+
+
+def _assemble(rows, where, vocab=None, class_count=None, norm_max=None):
+    """A :class:`Dataset` of (id, features, captions, split) rows with
+    features normalized to [0, 1].
+
+    ``norm_max`` defaults to the per-dimension max over the train rows and
+    ``vocab`` to one built from the train captions (with ``class_count``);
+    ``where`` starts the message of each error.
+    """
+    if norm_max is None:
+        norm_max = _train_max(rows, where)
     if vocab is None:
-        train_caps = [tokenize(c) for (_, _, caps, s), _ in records if s == "train" for c in caps]
+        train_caps = [tokenize(c) for _, _, caps, split in rows if split == "train" for c in caps]
         if not train_caps:
-            raise ValueError(f"{path}: no train captions to build a vocabulary from")
+            raise ValueError(f"{where}: no train captions to build a vocabulary from")
         vocab = build_vocab(train_caps, class_count=class_count)
-
     denom = np.where(norm_max > 0, norm_max, 1.0)
-    examples = []
-    for (rid, feats, caps, split), _ in records:
-        normalized = np.clip(feats / denom, 0.0, 1.0)
-        encoded = [encode(tokenize(c), vocab) for c in caps]
-        examples.append(CaptionedExample(id=rid, features=normalized, captions=encoded, split=split))
-    return Dataset(examples=examples, vocab=vocab, feature_dim=dim, norm_max=norm_max)
+    examples = [CaptionedExample(id=rid, features=np.clip(feats / denom, 0.0, 1.0),
+                                 captions=[encode(tokenize(c), vocab) for c in caps], split=split)
+                for rid, feats, caps, split in rows]
+    return Dataset(examples=examples, vocab=vocab, feature_dim=norm_max.size, norm_max=norm_max)
 
 
 def write_dataset_file(records, path):
@@ -355,13 +359,8 @@ def write_dataset_file(records, path):
     records = list(records)
     if not records:
         raise ValueError("refusing to write an empty dataset")
-    for i, rec in enumerate(records, start=1):
-        _parse_record(rec, f"{path}: line {i}")
-    dim = len(records[0]["features"])
-    train_feats = [np.asarray(r["features"], dtype=np.float64) for r in records if r["split"] == "train"]
-    if not train_feats:
-        raise ValueError("dataset has no train records")
-    per_dim_max = np.max(np.stack(train_feats), axis=0)
+    per_dim_max = _train_max([_parse_record(rec, f"{path}: line {i}")
+                              for i, rec in enumerate(records, start=1)], path)
 
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -370,7 +369,7 @@ def write_dataset_file(records, path):
     os.replace(tmp, path)
     manifest = {
         "version": 1,
-        "feature_dim": dim,
+        "feature_dim": per_dim_max.size,
         "per_dim_max": [float(v) for v in per_dim_max],
     }
     mtmp = manifest_path(path) + ".tmp"
@@ -454,19 +453,8 @@ def generate_synthetic(attr_count, example_count, rng, captions_per_example=2,
     """In-memory synthetic :class:`Dataset` (see :func:`synthetic_records`)."""
     records = synthetic_records(attr_count, example_count, rng,
                                 captions_per_example, split_fractions)
-    train_caps = [tokenize(c) for r in records if r["split"] == "train" for c in r["captions"]]
-    vocab = build_vocab(train_caps)
-    train_feats = np.stack([np.asarray(r["features"], dtype=np.float64)
-                            for r in records if r["split"] == "train"])
-    norm_max = train_feats.max(axis=0)
-    denom = np.where(norm_max > 0, norm_max, 1.0)
-    examples = []
-    for rec in records:
-        feats = np.clip(np.asarray(rec["features"], dtype=np.float64) / denom, 0.0, 1.0)
-        caps = [encode(tokenize(c), vocab) for c in rec["captions"]]
-        examples.append(CaptionedExample(id=rec["id"], features=feats, captions=caps,
-                                         split=rec["split"]))
-    return Dataset(examples=examples, vocab=vocab, feature_dim=attr_count, norm_max=norm_max)
+    return _assemble([(r["id"], np.asarray(r["features"], dtype=np.float64), r["captions"],
+                       r["split"]) for r in records], "synthetic dataset")
 
 
 def caption_length_counts(dataset, split="train"):

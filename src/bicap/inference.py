@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EncodedSentence
-from .model import (advance_rows, feature_vector, gallery_word_nll, recon_cross_entropy,
-                    reset_state, sentence_loss, sentence_states, shift_context,
-                    word_distribution_rows)
+from .model import (advance_rows, advance_u, feature_vector, gallery_scores,
+                    recon_cross_entropy, recon_rows, reset_state, sentence_loss,
+                    sentence_states, shift_context, word_distribution_rows)
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
 
@@ -72,7 +72,7 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     scores = np.zeros(count)
     prev = np.full(count, vocab.eos_id)
     for t in range(length + 1):
-        s, u = advance_rows(params, s, u, prev, drive)
+        s, u, _, _ = advance_rows(params, s, u, prev, drive)
         contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
         qw, p = word_distribution_rows(params, s, u, contexts, vocab)
         if t < length:
@@ -147,13 +147,6 @@ def _sentences_of(item):
     return item if isinstance(item, (list, tuple)) else [item]
 
 
-def _word_nll(params, vocab, feats, item):
-    """(N,) log-likelihood cost of an item under each row of an (N, v_dim)
-    feature matrix; groups sum their sentences (the state resets between
-    them)."""
-    return sum(gallery_word_nll(params, feats, sent, vocab) for sent in _sentences_of(item))
-
-
 def recon_trajectory(params, item):
     """Per-step feature reconstructions driven by words alone.
 
@@ -164,32 +157,13 @@ def recon_trajectory(params, item):
     dims = params.dims
     if not dims.uses_u:
         raise ValueError(f"variant '{dims.variant}' has no reconstruction half")
-    rows = []
+    us = []
     for sent in _sentences_of(item):
         u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
-        prev = sent.ids[-1]
-        for target in sent.ids:
-            pre_u = params.W_wu[:, prev] + params.W_uu @ u + params.b_u
-            u = sigmoid_clipped(pre_u, dims.sigmoid_clip)
-            rows.append(sigmoid_clipped(params.W_uv @ u + params.b_v, dims.sigmoid_clip))
-            prev = target
-    return np.stack(rows)
-
-
-def _recon_profile(params, item):
-    """Mean log-reconstruction profile of an item: (mean_t log v~_t,
-    mean_t log(1-v~_t)); the I score against features v is then
-    v . a + (1-v) . b."""
-    traj = recon_trajectory(params, item)
-    return np.log(traj).mean(axis=0), np.log(1.0 - traj).mean(axis=0)
-
-
-def recon_score(params, sent, v):
-    """Negated average per-step cross-entropy between the word-driven
-    reconstruction trajectory and features ``v`` (higher is better)."""
-    a, b = _recon_profile(params, sent)
-    v = np.asarray(v, dtype=np.float64)
-    return float(v @ a + (1.0 - v) @ b)
+        for prev in [sent.ids[-1]] + list(sent.ids[:-1]):
+            u, _ = advance_u(params, u, prev)
+            us.append(u)
+    return recon_rows(params, us)[1]
 
 
 @dataclass
@@ -246,23 +220,30 @@ def _rank_rows(m):
 def score_matrices(params, vocab, queries, gallery):
     """(T log-likelihood matrix, I reconstruction matrix) for a retrieval
     task. Queries of feature vectors rank a sentence gallery and vice
-    versa; the I matrix is None for variants without the visual memory."""
+    versa; the I matrix is None for variants without the visual memory.
+    Both come from one ``gallery_scores`` pass per sentence."""
+    if not queries:
+        raise ValueError("the query list is empty")
     image_queries = isinstance(queries[0], np.ndarray)
     feats = queries if image_queries else gallery
     items = gallery if image_queries else queries
     f = np.asarray(feats, dtype=np.float64)          # (feats, v_dim)
 
-    nll = np.stack([_word_nll(params, vocab, f, item) for item in items])
-    # nll is (items x feats); orient to (queries x gallery)
-    t_loglik = -(nll if not image_queries else nll.T)
-
-    i_scores = None
-    if params.dims.uses_u:
-        profiles = [_recon_profile(params, item) for item in items]
-        a = np.stack([p[0] for p in profiles])      # (items, v_dim)
-        b = np.stack([p[1] for p in profiles])
-        per_item = a @ f.T + b @ (1.0 - f).T         # (items, feats)
-        i_scores = per_item if not image_queries else per_item.T
+    nll, a, b = [], [], []
+    for item in items:
+        # a group sums its sentences' costs (the state resets between them)
+        passes = [gallery_scores(params, f, sent, vocab) for sent in _sentences_of(item)]
+        nll.append(sum(p[0] for p in passes))
+        if params.dims.uses_u:
+            # mean log-reconstruction profile: the I score at v is v . a + (1 - v) . b
+            traj = np.vstack([p[1] for p in passes])
+            a.append(np.log(traj).mean(axis=0))
+            b.append(np.log(1.0 - traj).mean(axis=0))
+    # (items x feats) matrices, oriented to (queries x gallery)
+    t_loglik = -np.stack(nll)
+    i_scores = np.stack(a) @ f.T + np.stack(b) @ (1.0 - f).T if params.dims.uses_u else None
+    if image_queries:
+        return t_loglik.T, None if i_scores is None else i_scores.T
     return t_loglik, i_scores
 
 
@@ -306,50 +287,33 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
     return aggregate_ranks(ranked_ids, ranks, mode=mode)
 
 
-def sentence_retrieval_task(dataset, split="test", concat=False):
-    """Image queries against a caption gallery.
+def image_retrieval_task(dataset, split="test", concat=False):
+    """Caption queries against an image gallery.
 
     Returns (queries, gallery, truth): per-sentence protocol lists every
     caption separately; the concatenated protocol groups each example's
-    captions into one gallery item.
+    captions into one query.
     """
     examples = dataset.split(split)
     if not examples:
         raise ValueError(f"split '{split}' is empty")
-    queries = [ex.features for ex in examples]
-    gallery = []
-    truth = []
     if concat:
-        gallery = [tuple(ex.captions) for ex in examples]
-        truth = [{i} for i in range(len(examples))]
+        queries, owners = [tuple(ex.captions) for ex in examples], range(len(examples))
     else:
-        owners = []
-        for i, ex in enumerate(examples):
-            for cap in ex.captions:
-                gallery.append(cap)
-                owners.append(i)
-        for i in range(len(examples)):
-            truth.append({g for g, owner in enumerate(owners) if owner == i})
-    return queries, gallery, truth
+        queries = [cap for ex in examples for cap in ex.captions]
+        owners = [i for i, ex in enumerate(examples) for _ in ex.captions]
+    return queries, [ex.features for ex in examples], [{i} for i in owners]
 
 
-def image_retrieval_task(dataset, split="test", concat=False):
-    """Caption queries against an image gallery."""
-    examples = dataset.split(split)
-    if not examples:
-        raise ValueError(f"split '{split}' is empty")
-    gallery = [ex.features for ex in examples]
-    queries = []
-    truth = []
-    if concat:
-        queries = [tuple(ex.captions) for ex in examples]
-        truth = [{i} for i in range(len(examples))]
-    else:
-        for i, ex in enumerate(examples):
-            for cap in ex.captions:
-                queries.append(cap)
-                truth.append({i})
-    return queries, gallery, truth
+def sentence_retrieval_task(dataset, split="test", concat=False):
+    """Image queries against a caption gallery: ``image_retrieval_task``
+    with queries and gallery swapped. Each image's truth is the gallery
+    indices of its own captions."""
+    captions, images, owners = image_retrieval_task(dataset, split, concat)
+    truth = [set() for _ in images]
+    for g, (owner,) in enumerate(owners):
+        truth[owner].add(g)
+    return images, captions, truth
 
 
 @dataclass

@@ -67,7 +67,7 @@ def _rows_word_nll(params, vocab, feats, sents):
         if live < len(s):   # never at t = 0, while u may still be one shared state
             s, drive, prev, contexts = s[:live], drive[:live], prev[:live], contexts[:live]
             u = None if u is None else u[:live]
-        s, u = advance_rows(params, s, u, prev, drive)
+        s, u, _, _ = advance_rows(params, s, u, prev, drive)
         contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
         qw, p = word_distribution_rows(params, s, u, contexts, vocab)
         rows = np.arange(live)

@@ -246,11 +246,11 @@ def _hashed_bases(order, size, context):
 
 def _advance(params, s, u, w_prev, v):
     """One recurrence update; returns new activations plus pre-activations
-    (needed for exact derivatives of the clipped sigmoid)."""
+    (needed for exact derivatives of the clipped sigmoid). The scalar
+    reference of ``advance_rows``, which it matches byte for byte."""
     dims = params.dims
-    pre_s = params.W_ws[:, w_prev] + params.W_ss @ s + params.b_s
-    if dims.uses_v:
-        pre_s = pre_s + params.W_vs @ v
+    drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
+    pre_s = params.W_ws[:, w_prev] + params.W_ss @ s + drive
     s2 = sigmoid_clipped(pre_s, dims.sigmoid_clip)
     if dims.uses_u:
         pre_u = params.W_wu[:, w_prev] + params.W_uu @ u + params.b_u
@@ -372,22 +372,24 @@ def sentence_states(params, v, sent, vocab):
     """The recurrence of a sentence from a fresh state, with no output
     step. s and u read only the batch blocks, which stay fixed within a
     sentence, so the whole recurrence can run before training moves the
-    output blocks word by word."""
+    output blocks word by word. It steps ``advance_rows`` on one state,
+    with the drive ``W_vs @ v + b_s`` computed once."""
     dims = params.dims
     v = feature_vector(dims, v)
+    drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
     state = reset_state(params)
     s, u, context = [state.s], [state.u], state.context
-    recon, pre_s, pre_u, pre_r, classes, bases = [], [], [], [], [], []
+    pre_s, pre_u, classes, bases = [], [], [], []
     inputs = [sent.ids[-1]] + list(sent.ids[:-1])  # <eos> doubles as begin-of-sentence
     for prev, target in zip(inputs, sent.ids):
-        for rows, x in zip((s, u, recon, pre_s, pre_u, pre_r),
-                           _advance(params, s[-1], u[-1], prev, v)):
+        for rows, x in zip((s, u, pre_s, pre_u), advance_rows(params, s[-1], u[-1], prev, drive)):
             rows.append(x)
         context = shift_context(dims, context, prev)
         bases.append(maxent_bases(dims, context))
         g = vocab.class_of(target)
         classes.append((g, *vocab.class_range(g)))
-    u_side = [np.array(rows) if dims.uses_u else None for rows in (u, pre_u, pre_r, recon)]
+    u_side = ((np.array(u), np.array(pre_u), *recon_rows(params, u[1:])) if dims.uses_u
+              else (None,) * 4)
     return SentenceTrace(np.array(inputs), np.array(sent.ids), classes, bases,
                          np.array(s), np.array(pre_s), *u_side, word_nll=[])
 
@@ -464,26 +466,38 @@ def output_pass(params, tr, lr, limit, on_step=None):
     return OutputPass(x, a0, dz, residual, residual_err, me_bases[:, 0], cslots, wslots)
 
 
-def _times_u(W, u):
-    """``W`` applied to each u row: ``W @ u`` for one shared (u_dim,)
-    state, which then rounds exactly as the scalar ``step`` does, and
-    ``u @ W.T`` for an (N, u_dim) matrix."""
-    return W @ u if u.ndim == 1 else u @ W.T
+def _times(W, x):
+    """``W`` applied to each row of ``x``: ``W @ x`` for one (dim,) state,
+    which rounds as the scalar ``step`` does, ``x @ W.T`` for (N, dim)."""
+    return W @ x if x.ndim == 1 else x @ W.T
+
+
+def advance_u(params, u, prev):
+    """The u half of ``advance_rows``: (u, pre_u) after token(s) ``prev``."""
+    pre_u = params.W_wu.T[prev] + _times(params.W_uu, u) + params.b_u
+    return sigmoid_clipped(pre_u, params.dims.sigmoid_clip), pre_u
 
 
 def advance_rows(params, s, u, prev, drive):
-    """One recurrence update of an (N, s_dim) state matrix.
+    """One recurrence update of one (s_dim,) state or of (N, s_dim) rows;
+    returns (s, u, pre_s, pre_u), the u pair None without the visual memory.
 
-    ``u`` is one (u_dim,) state shared by every row or an (N, u_dim)
-    matrix (None without the visual memory); ``prev`` is one token id or
-    (N,) ids; ``drive`` is ``W_vs @ v + b_s`` per row, or ``b_s`` alone.
+    ``u`` is one (u_dim,) state, also when shared by every s row, or an
+    (N, u_dim) matrix; ``prev`` is one token id or (N,) ids; ``drive`` is
+    ``W_vs @ v + b_s``, per row or shared, or ``b_s`` alone.
     """
-    dims = params.dims
-    clip = dims.sigmoid_clip
-    s = sigmoid_clipped(params.W_ws.T[prev] + s @ params.W_ss.T + drive, clip)
-    if dims.uses_u:
-        u = sigmoid_clipped(params.W_wu.T[prev] + _times_u(params.W_uu, u) + params.b_u, clip)
-    return s, u
+    pre_s = params.W_ws.T[prev] + _times(params.W_ss, s) + drive
+    s = sigmoid_clipped(pre_s, params.dims.sigmoid_clip)
+    u, pre_u = advance_u(params, u, prev) if params.dims.uses_u else (None, None)
+    return s, u, pre_s, pre_u
+
+
+def recon_rows(params, us):
+    """(pre_r, recon) of a sequence of u states as (T, v_dim) arrays. Each
+    state takes its own ``W_uv @ u``, which rounds as the scalar ``step``
+    does; the sigmoid is elementwise, so it runs once over all rows."""
+    pre_r = np.array([params.W_uv @ u for u in us]) + params.b_v
+    return pre_r, sigmoid_clipped(pre_r, params.dims.sigmoid_clip)
 
 
 def logit_rows(params, s, u, lo, hi):
@@ -492,8 +506,8 @@ def logit_rows(params, s, u, lo, hi):
     zc = s @ params.W_sc.T + params.b_c
     zw = s @ params.W_sw[lo:hi].T + params.b_w[lo:hi]
     if params.dims.uses_u:
-        zc = zc + _times_u(params.W_uc, u)
-        zw = zw + _times_u(params.W_uw[lo:hi], u)
+        zc = zc + _times(params.W_uc, u)
+        zw = zw + _times(params.W_uw[lo:hi], u)
     return zc, zw
 
 
@@ -526,14 +540,16 @@ def word_distribution_rows(params, s, u, contexts, vocab_classes):
     return softmax(zc)[:, class_ids], p
 
 
-def gallery_word_nll(params, feats, sent, vocab_classes):
-    """(N,) word NLL of one sentence under each row of an (N, v_dim)
-    feature matrix, in one forward over an (N, s_dim) state matrix.
+def gallery_scores(params, feats, sent, vocab_classes):
+    """One forward of a sentence over an (N, s_dim) state matrix, one row
+    per row of an (N, v_dim) feature matrix: the (N,) word NLL of the
+    sentence under each row, and its (T, v_dim) word-driven reconstruction
+    (None without u), which equals ``inference.recon_trajectory``.
 
     Only s sees the features, through ``W_vs @ v``, computed once per
-    sentence. The u recurrence, the u-side logits and the max-entropy terms
-    depend on the words alone: they are computed once per step and
-    broadcast over the rows. Row i equals ``sentence_loss(params, feats[i],
+    sentence. The u recurrence, the reconstruction, the u-side logits and
+    the max-entropy terms depend on the words alone and are computed once
+    per step. Row i of the NLL equals ``sentence_loss(params, feats[i],
     sent, 0.0, vocab_classes)[0].word_nll`` up to rounding. BLAS may round
     identical rows of a product differently by where they sit, so repeated
     rows (all rows, for ``rnn``, which ignores the features) are scored
@@ -555,10 +571,10 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
     state = reset_state(params)
     s = np.broadcast_to(state.s, drive.shape)
     u, context = state.u, state.context
-    nll = np.zeros(len(drive))
-    prev = sent.ids[-1]
-    for target in sent.ids:
-        s, u = advance_rows(params, s, u, prev, drive)
+    nll, us = np.zeros(len(drive)), []
+    for prev, target in zip([sent.ids[-1]] + list(sent.ids[:-1]), sent.ids):
+        s, u, _, _ = advance_rows(params, s, u, prev, drive)
+        us.append(u)
         g = vocab_classes.class_of(target)
         lo, hi = vocab_classes.class_range(g)
         zc, zw = logit_rows(params, s, u, lo, hi)
@@ -568,8 +584,7 @@ def gallery_word_nll(params, feats, sent, vocab_classes):
                                       % dims.maxent_hash_size]
             zw = zw + params.me_word[(wbase + np.arange(lo, hi)) % dims.maxent_hash_size]
         nll += -np.log(softmax(zc)[:, g]) - np.log(softmax(zw)[:, target - lo])
-        prev = target
-    return nll[inverse.reshape(-1)]
+    return nll[inverse.reshape(-1)], recon_rows(params, us)[1] if dims.uses_u else None
 
 
 def sentence_forward(params, v, sent, vocab):

@@ -174,14 +174,9 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     return grads, _joint_loss(tr, v, lam, recon_kind)
 
 
-def apply_update(params, grads, lr, blocks="all", weight_decay=0.0):
-    """Plain SGD over a block group: 'online', 'batch' or 'all'."""
+def apply_update(params, grads, lr, weight_decay=0.0):
+    """Plain SGD on the blocks that ``grads`` holds."""
     for name, g in grads.named_blocks():
-        online = name in ONLINE_BLOCKS
-        if blocks == "online" and not online:
-            continue
-        if blocks == "batch" and online:
-            continue
         arr = getattr(params, name)
         if weight_decay:
             arr -= lr * (g + weight_decay * arr)
@@ -211,8 +206,7 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     for name, view in output_blocks(params.dims, out.dz.T @ out.x + out.residual):
         getattr(params, name)[...] -= lr * view
     clip_gradients(batch_grads, clip)
-    apply_update(params, batch_grads, lr, blocks="batch",
-                 weight_decay=config.weight_decay)
+    apply_update(params, batch_grads, lr, weight_decay=config.weight_decay)
     return _joint_loss(tr, v, config.lam_recon, config.recon_kind), len(sent.ids)
 
 

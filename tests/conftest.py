@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from bicap import corpus, model, training
+from bicap import corpus, inference, model, training
 from bicap.numkit import SeededRng
 
 
@@ -17,6 +18,21 @@ def small_dims(vocab, variant="full", v_dim=6, s_dim=10, u_dim=8,
                            v_dim=v_dim, s_dim=s_dim, u_dim=u_dim,
                            maxent_order=maxent_order,
                            maxent_hash_size=maxent_hash_size, variant=variant)
+
+
+# Each variant at gradcheck_setup's width 6 (id: the variant) and at the
+# bundle width s = u = 32 (id: variant-32).
+VARIANT_WIDTHS = [pytest.param(variant, width, id=variant if width == 6 else f"{variant}-{width}")
+                  for width in (6, 32) for variant in model.VARIANTS]
+
+
+def recon_score(params, item, v):
+    """Scalar I score of one (item, features) pair: the negated average
+    per-step cross-entropy between the word-driven reconstruction
+    trajectory and ``v`` (higher is better)."""
+    traj = inference.recon_trajectory(params, item)
+    v = np.asarray(v, dtype=np.float64)
+    return float(v @ np.log(traj).mean(axis=0) + (1.0 - v) @ np.log(1.0 - traj).mean(axis=0))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from bicap import cli, corpus, inference, metrics, model, training
 from bicap.corpus import build_vocab, encode
 from bicap.numkit import SeededRng
 
-from conftest import small_dims
+from conftest import recon_score, small_dims
 
 _BUNDLE_TIMES = {}
 
@@ -330,7 +330,7 @@ def test_trained_reconstruction_beats_untrained(trained_bundle):
     trained = trained_bundle["models"]["full"]
     untrained = model.init_params(trained.dims, SeededRng(42).derive("init"))
     def mean_score(params):
-        vals = [inference.recon_score(params, ex.captions[0], ex.features)
+        vals = [recon_score(params, ex.captions[0], ex.features)
                 for ex in ds.split("test")]
         return float(np.mean(vals))
     assert mean_score(trained) > mean_score(untrained)

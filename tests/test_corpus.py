@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from bicap import corpus
-from bicap.corpus import (EOS, UNK, build_vocab, decode,
-                          encode, generate_synthetic, load_dataset,
-                          partition_by_mass, synthetic_records, tokenize,
-                          write_dataset_file)
+from bicap.corpus import (EOS, UNK, build_vocab, encode, generate_synthetic,
+                          load_dataset, partition_by_mass, synthetic_records,
+                          tokenize, write_dataset_file)
 from bicap.numkit import SeededRng
 
 
@@ -111,6 +110,11 @@ def test_equal_mass_classing_on_zipf_corpora():
             lo, hi = vocab.class_range(c)
             masses.append(vocab.counts[lo:hi].sum() / total)
         assert max(masses) <= 2.0 * min(masses) + 1e-12, (k, n_words, masses)
+
+
+def decode(sentence, vocab):
+    """Token strings for an encoded sentence, excluding the trailing <eos>."""
+    return [vocab.tokens[i] for i in sentence.ids if i != vocab.eos_id]
 
 
 def test_encode_empty_and_round_trip():

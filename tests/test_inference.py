@@ -8,16 +8,16 @@ from bicap import model
 from bicap.corpus import EncodedSentence, build_vocab, encode
 from bicap.inference import (ZSCORE_DECIMALS, GenConfig, activation_trace,
                              aggregate_ranks, generate, image_retrieval_task,
-                             rank_retrieval, ranks_from_scores, recon_score,
+                             rank_retrieval, ranks_from_scores,
                              recon_trajectory, sample_candidates, sample_length,
                              sample_sentence, score_candidate, score_matrices,
                              sentence_retrieval_task)
-from bicap.model import (gallery_word_nll, init_params, maxent_bases, reset_state,
+from bicap.model import (gallery_scores, init_params, maxent_bases, reset_state,
                          sentence_loss)
 from bicap.numkit import SeededRng, multinomial_sample
 from bicap.training import gradcheck_setup
 
-from conftest import small_dims
+from conftest import VARIANT_WIDTHS, recon_score, small_dims
 
 
 def _vocab5(class_count=2):
@@ -389,7 +389,7 @@ def test_gallery_scorer_matches_scalar_loss_and_ranking(case):
     f = np.stack(feats)
     for item in items:
         for sent in _sentences(item):
-            batched = gallery_word_nll(params, f, sent, vocab)
+            batched = gallery_scores(params, f, sent, vocab)[0]
             assert batched.shape == (len(feats),)
             for row, v in zip(batched, feats):
                 assert abs(row - sentence_loss(params, v, sent, 0.0, vocab)[0].word_nll) <= 1e-12
@@ -418,7 +418,7 @@ def test_gallery_scorer_identical_rows_score_identically(variant):
     # reaches the NLL unless repeated rows are scored once.
     params, vocab, example = gradcheck_setup(variant, seed=10, s_dim=32, u_dim=8)
     sent = example.captions[0]
-    nll = gallery_word_nll(params, np.tile(example.features, (7, 1)), sent, vocab)
+    nll = gallery_scores(params, np.tile(example.features, (7, 1)), sent, vocab)[0]
     assert np.all(nll == nll[0])
     assert abs(nll[0] - sentence_loss(params, example.features, sent, 0.0,
                                       vocab)[0].word_nll) <= 1e-12
@@ -428,12 +428,33 @@ def test_gallery_scorer_rejects_bad_shapes():
     params, vocab, example = gradcheck_setup("full", seed=5)
     sent = example.captions[0]
     with pytest.raises(ValueError, match="matrix"):
-        gallery_word_nll(params, example.features, sent, vocab)
+        gallery_scores(params, example.features, sent, vocab)
     with pytest.raises(ValueError, match="matrix"):
-        gallery_word_nll(params, np.zeros((3, 5)), sent, vocab)
+        gallery_scores(params, np.zeros((3, 5)), sent, vocab)
     with pytest.raises(ValueError, match="eos"):
-        gallery_word_nll(params, example.features[None],
+        gallery_scores(params, example.features[None],
                          EncodedSentence(ids=sent.ids[:-1], tokens=sent.tokens), vocab)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_gallery_reconstruction_is_the_word_driven_trajectory(variant):
+    params, vocab, example = gradcheck_setup(variant, seed=6)
+    sent = example.captions[0]
+    rng = np.random.default_rng(6)
+    recons = [gallery_scores(params, rng.uniform(0.0, 1.0, (n, 4)), sent, vocab)[1]
+              for n in (1, 3, 5)]
+    if variant != "full":
+        assert recons == [None] * 3
+        return
+    want = recon_trajectory(params, sent).tobytes()
+    assert all(r.tobytes() == want for r in recons)
+
+
+def test_empty_query_list_is_rejected(tiny_dataset):
+    params = init_params(small_dims(tiny_dataset.vocab, v_dim=6), SeededRng(2))
+    _, gallery, _ = image_retrieval_task(tiny_dataset, "test")
+    with pytest.raises(ValueError, match="query list is empty"):
+        rank_retrieval(params, tiny_dataset.vocab, [], gallery, [])
 
 
 def test_i_mode_rejected_without_visual_memory(tiny_dataset):
@@ -455,15 +476,18 @@ def test_retrieval_task_builders(tiny_dataset):
     qi, gi, ti = image_retrieval_task(tiny_dataset, "test")
     assert len(gi) == n_test
     assert len(qi) == len(g)
+    # the image task's truth is the sentence task's, transposed
+    pairs = {(i, c) for i, ts in enumerate(t) for c in ts}
+    assert pairs == {(i, c) for c, ts in enumerate(ti) for i in ts}
     with pytest.raises(ValueError):
         sentence_retrieval_task(tiny_dataset, "no-such-split")
     with pytest.raises(ValueError):
         image_retrieval_task(tiny_dataset, "no-such-split")
 
 
-@pytest.mark.parametrize("variant", model.VARIANTS)
-def test_activation_trace_rows_are_the_step_states(variant):
-    params, vocab, example = gradcheck_setup(variant, seed=12)
+@pytest.mark.parametrize("variant, width", VARIANT_WIDTHS)
+def test_activation_trace_rows_are_the_step_states(variant, width):
+    params, vocab, example = gradcheck_setup(variant, seed=12, s_dim=width, u_dim=width)
     sent = example.captions[0]
     trace = activation_trace(params, vocab, example.features, sent)
     assert (trace.u_rows is None) == (variant != "full")

@@ -393,7 +393,7 @@ def test_one_sgd_step_decreases_joint_loss():
     before, _ = sentence_loss(params, v, sent, 1.0, vocab)
     grads, _ = training.sentence_gradients(params, vocab, v, sent, 1.0,
                                            unroll=len(sent.ids))
-    training.apply_update(params, grads, lr=1e-3, blocks="all")
+    training.apply_update(params, grads, lr=1e-3)
     after, _ = sentence_loss(params, v, sent, 1.0, vocab)
     assert after.joint < before.joint
 
