@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EncodedSentence
-from .model import (advance_rows, advance_u, feature_vector, gallery_scores,
+from .model import (advance_rows, advance_u, check_sentence, feature_vector, gallery_scores,
                     recon_cross_entropy, recon_rows, reset_state, sentence_loss,
-                    sentence_states, shift_context, word_distribution_rows)
+                    sentence_states, sentences_of, shift_context, word_distribution_rows)
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
 
@@ -142,11 +142,6 @@ def generate(params, vocab, v, cfg, rng=None):
                      length=length, candidate_scores=scores.tolist())
 
 
-def _sentences_of(item):
-    """A gallery item is one sentence or a group (concatenated protocol)."""
-    return item if isinstance(item, (list, tuple)) else [item]
-
-
 def recon_trajectory(params, item):
     """Per-step feature reconstructions driven by words alone.
 
@@ -158,7 +153,8 @@ def recon_trajectory(params, item):
     if not dims.uses_u:
         raise ValueError(f"variant '{dims.variant}' has no reconstruction half")
     us = []
-    for sent in _sentences_of(item):
+    for sent in sentences_of(item):
+        check_sentence(dims, sent.ids)
         u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
         for prev in [sent.ids[-1]] + list(sent.ids[:-1]):
             u, _ = advance_u(params, u, prev)
@@ -217,31 +213,55 @@ def _rank_rows(m):
     return order.astype(np.float64)
 
 
+def _is_sentence_item(x):
+    return isinstance(x, EncodedSentence) or (
+        isinstance(x, (list, tuple)) and len(x) > 0
+        and all(isinstance(s, EncodedSentence) for s in x))
+
+
+def _feature_queries(dims, queries):
+    """Feature-vector queries, arrays or lists, as one (N, dim) matrix;
+    a query that is not a vector of dim ``v_dim`` (of the first query's
+    dim, for a variant that reads no features) raises ValueError naming
+    its index."""
+    rows = []
+    for k, q in enumerate(queries):
+        try:
+            row = np.asarray(q, dtype=np.float64)
+        except (TypeError, ValueError):
+            row = None
+        want = (dims.v_dim,) if dims.uses_v else rows[0].shape if rows else None
+        if row is None or row.ndim != 1 or row.shape != (want or row.shape):
+            raise ValueError(f"query {k} is neither a sentence, a group of sentences nor "
+                             f"a feature vector" + (f" of dim {want[0]}" if want else ""))
+        rows.append(row)
+    return np.array(rows)
+
+
 def score_matrices(params, vocab, queries, gallery):
     """(T log-likelihood matrix, I reconstruction matrix) for a retrieval
-    task. Queries of feature vectors rank a sentence gallery and vice
-    versa; the I matrix is None for variants without the visual memory.
-    Both come from one ``gallery_scores`` pass per sentence."""
+    task. Queries of sentences (or groups of sentences) rank a gallery of
+    feature vectors, and feature-vector queries rank a sentence gallery;
+    the I matrix is None for variants without the visual memory. Both come
+    from one ``gallery_scores`` call."""
     if not queries:
         raise ValueError("the query list is empty")
-    image_queries = isinstance(queries[0], np.ndarray)
-    feats = queries if image_queries else gallery
+    image_queries = not _is_sentence_item(queries[0])
     items = gallery if image_queries else queries
-    f = np.asarray(feats, dtype=np.float64)          # (feats, v_dim)
-
-    nll, a, b = [], [], []
-    for item in items:
-        # a group sums its sentences' costs (the state resets between them)
-        passes = [gallery_scores(params, f, sent, vocab) for sent in _sentences_of(item)]
-        nll.append(sum(p[0] for p in passes))
-        if params.dims.uses_u:
-            # mean log-reconstruction profile: the I score at v is v . a + (1 - v) . b
-            traj = np.vstack([p[1] for p in passes])
-            a.append(np.log(traj).mean(axis=0))
-            b.append(np.log(1.0 - traj).mean(axis=0))
+    bad = next((k for k, x in enumerate(items) if not _is_sentence_item(x)), None)
+    if bad is not None:
+        raise ValueError(f"{'gallery item' if image_queries else 'query'} {bad} is "
+                         "neither a sentence nor a group of sentences")
+    f = (_feature_queries(params.dims, queries) if image_queries
+         else np.asarray(gallery, dtype=np.float64))          # (feats, v_dim)
+    nll, trajs = gallery_scores(params, f, items, vocab)
     # (items x feats) matrices, oriented to (queries x gallery)
-    t_loglik = -np.stack(nll)
-    i_scores = np.stack(a) @ f.T + np.stack(b) @ (1.0 - f).T if params.dims.uses_u else None
+    t_loglik, i_scores = -nll, None
+    if trajs is not None:
+        # mean log-reconstruction profile: the I score at v is v . a + (1 - v) . b
+        a = np.stack([np.log(traj).mean(axis=0) for traj in trajs])
+        b = np.stack([np.log(1.0 - traj).mean(axis=0) for traj in trajs])
+        i_scores = a @ f.T + b @ (1.0 - f).T
     if image_queries:
         return t_loglik.T, None if i_scores is None else i_scores.T
     return t_loglik, i_scores

@@ -6,14 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (advance_rows, feature_vector, reset_state, shift_context,
-                    word_distribution_rows)
+from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, reset_state,
+                    score_states, shift_context)
 
 LOG2 = math.log(2.0)
-
-# Rows per batched perplexity forward: bounds the (rows, vocab) arrays that
-# ``word_distribution_rows`` builds at large vocabularies.
-ROW_SLICE = 256
 
 
 def _checked_features(dims, vocab, pairs):
@@ -23,15 +19,8 @@ def _checked_features(dims, vocab, pairs):
     raise ValueError naming the example."""
     feats = []
     for ex, cap in pairs:
-        ids = cap.ids
         try:
-            if not ids:
-                raise ValueError("empty caption")
-            if ids[-1] != vocab.eos_id:
-                raise ValueError("caption does not end with <eos>")
-            bad = [i for i in ids if not 0 <= i < dims.vocab_size]
-            if bad:
-                raise ValueError(f"token id {bad[0]} outside [0, {dims.vocab_size})")
+            check_sentence(dims, cap.ids, vocab.eos_id, "caption")
             feats.append(feature_vector(dims, ex.features) if dims.uses_v else ())
         except ValueError as exc:
             raise ValueError(f"example {ex.id!r}: {exc}") from None
@@ -43,8 +32,9 @@ def _rows_word_nll(params, vocab, feats, sents):
     forward; returns one (T,) array per caption.
 
     Each row has its own drive ``W_vs @ v + b_s``, u row and max-entropy
-    context. A step runs on the rows whose caption has not ended yet, which
-    the sort makes a prefix, and reads each row's target from ``qw`` and ``p``.
+    context. A step advances the rows whose caption has not ended yet,
+    which the sort makes a prefix, and stores their states; ``score_states``
+    then scores every stored state against its target.
     """
     dims = params.dims
     lengths = np.array([len(ids) for ids in sents])
@@ -61,18 +51,24 @@ def _rows_word_nll(params, vocab, feats, sents):
     u = state.u
     contexts = [state.context] * count
     prev = np.full(count, vocab.eos_id)
-    nll = np.zeros((count, steps))
-    for t in range(steps):
-        live = int(np.count_nonzero(lengths > t))
-        if live < len(s):   # never at t = 0, while u may still be one shared state
-            s, drive, prev, contexts = s[:live], drive[:live], prev[:live], contexts[:live]
-            u = None if u is None else u[:live]
+    live = lengths[:, None] > np.arange(steps)      # (count, steps): row r is live at step t
+    total = int(lengths.sum())
+    ss = np.empty((total, dims.s_dim))
+    us = np.empty((total, dims.u_dim)) if dims.uses_u else None
+    state_contexts, end = [], 0
+    for t, n in enumerate(live.sum(axis=0).tolist()):
+        if n < len(s):   # never at t = 0, while u may still be one shared state
+            s, drive, prev, contexts = s[:n], drive[:n], prev[:n], contexts[:n]
+            u = None if u is None else u[:n]
         s, u, _, _ = advance_rows(params, s, u, prev, drive)
         contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
-        qw, p = word_distribution_rows(params, s, u, contexts, vocab)
-        rows = np.arange(live)
-        prev = targets[:live, t]
-        nll[:live, t] = -np.log(qw[rows, prev]) - np.log(p[rows, prev])
+        ss[end:end + n] = s
+        if us is not None:
+            us[end:end + n] = u
+        state_contexts += contexts
+        prev, end = targets[:n, t], end + n
+    nll = np.zeros((count, steps))
+    nll.T[live.T] = score_states(params, vocab, ss, us, targets.T[live.T], state_contexts)
     return [nll[r, :k] for r, k in enumerate(lengths)]
 
 

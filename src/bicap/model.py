@@ -97,6 +97,10 @@ class ModelDims:
 ONLINE_BLOCKS = frozenset({"W_sc", "W_uc", "W_sw", "W_uw", "b_c", "b_w",
                            "me_class", "me_word"})
 
+# Stored states per block of ``score_states`` (and captions per chunk of
+# ``metrics.pair_word_nll``): bounds every array that spans the vocabulary.
+ROW_SLICE = 256
+
 
 def block_shapes(dims):
     """Ordered (name, shape) list of the parameter blocks a variant owns."""
@@ -303,6 +307,19 @@ def word_distribution(params, s, u, context, vocab_classes):
     return out
 
 
+def check_sentence(dims, ids, eos_id=None, what="sentence"):
+    """Raise ValueError unless ``ids`` is nonempty, ends with ``eos_id``
+    (when given) and holds only ids in [0, vocab_size); the message names
+    the bad id."""
+    if not ids:
+        raise ValueError(f"empty {what}")
+    if eos_id is not None and ids[-1] != eos_id:
+        raise ValueError(f"{what} does not end with <eos>")
+    bad = next((i for i in ids if not 0 <= i < dims.vocab_size), None)
+    if bad is not None:
+        raise ValueError(f"token id {bad} outside [0, {dims.vocab_size})")
+
+
 def feature_vector(dims, v):
     """``v`` as a float64 vector for the variants that read features; a
     shape other than (v_dim,), or None, raises."""
@@ -373,8 +390,10 @@ def sentence_states(params, v, sent, vocab):
     step. s and u read only the batch blocks, which stay fixed within a
     sentence, so the whole recurrence can run before training moves the
     output blocks word by word. It steps ``advance_rows`` on one state,
-    with the drive ``W_vs @ v + b_s`` computed once."""
+    with the drive ``W_vs @ v + b_s`` computed once. A sentence that
+    ``check_sentence`` rejects raises ValueError."""
     dims = params.dims
+    check_sentence(dims, sent.ids, vocab.eos_id)
     v = feature_vector(dims, v)
     drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
     state = reset_state(params)
@@ -404,6 +423,27 @@ def output_blocks(dims, a):
     return views.items()
 
 
+def output_matrix(params):
+    """The dense online blocks of ``params`` as one ``output_blocks`` matrix."""
+    dims = params.dims
+    a = np.empty((dims.class_count + dims.vocab_size,
+                  dims.s_dim + 1 + (dims.u_dim if dims.uses_u else 0)))
+    for name, view in output_blocks(dims, a):
+        view[...] = getattr(params, name)
+    return a
+
+
+def maxent_slots(dims, bases_seq):
+    """(owner, cslots, wslots) of every max-entropy feature of a sequence of
+    ``maxent_bases`` results: the position of its entry in ``bases_seq``,
+    and the ``me_class`` and ``me_word`` slots of each class and word id."""
+    bases = np.array([(k, cbase, wbase) for k, bases in enumerate(bases_seq)
+                      for _, cbase, wbase in bases], dtype=np.int64).reshape(-1, 3)
+    h = dims.maxent_hash_size
+    return (bases[:, 0], (bases[:, 1:2] + np.arange(dims.class_count)) % h,
+            (bases[:, 2:] + np.arange(dims.vocab_size)) % h)
+
+
 OutputPass = namedtuple("OutputPass", "x a0 dz residual residual_err me_steps cslots wslots")
 
 
@@ -425,16 +465,11 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dims = params.dims
     c = dims.class_count
     x = np.hstack([tr.s[1:], np.ones((len(tr.targets), 1))] + ([tr.u[1:]] if dims.uses_u else []))
-    a0 = np.empty((c + dims.vocab_size, x.shape[1]))
-    for name, view in output_blocks(dims, a0):
-        view[...] = getattr(params, name)
+    a0 = output_matrix(params)
     z0, gram = x @ a0.T, -lr * (x @ x.T)
     dz, residual, residual_err = np.zeros((len(x), len(a0))), np.zeros_like(a0), np.zeros_like(x)
-    clamped, maxent, h = limit < 1.0, dims.maxent_order > 0, dims.maxent_hash_size
-    me_bases = np.array([(t, cbase, wbase) for t, bases in enumerate(tr.bases)
-                         for _, cbase, wbase in bases], dtype=np.int64).reshape(-1, 3)
-    cslots = (me_bases[:, 1:2] + np.arange(c)) % h
-    wslots = (me_bases[:, 2:] + np.arange(dims.vocab_size)) % h
+    clamped, maxent = limit < 1.0, dims.maxent_order > 0
+    me_steps, cslots, wslots = maxent_slots(dims, tr.bases)
     end, nll = 0, []
     for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
         z = z0[t] + gram[t] @ dz
@@ -463,7 +498,7 @@ def output_pass(params, tr, lr, limit, on_step=None):
         if on_step is not None:
             on_step(t, params)
     tr.word_nll = nll
-    return OutputPass(x, a0, dz, residual, residual_err, me_bases[:, 0], cslots, wslots)
+    return OutputPass(x, a0, dz, residual, residual_err, me_steps, cslots, wslots)
 
 
 def _times(W, x):
@@ -540,24 +575,106 @@ def word_distribution_rows(params, s, u, contexts, vocab_classes):
     return softmax(zc)[:, class_ids], p
 
 
-def gallery_scores(params, feats, sent, vocab_classes):
-    """One forward of a sentence over an (N, s_dim) state matrix, one row
-    per row of an (N, v_dim) feature matrix: the (N,) word NLL of the
-    sentence under each row, and its (T, v_dim) word-driven reconstruction
-    (None without u), which equals ``inference.recon_trajectory``.
+def _entry_terms(params, bases, classes, id_class):
+    """(n, class_count + vocab) rows of n (max-entropy bases, target class)
+    entries, in ``output_blocks`` row order: the max-entropy terms, one
+    gather over their ``maxent_slots``, with -inf at every word outside
+    the entry's class, so that a softmax over the word part of a logit row
+    plus its entry row is the member softmax of the target class."""
+    dims = params.dims
+    terms = np.zeros((len(bases), dims.class_count + dims.vocab_size))
+    if dims.maxent_order > 0:
+        owner, cslots, wslots = maxent_slots(dims, bases)
+        terms = np.add.reduceat(np.hstack([params.me_class[cslots], params.me_word[wslots]]),
+                                np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
+    terms[:, dims.class_count:][id_class != classes[:, None]] = -np.inf
+    return terms
 
-    Only s sees the features, through ``W_vs @ v``, computed once per
-    sentence. The u recurrence, the reconstruction, the u-side logits and
-    the max-entropy terms depend on the words alone and are computed once
-    per step. Row i of the NLL equals ``sentence_loss(params, feats[i],
-    sent, 0.0, vocab_classes)[0].word_nll`` up to rounding. BLAS may round
-    identical rows of a product differently by where they sit, so repeated
-    rows (all rows, for ``rnn``, which ignores the features) are scored
-    once: exact ties stay exact, as in the scalar path.
+
+def score_states(params, vocab_classes, s, u, targets, contexts, step=None):
+    """Word NLL of stored recurrence states: entry i of the (M,) result is
+    the NLL of a target word under the output layer at state i.
+
+    Row i of the (M, s_dim) matrix ``s`` is a state as ``advance_rows``
+    returns it. Without ``step``, the u rows ``u`` (M, u_dim), ``targets``
+    and the max-entropy ``contexts`` hold one entry per state. With the
+    (M,) index ``step`` they hold one entry per step, which state i reads at
+    ``step[i]``, and the u-side, bias and max-entropy terms are computed
+    once per step. ``u`` is None without the visual memory.
+
+    The states run in blocks of at most ``ROW_SLICE``. A block takes one
+    product with ``output_matrix`` and adds its ``_entry_terms``. Then one
+    log-softmax runs over the classes and one over each state's target
+    class, and the targets are read out.
     """
     dims = params.dims
-    if not sent.ids or sent.ids[-1] != vocab_classes.eos_id:
-        raise ValueError("sentence must be nonempty and end with <eos>")
+    c, sd = dims.class_count, dims.s_dim
+    a = output_matrix(params)
+    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    g = np.searchsorted(bounds, targets, side="right")
+    id_class = np.searchsorted(bounds, np.arange(dims.vocab_size), side="right")
+    picks = np.stack([g, c + targets])        # (2, entries): class and word row of each target
+    slots = {}
+    ctx = np.array([slots.setdefault(x, len(slots)) for x in contexts], dtype=np.int64)
+    bases = [maxent_bases(dims, x) for x in slots]
+
+    def with_bias(u_rows, n):   # [1, u] rows: the columns of ``a`` after s
+        return np.hstack([np.ones((n, 1))] + ([u_rows] if dims.uses_u else []))
+
+    if step is None:
+        keys = ctx * len(bounds) + g
+    else:
+        step_terms = (with_bias(u, len(targets)) @ a[:, sd:].T
+                      + _entry_terms(params, [bases[k] for k in ctx], g, id_class)).T
+    nll = np.empty(len(s))
+    for start in range(0, len(s), ROW_SLICE):
+        blk = slice(start, start + ROW_SLICE)
+        if step is None:
+            used, inverse = np.unique(keys[blk], return_inverse=True)
+            terms = _entry_terms(params, [bases[k] for k in (used // len(bounds)).tolist()],
+                                 used % len(bounds), id_class)
+            z = a @ np.hstack([s[blk], with_bias(u[blk] if dims.uses_u else None,
+                                                 len(s[blk]))]).T
+            z += terms[inverse].T
+            entry = blk
+        else:
+            z = a[:, :sd] @ s[blk].T
+            z += step_terms[:, step[blk]]
+            entry = step[blk]
+        # (classes + vocab, block) logits: the softmaxes reduce over axis 0
+        (zc, zw), (tc, tw) = (z[:c], z[c:]), z[picks[:, entry], np.arange(z.shape[1])]
+        mc, mw = zc.max(axis=0), zw.max(axis=0)
+        zc -= mc
+        zw -= mw
+        nll[blk] = ((np.log(np.exp(zc, out=zc).sum(axis=0)) - (tc - mc))
+                    + (np.log(np.exp(zw, out=zw).sum(axis=0)) - (tw - mw)))
+    return nll
+
+
+def sentences_of(item):
+    """A retrieval item is one sentence or a group (concatenated protocol)."""
+    return item if isinstance(item, (list, tuple)) else [item]
+
+
+def gallery_scores(params, feats, items, vocab_classes):
+    """Word NLL of each item under each row of an (N, v_dim) feature
+    matrix, as an (items, N) matrix, and each item's (T, v_dim) word-driven
+    reconstruction, which equals ``inference.recon_trajectory`` (None
+    without u). An item is a sentence or a group of sentences, whose NLLs
+    add up; the state resets between them.
+
+    Only s sees the features, through ``W_vs @ v + b_s``, computed once per
+    call for each distinct row. A sentence's loop steps the recurrence
+    alone, storing the s rows and the shared u state of each step, and
+    ``score_states`` scores them afterwards. Row i of the NLL equals the
+    summed ``sentence_loss(params, feats[i], sent, 0.0,
+    vocab_classes)[0].word_nll`` up to rounding. BLAS may round identical
+    rows of a product differently by where they sit, so repeated rows (all
+    rows, for ``rnn``, which ignores the features) are scored once: exact
+    ties stay exact, as in the scalar path.
+    """
+    dims = params.dims
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or (dims.uses_v and feats.shape[1] != dims.v_dim):
         raise ValueError(f"features must be an (N, {dims.v_dim}) matrix, "
@@ -568,23 +685,26 @@ def gallery_scores(params, feats, sent, vocab_classes):
     else:
         inverse = np.zeros(len(feats), dtype=np.int64)
         drive = params.b_s[None, :]
-    state = reset_state(params)
-    s = np.broadcast_to(state.s, drive.shape)
-    u, context = state.u, state.context
-    nll, us = np.zeros(len(drive)), []
-    for prev, target in zip([sent.ids[-1]] + list(sent.ids[:-1]), sent.ids):
-        s, u, _, _ = advance_rows(params, s, u, prev, drive)
-        us.append(u)
-        g = vocab_classes.class_of(target)
-        lo, hi = vocab_classes.class_range(g)
-        zc, zw = logit_rows(params, s, u, lo, hi)
-        context = shift_context(dims, context, prev)
-        for _, cbase, wbase in maxent_bases(dims, context):
-            zc = zc + params.me_class[(cbase + np.arange(dims.class_count))
-                                      % dims.maxent_hash_size]
-            zw = zw + params.me_word[(wbase + np.arange(lo, hi)) % dims.maxent_hash_size]
-        nll += -np.log(softmax(zc)[:, g]) - np.log(softmax(zw)[:, target - lo])
-    return nll[inverse.reshape(-1)], recon_rows(params, us)[1] if dims.uses_u else None
+    start = reset_state(params)
+    nll, recons = np.zeros((len(items), len(drive))), []
+    for k, item in enumerate(items):
+        us = []
+        for sent in sentences_of(item):
+            check_sentence(dims, sent.ids, vocab_classes.eos_id)
+            s, u, context = np.broadcast_to(start.s, drive.shape), start.u, start.context
+            ss, contexts = np.empty((len(sent.ids),) + drive.shape), []
+            for t, prev in enumerate([sent.ids[-1]] + list(sent.ids[:-1])):
+                s, u, _, _ = advance_rows(params, s, u, prev, drive)
+                context = shift_context(dims, context, prev)
+                ss[t] = s
+                us.append(u)
+                contexts.append(context)
+            step = np.repeat(np.arange(len(ss)), len(drive))
+            nll[k] += score_states(params, vocab_classes, ss.reshape(len(step), -1),
+                                   np.array(us[-len(ss):]) if dims.uses_u else None,
+                                   sent.ids, contexts, step).reshape(len(ss), -1).sum(axis=0)
+        recons.append(recon_rows(params, us)[1] if dims.uses_u else None)
+    return nll[:, inverse.reshape(-1)], recons if dims.uses_u else None
 
 
 def sentence_forward(params, v, sent, vocab):
@@ -601,8 +721,6 @@ def sentence_loss(params, v, sent, lam_recon, vocab_classes, recon_kind="ce"):
     negative log-likelihood of its target word plus ``lam_recon`` times the
     feature reconstruction error (full variant only).
     """
-    if not sent.ids or sent.ids[-1] != vocab_classes.eos_id:
-        raise ValueError("sentence must be nonempty and end with <eos>")
     tr = sentence_forward(params, v, sent, vocab_classes)
     steps = [StepLoss(word_nll=w, recon_loss=r, joint=w + lam_recon * r)
              for w, r in zip(tr.word_nll, recon_losses(tr, v, recon_kind))]

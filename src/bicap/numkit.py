@@ -72,7 +72,9 @@ def sigmoid_clipped(z, clip=DEFAULT_SIGMOID_CLIP):
     """
     if clip <= 0:
         raise ValueError("clip must be positive")
-    z = np.clip(np.asarray(z, dtype=np.float64), -clip, clip)
+    # np.minimum/np.maximum clamp as np.clip does (also on +-inf, +-0 and
+    # NaN) without its Python wrapper; float32 input still gives float64
+    z = np.minimum(np.maximum(np.asarray(z, dtype=np.float64), -clip), clip)
     return np.minimum(1.0 / (1.0 + np.exp(-z)), _BELOW_ONE)
 
 

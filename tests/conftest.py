@@ -26,6 +26,14 @@ VARIANT_WIDTHS = [pytest.param(variant, width, id=variant if width == 6 else f"{
                   for width in (6, 32) for variant in model.VARIANTS]
 
 
+def with_one_member_class(vocab):
+    """``vocab`` with its first id (<eos> in ``gradcheck_setup``'s
+    vocabulary) alone in a class; the class count stays the same."""
+    bounds = [int(b) for b in vocab.class_bounds]
+    assert bounds[0] >= 2
+    return corpus.ClassedVocabulary(vocab.tokens, vocab.counts, [1] + bounds[1:])
+
+
 def recon_score(params, item, v):
     """Scalar I score of one (item, features) pair: the negated average
     per-step cross-entropy between the word-driven reconstruction

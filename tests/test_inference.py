@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bicap import model
 from bicap.corpus import EncodedSentence, build_vocab, encode
@@ -17,7 +17,7 @@ from bicap.model import (gallery_scores, init_params, maxent_bases, reset_state,
 from bicap.numkit import SeededRng, multinomial_sample
 from bicap.training import gradcheck_setup
 
-from conftest import VARIANT_WIDTHS, recon_score, small_dims
+from conftest import VARIANT_WIDTHS, recon_score, small_dims, with_one_member_class
 
 
 def _vocab5(class_count=2):
@@ -336,13 +336,22 @@ def test_rank_retrieval_runs_all_modes(tiny_dataset):
 # ``ZSCORE_DECIMALS`` so the tie stays exact. Groups hold at most two
 # sentences, whose sum does not depend on their order.
 _grid_feature = st.lists(st.integers(0, 4).map(lambda k: k / 4.0), min_size=4, max_size=4)
-_words = st.lists(st.sampled_from([f"w{i}" for i in range(10)]), min_size=1, max_size=6)
+_words = st.lists(st.sampled_from([f"w{i}" for i in range(10)]), min_size=0, max_size=6)
+
+
+def _case_model(variant, seed, hash_size, lone_class):
+    """``gradcheck_setup``'s model; a hash size below the vocabulary size
+    wraps and collides the max-entropy windows within one step, and
+    ``lone_class`` leaves <eos> alone in its class."""
+    params, vocab, _ = gradcheck_setup(variant, seed=seed, maxent_hash_size=hash_size)
+    return params, with_one_member_class(vocab) if lone_class else vocab
 
 
 @st.composite
 def _retrieval_case(draw):
     variant = draw(st.sampled_from(model.VARIANTS))
-    params, vocab, _ = gradcheck_setup(variant, seed=draw(st.integers(0, 2 ** 16)))
+    params, vocab = _case_model(variant, draw(st.integers(0, 2 ** 16)),
+                                draw(st.sampled_from([257, 5])), draw(st.booleans()))
     feats = [np.array(f) for f in draw(st.lists(_grid_feature, min_size=1, max_size=7))]
     sentence = _words.map(lambda toks: encode(toks, vocab))
     item = st.one_of(sentence, st.lists(sentence, min_size=2, max_size=2).map(tuple))
@@ -382,14 +391,27 @@ def _scalar_ranking(params, vocab, queries, gallery, mode):
     return ranked
 
 
+def _many_states_case():
+    """40 grid features under a 10-token sentence: one gallery pass stores
+    400 states, more than one block of ``ROW_SLICE``."""
+    params, vocab = _case_model("full", 11, 5, True)
+    rng = np.random.default_rng(11)
+    feats = list(rng.integers(0, 5, (40, 4)) / 4.0)
+    items = [encode([f"w{i}" for i in (3, 1, 4, 1, 5, 9, 2, 6, 5)], vocab),
+             (encode([], vocab), encode(["w7", "w0"], vocab))]
+    assert 10 * len(np.unique(np.array(feats), axis=0)) > model.ROW_SLICE
+    return params, vocab, feats, items, items, feats, [{0}, {1}]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_retrieval_case())
+@example(_many_states_case())
 def test_gallery_scorer_matches_scalar_loss_and_ranking(case):
     params, vocab, feats, items, queries, gallery, truth = case
     f = np.stack(feats)
     for item in items:
         for sent in _sentences(item):
-            batched = gallery_scores(params, f, sent, vocab)[0]
+            batched = gallery_scores(params, f, [sent], vocab)[0][0]
             assert batched.shape == (len(feats),)
             for row, v in zip(batched, feats):
                 assert abs(row - sentence_loss(params, v, sent, 0.0, vocab)[0].word_nll) <= 1e-12
@@ -418,7 +440,7 @@ def test_gallery_scorer_identical_rows_score_identically(variant):
     # reaches the NLL unless repeated rows are scored once.
     params, vocab, example = gradcheck_setup(variant, seed=10, s_dim=32, u_dim=8)
     sent = example.captions[0]
-    nll = gallery_scores(params, np.tile(example.features, (7, 1)), sent, vocab)[0]
+    nll = gallery_scores(params, np.tile(example.features, (7, 1)), [sent], vocab)[0][0]
     assert np.all(nll == nll[0])
     assert abs(nll[0] - sentence_loss(params, example.features, sent, 0.0,
                                       vocab)[0].word_nll) <= 1e-12
@@ -428,12 +450,12 @@ def test_gallery_scorer_rejects_bad_shapes():
     params, vocab, example = gradcheck_setup("full", seed=5)
     sent = example.captions[0]
     with pytest.raises(ValueError, match="matrix"):
-        gallery_scores(params, example.features, sent, vocab)
+        gallery_scores(params, example.features, [sent], vocab)
     with pytest.raises(ValueError, match="matrix"):
-        gallery_scores(params, np.zeros((3, 5)), sent, vocab)
+        gallery_scores(params, np.zeros((3, 5)), [sent], vocab)
     with pytest.raises(ValueError, match="eos"):
         gallery_scores(params, example.features[None],
-                         EncodedSentence(ids=sent.ids[:-1], tokens=sent.tokens), vocab)
+                       [EncodedSentence(ids=sent.ids[:-1], tokens=sent.tokens)], vocab)
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)
@@ -441,13 +463,13 @@ def test_gallery_reconstruction_is_the_word_driven_trajectory(variant):
     params, vocab, example = gradcheck_setup(variant, seed=6)
     sent = example.captions[0]
     rng = np.random.default_rng(6)
-    recons = [gallery_scores(params, rng.uniform(0.0, 1.0, (n, 4)), sent, vocab)[1]
+    recons = [gallery_scores(params, rng.uniform(0.0, 1.0, (n, 4)), [sent], vocab)[1]
               for n in (1, 3, 5)]
     if variant != "full":
         assert recons == [None] * 3
         return
     want = recon_trajectory(params, sent).tobytes()
-    assert all(r.tobytes() == want for r in recons)
+    assert all(r[0].tobytes() == want for r in recons)
 
 
 def test_empty_query_list_is_rejected(tiny_dataset):
@@ -455,6 +477,41 @@ def test_empty_query_list_is_rejected(tiny_dataset):
     _, gallery, _ = image_retrieval_task(tiny_dataset, "test")
     with pytest.raises(ValueError, match="query list is empty"):
         rank_retrieval(params, tiny_dataset.vocab, [], gallery, [])
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_out_of_range_token_ids_are_rejected(bad):
+    # -1 would read the last column of W_ws and W_wu; 12 = vocab_size would
+    # raise a raw IndexError
+    params, vocab, example = gradcheck_setup("full", seed=5)
+    sent = EncodedSentence(ids=[vocab.token_to_id["w1"], bad, vocab.eos_id], tokens=[])
+    message = rf"token id {bad} outside \[0, 12\)"
+    with pytest.raises(ValueError, match=message):
+        gallery_scores(params, example.features[None], [sent], vocab)
+    with pytest.raises(ValueError, match=message):
+        sentence_loss(params, example.features, sent, 1.0, vocab)
+    with pytest.raises(ValueError, match=message):
+        recon_trajectory(params, (example.captions[0], sent))
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_image_queries_given_as_lists(variant):
+    params, vocab, example = gradcheck_setup(variant, seed=8)
+    rng = np.random.default_rng(8)
+    feats = [rng.uniform(0.0, 1.0, 4) for _ in range(3)]
+    gallery = [example.captions[0], encode(["w2", "w7"], vocab),
+               (encode(["w5"], vocab), encode([], vocab))]
+    truth = [{0}, {1}, {2}]
+    want = score_matrices(params, vocab, feats, gallery)
+    got = score_matrices(params, vocab, [f.tolist() for f in feats], gallery)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    res = rank_retrieval(params, vocab, [tuple(f) for f in feats], gallery, truth)
+    assert res.ranked_ids == rank_retrieval(params, vocab, feats, gallery, truth).ranked_ids
+    for queries, what in (([feats[0], feats[1][:3]], "query 1"), ([feats[0], "w1"], "query 1"),
+                          ([gallery[0], feats[0]], "query 1"), ([None, feats[0]], "query 0")):
+        with pytest.raises(ValueError, match=what):
+            score_matrices(params, vocab, queries, gallery)
 
 
 def test_i_mode_rejected_without_visual_memory(tiny_dataset):

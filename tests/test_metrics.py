@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bicap import corpus, model
 from bicap.corpus import CaptionedExample, EncodedSentence, build_vocab, encode
@@ -12,7 +12,7 @@ from bicap.metrics import (ROW_SLICE, MetricReport, bleu, corpus_bleu,
 from bicap.numkit import SeededRng
 from bicap.training import gradcheck_setup
 
-from conftest import small_dims
+from conftest import small_dims, with_one_member_class
 
 
 def _uniform_model(n_words):
@@ -135,9 +135,18 @@ def _assert_rows_match(got, want):
        seed=st.integers(0, 2 ** 16),
        captions=st.lists(st.lists(st.integers(0, 9), max_size=7), min_size=1, max_size=5),
        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1,
-                      max_size=12))
-def test_batched_word_nll_matches_sentence_forward(variant, order, seed, captions, picks):
-    params, vocab, _ = gradcheck_setup(variant, seed=seed, maxent_order=order)
+                      max_size=12),
+       hash_size=st.sampled_from([257, 5]), lone_class=st.booleans())
+# a hash size below the vocabulary size wraps and collides the max-entropy
+# windows within one step; <eos> alone in its class; length-1 captions
+@example(variant="full", order=3, seed=5, captions=[[], [3, 1, 4, 1, 5], [9], []],
+         picks=[(0, 0), (1, 1), (2, 2), (3, 0), (1, 2)], hash_size=5, lone_class=True)
+def test_batched_word_nll_matches_sentence_forward(variant, order, seed, captions, picks,
+                                                   hash_size, lone_class):
+    params, vocab, _ = gradcheck_setup(variant, seed=seed, maxent_order=order,
+                                       maxent_hash_size=hash_size)
+    if lone_class:
+        vocab = with_one_member_class(vocab)
     rng = SeededRng(seed).derive("test")
     _perturbed(params, rng)
     feats = [rng.uniform(0.0, 1.0, 4) for _ in range(3)]
@@ -151,17 +160,25 @@ def test_batched_word_nll_matches_sentence_forward(variant, order, seed, caption
 
 @pytest.mark.parametrize("variant", model.VARIANTS)
 def test_batched_word_nll_crosses_row_slices(variant):
-    params, vocab, _ = gradcheck_setup(variant, seed=4, s_dim=4, u_dim=4)
-    rng = SeededRng(4).derive("test")
-    _perturbed(params, rng)
-    pairs = []
-    for k in range(ROW_SLICE + 44):
-        words = [f"w{rng.integers(0, 10)}" for _ in range(rng.integers(0, 8))]
-        ex = CaptionedExample(id=str(k), features=rng.uniform(0.0, 1.0, 4), captions=[],
-                              split="test")
-        pairs.append((ex, encode(words, vocab)))
-    _assert_rows_match(pair_word_nll(params, vocab, pairs),
-                       _scalar_word_nll(params, vocab, pairs))
+    # each slice of rows stores more than ROW_SLICE states, which the scorer
+    # takes in several blocks; the second layout has a hash size below the
+    # vocabulary size and <eos> alone in its class
+    for hash_size, lone_class in ((257, False), (5, True)):
+        params, vocab, _ = gradcheck_setup(variant, seed=4, s_dim=4, u_dim=4,
+                                           maxent_hash_size=hash_size)
+        if lone_class:
+            vocab = with_one_member_class(vocab)
+        rng = SeededRng(4).derive("test")
+        _perturbed(params, rng)
+        pairs = []
+        for k in range(ROW_SLICE + 44):
+            words = [f"w{rng.integers(0, 10)}" for _ in range(rng.integers(0, 8))]
+            ex = CaptionedExample(id=str(k), features=rng.uniform(0.0, 1.0, 4), captions=[],
+                                  split="test")
+            pairs.append((ex, encode(words, vocab)))
+        assert sum(len(cap.ids) for _, cap in pairs[:ROW_SLICE]) > 2 * ROW_SLICE
+        _assert_rows_match(pair_word_nll(params, vocab, pairs),
+                           _scalar_word_nll(params, vocab, pairs))
 
 
 def test_perplexity_exactly_invariant_to_pair_order_at_bundle_width():

@@ -22,6 +22,13 @@ def test_sigmoid_symmetry():
 def test_sigmoid_clips_large_arguments():
     out = sigmoid_clipped(np.array([1000.0]), clip=50.0)
     assert out[0] == pytest.approx(1.0 / (1.0 + math.exp(-50.0)), rel=1e-15)
+    # the clamp at its edge values, as np.clip gives it, for float64 and float32 input
+    edges = [math.inf, -math.inf, 0.0, -0.0, math.nan, 50.0, -50.0, 1000.0]
+    for z in (np.array(edges), np.array(edges, dtype=np.float32)):
+        want = np.minimum(1.0 / (1.0 + np.exp(-np.clip(z.astype(np.float64), -50.0, 50.0))),
+                          np.nextafter(1.0, 0.0))
+        out = sigmoid_clipped(z, clip=50.0)
+        assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
 
 
 def test_sigmoid_rejects_bad_clip():
