@@ -251,7 +251,7 @@ def _hashed_bases(order, size, context):
 def _advance(params, s, u, w_prev, v):
     """One recurrence update; returns new activations plus pre-activations
     (needed for exact derivatives of the clipped sigmoid). The scalar
-    reference of ``advance_rows``, which it matches byte for byte."""
+    reference of ``advance_rows`` and ``sentence_states``, byte for byte."""
     dims = params.dims
     drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
     pre_s = params.W_ws[:, w_prev] + params.W_ss @ s + drive
@@ -389,28 +389,33 @@ def sentence_states(params, v, sent, vocab):
     """The recurrence of a sentence from a fresh state, with no output
     step. s and u read only the batch blocks, which stay fixed within a
     sentence, so the whole recurrence can run before training moves the
-    output blocks word by word. It steps ``advance_rows`` on one state,
-    with the drive ``W_vs @ v + b_s`` computed once. A sentence that
-    ``check_sentence`` rejects raises ValueError."""
-    dims = params.dims
+    output blocks word by word. It steps one stacked [s | u] row, from
+    input columns gathered once, byte for byte as ``_advance`` does. A
+    sentence that ``check_sentence`` rejects raises ValueError."""
+    dims, sd, state = params.dims, params.dims.s_dim, reset_state(params)
     check_sentence(dims, sent.ids, vocab.eos_id)
-    v = feature_vector(dims, v)
-    drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
-    state = reset_state(params)
-    s, u, context = [state.s], [state.u], state.context
-    pre_s, pre_u, classes, bases = [], [], [], []
-    inputs = [sent.ids[-1]] + list(sent.ids[:-1])  # <eos> doubles as begin-of-sentence
-    for prev, target in zip(inputs, sent.ids):
-        for rows, x in zip((s, u, pre_s, pre_u), advance_rows(params, s[-1], u[-1], prev, drive)):
-            rows.append(x)
+    inputs = np.array([sent.ids[-1]] + list(sent.ids[:-1]))  # <eos> doubles as begin-of-sentence
+    drive = params.W_vs @ feature_vector(dims, v) + params.b_s if dims.uses_v else params.b_s
+    pre, start = params.W_ws.T[inputs], state.s   # pre holds the input columns until step t
+    if dims.uses_u:
+        drive = np.concatenate([drive, params.b_u])
+        pre, start = np.hstack([pre, params.W_wu.T[inputs]]), np.concatenate([start, state.u])
+    act = np.vstack([start, np.empty_like(pre)])
+    context, bases = state.context, []
+    for t, prev in enumerate(inputs.tolist()):
+        pre[t, :sd] += params.W_ss @ act[t, :sd]
+        if dims.uses_u:
+            pre[t, sd:] += params.W_uu @ act[t, sd:]
+        pre[t] += drive
+        act[t + 1] = sigmoid_clipped(pre[t], dims.sigmoid_clip)
         context = shift_context(dims, context, prev)
         bases.append(maxent_bases(dims, context))
-        g = vocab.class_of(target)
-        classes.append((g, *vocab.class_range(g)))
-    u_side = ((np.array(u), np.array(pre_u), *recon_rows(params, u[1:])) if dims.uses_u
-              else (None,) * 4)
-    return SentenceTrace(np.array(inputs), np.array(sent.ids), classes, bases,
-                         np.array(s), np.array(pre_s), *u_side, word_nll=[])
+    b = [0] + vocab.class_bounds.tolist()
+    classes = [(g, b[g], b[g + 1]) for g in np.searchsorted(b[1:], sent.ids, "right").tolist()]
+    u_side = ((act[:, sd:].copy(), pre[:, sd:].copy(), *recon_rows(params, act[1:, sd:]))
+              if dims.uses_u else (None,) * 4)
+    return SentenceTrace(inputs, np.array(sent.ids), classes, bases, act[:, :sd].copy(),
+                         pre[:, :sd].copy(), *u_side, word_nll=[])
 
 
 def output_blocks(dims, a):
@@ -444,6 +449,16 @@ def maxent_slots(dims, bases_seq):
             (bases[:, 2:] + np.arange(dims.vocab_size)) % h)
 
 
+def _flat_entries(slots, keep, offset, owner):
+    """Per step, the (slots, step-vector columns ``offset + j``) of the ``keep``
+    (feature, j) entries in C order, as ``np.add.at`` walks ``slots[keep]``;
+    ``owner`` holds each feature's step, and every step owns one or more."""
+    rows, cols = np.nonzero(keep)
+    at = np.searchsorted(owner[rows], np.arange(owner[-1] + 2)).tolist()
+    slots, cols = slots[rows, cols], cols + offset
+    return [(slots[a:b], cols[a:b]) for a, b in zip(at, at[1:])]
+
+
 OutputPass = namedtuple("OutputPass", "x a0 dz residual residual_err me_steps cslots wslots")
 
 
@@ -470,6 +485,10 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dz, residual, residual_err = np.zeros((len(x), len(a0))), np.zeros_like(a0), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
     me_steps, cslots, wslots = maxent_slots(dims, tr.bases)
+    if maxent and lr:
+        ids, window = np.arange(dims.vocab_size), np.array(tr.classes)[me_steps, 1:]
+        c_at = _flat_entries(cslots, np.ones(cslots.shape, bool), 0, me_steps)
+        w_at = _flat_entries(wslots, (ids >= window[:, :1]) & (ids < window[:, 1:]), c, me_steps)
     end, nll = 0, []
     for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
         z = z0[t] + gram[t] @ dz
@@ -492,9 +511,8 @@ def output_pass(params, tr, lr, limit, on_step=None):
             residual += piece.clip(-limit, limit) - piece
         if maxent and lr:
             step = -lr * (d.clip(-limit, limit) if clamped else d)
-            # ufunc.at mis-broadcasts a row over 2-D slots in some numpy releases
-            np.add.at(params.me_class, cs, np.broadcast_to(step[:c], cs.shape))
-            np.add.at(params.me_word, ws, np.broadcast_to(step[c + lo:c + hi], ws.shape))
+            for table, (slots, cols) in ((params.me_class, c_at[t]), (params.me_word, w_at[t])):
+                np.add.at(table, slots, step[cols])
         if on_step is not None:
             on_step(t, params)
     tr.word_nll = nll

@@ -143,11 +143,11 @@ def _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, g_batch):
 
 
 def clip_gradients(grads, limit):
-    """Per-element clamp to [-limit, limit], in place."""
+    """Per-element clamp to [-limit, limit], in place, byte-equal to ``np.clip``."""
     if limit is None or not math.isfinite(limit):
         return grads
     for _, arr in grads.named_blocks():
-        np.clip(arr, -limit, limit, out=arr)
+        np.minimum(np.maximum(arr, -limit, out=arr), limit, out=arr)
     return grads
 
 
@@ -217,9 +217,10 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     halves the learning rate whenever validation perplexity fails to beat
     the best seen so far, floors it at initial/``lr_floor_divisor``, and
     stops after two consecutive failures at the floor (or ``max_epochs``).
-    An epoch whose train loss or validation perplexity is not finite also
-    counts as a failure, and first copies the best parameters back into
-    ``params`` so that training never goes on from NaN weights.
+    An epoch stops at its first non-finite sentence loss, unvalidated
+    (``valid_ppl`` NaN). A non-finite train loss or validation perplexity
+    counts as a failure and first copies the best parameters back into
+    ``params``, so that training never goes on from NaN weights.
     Returns (best-validation parameters, history). ``valid_metric``
     overrides the perplexity computation (epoch, params) -> float.
     """
@@ -243,14 +244,15 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     for epoch in range(1, config.max_epochs + 1):
         order = np.arange(len(pairs))
         shuffle_rng.shuffle(order)
-        loss_sum = 0.0
-        token_sum = 0
-        for i in order:
-            ex, cap = pairs[i]
+        loss_sum, token_sum = 0.0, 0
+        for ex, cap in (pairs[i] for i in order):
             joint, ntok = train_sentence(params, vocab, ex.features, cap, config, lr)
             loss_sum += joint
             token_sum += ntok
-        valid_ppl = (valid_metric(epoch, params) if valid_metric is not None
+            if not math.isfinite(joint):
+                break
+        valid_ppl = (math.nan if not math.isfinite(loss_sum)
+                     else valid_metric(epoch, params) if valid_metric is not None
                      else perplexity(params, vocab, dataset, "valid"))
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / token_sum,
                            valid_ppl=valid_ppl, lr=lr)

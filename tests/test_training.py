@@ -1,10 +1,11 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicap import corpus, model
+from bicap import corpus, model, training
 from bicap.corpus import encode
 from bicap.model import (ONLINE_BLOCKS, _advance, block_shapes, class_logits, init_params,
                          maxent_bases, member_logits, reset_state, sentence_loss,
@@ -88,6 +89,25 @@ def test_bptt_clips_elementwise():
                                   unroll=5, grad_clip=1e-4)
     for _, arr in grads.named_blocks():
         assert np.all(arr <= 1e-4) and np.all(arr >= -1e-4)
+
+
+@pytest.mark.parametrize("limit", [1e-4, 0.5, 15.0])
+def test_clip_gradients_matches_np_clip_on_edge_values(limit):
+    params, _, _ = gradcheck_setup("full", seed=6)
+    edges = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, limit, -limit, 2 * limit,
+                      -0.5 * limit, np.nextafter(limit, np.inf), 5e-324])
+    grads = params.zeros_like()
+    for _, arr in grads.named_blocks():
+        arr.ravel()[:] = np.resize(edges, arr.size)
+    want = {name: np.clip(arr, -limit, limit) for name, arr in grads.named_blocks()}
+    assert clip_gradients(grads, limit) is grads
+    for name, arr in grads.named_blocks():
+        assert arr.tobytes() == want[name].tobytes(), name
+    raw = params.copy()
+    for off in (None, np.inf):
+        clip_gradients(raw, off)
+        assert all(arr.tobytes() == getattr(params, name).tobytes()
+                   for name, arr in raw.named_blocks())
 
 
 @pytest.mark.parametrize("recon_kind", ["ce", "mse"])
@@ -250,6 +270,39 @@ def test_non_finite_epoch_restores_best_params_and_halves_lr():
         assert np.array_equal(arr, getattr(snaps[1], name)), name
     assert np.isfinite(history.epochs[2].train_loss)
     assert all(np.isfinite(arr).all() for _, arr in snaps[3].named_blocks())
+
+
+def test_non_finite_sentence_stops_the_epoch_and_restores_params(monkeypatch):
+    dataset, params = _small_training_setup(n=12)
+    start = params.copy()
+    calls, validated, restored = [], [], []
+
+    def blow_up(params, vocab, v, sent, config, lr):
+        calls.append(len(calls))
+        if len(calls) == 3:  # the third sentence of epoch 1 poisons the weights
+            params.W_ss[...] = np.nan
+            return float("nan"), len(sent.ids)
+        return 1.0, len(sent.ids)
+
+    def fake(epoch, p):
+        validated.append(epoch)
+        return 5.0
+
+    monkeypatch.setattr(training, "train_sentence", blow_up)
+    cfg = TrainConfig(learning_rate=0.4, max_epochs=2, seed=1)
+    per_epoch = len(dataset.caption_pairs("train"))
+    _, history = train(params, dataset, cfg, valid_metric=fake,
+                       log_fn=lambda line: restored.append(line) if "not finite" in line else None)
+    # epoch 1 ran no sentence after the bad one and skipped validation
+    assert len(calls) == 3 + per_epoch
+    assert validated == [2]
+    assert math.isnan(history.epochs[0].valid_ppl)
+    assert math.isnan(history.epochs[0].train_loss)
+    assert [e.lr for e in history.epochs] == [0.4, 0.2]
+    assert len(restored) == 1 and restored[0].startswith("epoch 1 ")
+    # epoch 2 went on from the restored initial weights, which the stub leaves alone
+    for name, arr in start.named_blocks():
+        assert np.array_equal(arr, getattr(params, name)), name
 
 
 def test_train_deterministic_given_seed():
@@ -518,25 +571,28 @@ def test_states_match_reference_forward_under_online_updates(variant, width):
     # the recurrence reads no online block, so the states the reference
     # generator records while the online update runs between its yields
     # are the ones sentence_states computes before any update
-    params, vocab, example = gradcheck_setup(variant, seed=11, s_dim=width, u_dim=width)
-    v, sent = example.features, example.captions[0]
-    states = sentence_states(params, v, sent, vocab)
-    moving = params.copy()
-    for t, ref in forward_steps(moving, v, sent, vocab):
-        dz_c, dz_w, lo, hi, _, _ = _output_errors(moving, ref, t)
-        for name, idx, piece in _reference_pieces(moving, ref, t, dz_c, dz_w, lo, hi):
-            np.add.at(getattr(moving, name), idx, -0.5 * piece)
-    assert not moving.allclose(params)
-    assert states.inputs.tolist() == ref.inputs
-    assert states.targets.tolist() == ref.targets
-    assert states.bases == ref.bases
-    assert states.classes == [(g, *r) for g, r in zip(ref.class_ids, ref.member_range)]
-    for name in ("s", "pre_s", "u", "pre_u", "pre_r", "recon"):
-        got, rows = getattr(states, name), getattr(ref, name)
-        if got is None:
-            assert all(row is None for row in rows), name
-        else:
-            assert got.tobytes() == np.array(rows).tobytes(), name
+    for order in (3, 0):
+        params, vocab, example = gradcheck_setup(variant, seed=11, s_dim=width, u_dim=width,
+                                                 maxent_order=order)
+        v = example.features
+        for sent in (example.captions[0], encode([], vocab)):  # the second is <eos> alone
+            states = sentence_states(params, v, sent, vocab)
+            moving = params.copy()
+            for t, ref in forward_steps(moving, v, sent, vocab):
+                dz_c, dz_w, lo, hi, _, _ = _output_errors(moving, ref, t)
+                for name, idx, piece in _reference_pieces(moving, ref, t, dz_c, dz_w, lo, hi):
+                    np.add.at(getattr(moving, name), idx, -0.5 * piece)
+            assert not moving.allclose(params)
+            assert states.inputs.tolist() == ref.inputs
+            assert states.targets.tolist() == ref.targets
+            assert states.bases == ref.bases
+            assert states.classes == [(g, *r) for g, r in zip(ref.class_ids, ref.member_range)]
+            for name in ("s", "pre_s", "u", "pre_u", "pre_r", "recon"):
+                got, rows = getattr(states, name), getattr(ref, name)
+                if got is None:
+                    assert all(row is None for row in rows), name
+                else:
+                    assert got.tobytes() == np.array(rows).tobytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -548,16 +604,20 @@ def bundle_pairs():
 
 
 @pytest.mark.parametrize("grad_clip", [1e-3, 0.5, 1.0, 15.0])
-@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("order, hash_size", [
+    pytest.param(0, 65536, id="0"), pytest.param(3, 65536, id="3"),
+    pytest.param(3, 5, id="3-hash5"),   # below the 6 classes: slots repeat within a row
+])
 @pytest.mark.parametrize("variant", model.VARIANTS)
-def test_online_clamp_matches_reference_at_bundle_width(bundle_pairs, variant, order, grad_clip):
+def test_online_clamp_matches_reference_at_bundle_width(bundle_pairs, variant, order, hash_size,
+                                                        grad_clip):
     # s = u = 32 on the bundle vocabulary (26 words, 6 classes): the clamp
     # acts on every piece at 1e-3, on about 0.5% of them at 0.5 and on none
     # from 1 up; drift in the dual form would compound over the carried weights
     dataset, pairs = bundle_pairs
     dims = model.ModelDims(vocab_size=len(dataset.vocab), class_count=dataset.vocab.n_classes,
                            v_dim=dataset.feature_dim, s_dim=32, u_dim=32, maxent_order=order,
-                           maxent_hash_size=65536, variant=variant)
+                           maxent_hash_size=hash_size, variant=variant)
     assert (dims.vocab_size, dims.class_count) == (26, 6)
     params = init_params(dims, SeededRng(5).derive("init"))
     ref_params = params.copy()
@@ -568,6 +628,32 @@ def test_online_clamp_matches_reference_at_bundle_width(bundle_pairs, variant, o
                                               cfg, 0.5)
         assert abs(joint - ref_joint) <= 1e-12 * abs(ref_joint)
         _assert_blocks_close(params, ref_params)
+
+
+@pytest.mark.parametrize("limit", [0.5, 15.0])
+@pytest.mark.parametrize("hash_size", [3, 257])
+def test_flat_maxent_update_matches_per_word_2d_add_at(hash_size, limit):
+    # each word's table step, added over the step's 2-D slot array in C
+    # order; at hash size 3, below the 4 classes, slots repeat within one
+    # row as well as across orders,
+    # and tables away from zero make the order of those additions show
+    params, vocab, example = gradcheck_setup("full", seed=13, maxent_hash_size=hash_size)
+    rng = np.random.default_rng(hash_size)
+    params.me_class[:], params.me_word[:] = rng.normal(0, 1, (2, hash_size))
+    v, lr, c = example.features, 0.5, params.dims.class_count
+    ref = params.copy()
+    for sent in [example.captions[0]] + [encode([f"w{i}" for i in rng.integers(0, 10, 12)],
+                                                vocab) for _ in range(4)]:
+        out = model.output_pass(params, sentence_states(params, v, sent, vocab), lr, limit)
+        for t, (_, lo, hi) in enumerate(sentence_states(ref, v, sent, vocab).classes):
+            step = -lr * (out.dz[t].clip(-limit, limit) if limit < 1 else out.dz[t])
+            mine = out.me_steps == t
+            for table, slots, part in ((ref.me_class, out.cslots[mine], step[:c]),
+                                       (ref.me_word, out.wslots[mine][:, lo:hi],
+                                        step[c + lo:c + hi])):
+                np.add.at(table, slots, np.broadcast_to(part, slots.shape))
+        for name in ("me_class", "me_word"):
+            assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("order", [0, 3])
