@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import EncodedSentence
 from .model import (advance_rows, advance_u, check_sentence, feature_vector, gallery_scores,
                     recon_cross_entropy, recon_rows, reset_state, sentence_loss,
-                    sentence_states, sentences_of, shift_context, word_distribution_rows)
+                    sentence_states, sentences_of, token_bases, word_distribution_rows)
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
 
@@ -66,15 +66,15 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     state = reset_state(params)
     s = np.broadcast_to(state.s, (count, dims.s_dim))
     u = state.u
-    contexts = [state.context] * count
     rows = np.arange(count)
-    ids = np.full((count, length + 1), vocab.eos_id)
+    fed = np.full((count, length + 2), vocab.eos_id)   # step t feeds column t: <eos>, then ids
+    ids = fed[:, 1:]
+    reach = max(dims.maxent_order - 1, 1)               # fed tokens the newest bases read
     scores = np.zeros(count)
-    prev = np.full(count, vocab.eos_id)
     for t in range(length + 1):
-        s, u, _, _ = advance_rows(params, s, u, prev, drive)
-        contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
-        qw, p = word_distribution_rows(params, s, u, contexts, vocab)
+        s, u, _, _ = advance_rows(params, s, u, fed[:, t], drive)
+        bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1, :t + 2]
+        qw, p = word_distribution_rows(params, s, u, bases, vocab)
         if t < length:
             dist = qw * p
             dist[:, [vocab.eos_id, vocab.unk_id]] = 0.0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, reset_state,
-                    score_states, shift_context)
+                    score_states, token_bases)
 
 LOG2 = math.log(2.0)
 
@@ -31,17 +31,19 @@ def _rows_word_nll(params, vocab, feats, sents):
     """Word NLL of captions sorted longest first, run as the rows of one
     forward; returns one (T,) array per caption.
 
-    Each row has its own drive ``W_vs @ v + b_s``, u row and max-entropy
-    context. A step advances the rows whose caption has not ended yet,
-    which the sort makes a prefix, and stores their states; ``score_states``
-    then scores every stored state against its target.
+    Each row has its own drive ``W_vs @ v + b_s`` and u row. A step
+    advances the rows whose caption has not ended yet, which the sort makes
+    a prefix, and stores their states; ``score_states`` then scores every
+    stored state against its target, under the ``token_bases`` of the
+    (rows, steps) matrix of fed tokens.
     """
     dims = params.dims
     lengths = np.array([len(ids) for ids in sents])
     count, steps = len(sents), int(lengths[0])
-    targets = np.full((count, steps), vocab.eos_id)
+    inputs = np.full((count, steps + 1), vocab.eos_id)   # <eos> doubles as begin-of-sentence
     for r, ids in enumerate(sents):
-        targets[r, :len(ids)] = ids
+        inputs[r, 1:len(ids) + 1] = ids
+    inputs, targets = inputs[:, :-1], inputs[:, 1:]
     if dims.uses_v:
         drive = feats @ params.W_vs.T + params.b_s
     else:
@@ -49,26 +51,23 @@ def _rows_word_nll(params, vocab, feats, sents):
     state = reset_state(params)
     s = np.broadcast_to(state.s, (count, dims.s_dim))
     u = state.u
-    contexts = [state.context] * count
-    prev = np.full(count, vocab.eos_id)
     live = lengths[:, None] > np.arange(steps)      # (count, steps): row r is live at step t
     total = int(lengths.sum())
     ss = np.empty((total, dims.s_dim))
     us = np.empty((total, dims.u_dim)) if dims.uses_u else None
-    state_contexts, end = [], 0
+    end = 0
     for t, n in enumerate(live.sum(axis=0).tolist()):
         if n < len(s):   # never at t = 0, while u may still be one shared state
-            s, drive, prev, contexts = s[:n], drive[:n], prev[:n], contexts[:n]
+            s, drive = s[:n], drive[:n]
             u = None if u is None else u[:n]
-        s, u, _, _ = advance_rows(params, s, u, prev, drive)
-        contexts = [shift_context(dims, c, w) for c, w in zip(contexts, prev.tolist())]
+        s, u, _, _ = advance_rows(params, s, u, inputs[:n, t], drive)
         ss[end:end + n] = s
         if us is not None:
             us[end:end + n] = u
-        state_contexts += contexts
-        prev, end = targets[:n, t], end + n
+        end += n
     nll = np.zeros((count, steps))
-    nll.T[live.T] = score_states(params, vocab, ss, us, targets.T[live.T], state_contexts)
+    nll.T[live.T] = score_states(params, vocab, ss, us, targets.T[live.T],
+                                 token_bases(dims, inputs).transpose(1, 0, 2, 3)[live.T])
     return [nll[r, :k] for r, k in enumerate(lengths)]
 
 

@@ -15,7 +15,6 @@ P(w | class(w)), with both the class and the within-class logits fed by
 ``s``, ``u`` and hashed n-gram (max-entropy) feature tables.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -231,21 +230,52 @@ def shift_context(dims, context, token_id):
 
 def maxent_bases(dims, context):
     """(order, class_base, word_base) for each feature order whose history
-    is available; order k uses the k-1 most recent tokens. Memoized."""
-    return _hashed_bases(dims.maxent_order, dims.maxent_hash_size, context)
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _hashed_bases(order, size, context):
+    is available; order k uses the k-1 most recent tokens. The scalar
+    reference of ``token_bases``."""
     bases = []
-    for k in range(1, order + 1):
+    for k in range(1, dims.maxent_order + 1):
         if len(context) < k - 1:
             break
         hist = context[len(context) - (k - 1):]
         bases.append((k,
-                      _hash_ngram(_ME_CLASS_SALT, k, hist) % size,
-                      _hash_ngram(_ME_WORD_SALT, k, hist) % size))
+                      _hash_ngram(_ME_CLASS_SALT, k, hist) % dims.maxent_hash_size,
+                      _hash_ngram(_ME_WORD_SALT, k, hist) % dims.maxent_hash_size))
     return tuple(bases)
+
+
+# ``_hash_ngram``'s start word of each salt, before the order is added
+_ME_STARTS = [(salt * 0x9E3779B97F4A7C15) & _MASK64 for salt in (_ME_CLASS_SALT, _ME_WORD_SALT)]
+_GOLDEN, _MIX, _SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(29)
+
+
+def token_bases(dims, tokens):
+    """``maxent_bases`` at every step of each row of a (rows, steps) matrix
+    of fed tokens, as a (rows, steps, order, 2) int64 array: entry [r, t,
+    k - 1] holds the class and word base of order k after row r has fed
+    columns 0..t, or -1 twice where that history is too short for order k.
+
+    ``uint64`` arithmetic wraps mod 2**64, as ``_hash_ngram`` masks. The
+    orders fold in lockstep, aligned at their newest token: the fold at
+    ``lag`` xors column t - lag into every order that reaches that far
+    back. Where t < lag it reads the unset left padding instead, but only
+    into entries that end up -1.
+    """
+    order, (rows, steps) = dims.maxent_order, tokens.shape
+    pad = max(order - 2, 0)
+    tok = np.empty((rows, pad + steps), dtype=np.uint64)
+    tok[:, pad:] = tokens
+    tok += _GOLDEN
+    h = np.repeat(np.array([(start + k) & _MASK64 for k in range(1, order + 1) for start in _ME_STARTS],
+                           dtype=np.uint64), rows * steps).reshape(order, 2, rows, steps)
+    for lag in range(order - 2, -1, -1):   # orders lag + 2 .. order
+        v = h[lag + 1:]
+        v ^= tok[:, pad - lag:pad - lag + steps]
+        v *= _MIX
+        v ^= v >> _SHIFT
+    h %= np.uint64(max(dims.maxent_hash_size, 1))   # the size is unchecked at order 0
+    for k in range(3, order + 1):          # order k needs k - 1 fed tokens
+        h[k - 1, ..., :k - 2] = _MASK64    # reads as -1
+    return h.view(np.int64).transpose(2, 3, 0, 1)
 
 
 def _advance(params, s, u, w_prev, v):
@@ -375,7 +405,7 @@ class SentenceTrace:
     inputs: np.ndarray   # (T,) token fed at each step (BOS = <eos>)
     targets: np.ndarray  # (T,) token predicted at each step
     classes: list        # (class, lo, hi) of each target's class
-    bases: list          # max-entropy bases active at each step
+    bases: np.ndarray    # (T, order, 2): ``token_bases`` of the inputs
     s: np.ndarray        # (T + 1, s_dim): s_0 .. s_T
     pre_s: np.ndarray    # (T, s_dim) pre-activations
     u: np.ndarray        # (T + 1, u_dim): u_0 .. u_T
@@ -401,21 +431,18 @@ def sentence_states(params, v, sent, vocab):
         drive = np.concatenate([drive, params.b_u])
         pre, start = np.hstack([pre, params.W_wu.T[inputs]]), np.concatenate([start, state.u])
     act = np.vstack([start, np.empty_like(pre)])
-    context, bases = state.context, []
-    for t, prev in enumerate(inputs.tolist()):
+    for t in range(len(inputs)):
         pre[t, :sd] += params.W_ss @ act[t, :sd]
         if dims.uses_u:
             pre[t, sd:] += params.W_uu @ act[t, sd:]
         pre[t] += drive
         act[t + 1] = sigmoid_clipped(pre[t], dims.sigmoid_clip)
-        context = shift_context(dims, context, prev)
-        bases.append(maxent_bases(dims, context))
     b = [0] + vocab.class_bounds.tolist()
     classes = [(g, b[g], b[g + 1]) for g in np.searchsorted(b[1:], sent.ids, "right").tolist()]
     u_side = ((act[:, sd:].copy(), pre[:, sd:].copy(), *recon_rows(params, act[1:, sd:]))
               if dims.uses_u else (None,) * 4)
-    return SentenceTrace(inputs, np.array(sent.ids), classes, bases, act[:, :sd].copy(),
-                         pre[:, :sd].copy(), *u_side, word_nll=[])
+    return SentenceTrace(inputs, np.array(sent.ids), classes, token_bases(dims, inputs[None])[0],
+                         act[:, :sd].copy(), pre[:, :sd].copy(), *u_side, word_nll=[])
 
 
 def output_blocks(dims, a):
@@ -438,25 +465,14 @@ def output_matrix(params):
     return a
 
 
-def maxent_slots(dims, bases_seq):
-    """(owner, cslots, wslots) of every max-entropy feature of a sequence of
-    ``maxent_bases`` results: the position of its entry in ``bases_seq``,
-    and the ``me_class`` and ``me_word`` slots of each class and word id."""
-    bases = np.array([(k, cbase, wbase) for k, bases in enumerate(bases_seq)
-                      for _, cbase, wbase in bases], dtype=np.int64).reshape(-1, 3)
-    h = dims.maxent_hash_size
-    return (bases[:, 0], (bases[:, 1:2] + np.arange(dims.class_count)) % h,
-            (bases[:, 2:] + np.arange(dims.vocab_size)) % h)
-
-
-def _flat_entries(slots, keep, offset, owner):
-    """Per step, the (slots, step-vector columns ``offset + j``) of the ``keep``
-    (feature, j) entries in C order, as ``np.add.at`` walks ``slots[keep]``;
-    ``owner`` holds each feature's step, and every step owns one or more."""
-    rows, cols = np.nonzero(keep)
-    at = np.searchsorted(owner[rows], np.arange(owner[-1] + 2)).tolist()
-    slots, cols = slots[rows, cols], cols + offset
-    return [(slots[a:b], cols[a:b]) for a, b in zip(at, at[1:])]
+def maxent_slots(dims, bases):
+    """(owner, cslots, wslots) of every max-entropy feature of an (n, order,
+    2) array of ``token_bases`` entries, in C order: its entry, and the
+    ``me_class`` and ``me_word`` slots of each class and word id."""
+    owner, k = np.nonzero(bases[..., 0] >= 0)
+    h, (cbase, wbase) = dims.maxent_hash_size, bases[owner, k].T[..., None]
+    return (owner, (cbase + np.arange(dims.class_count)) % h,
+            (wbase + np.arange(dims.vocab_size)) % h)
 
 
 OutputPass = namedtuple("OutputPass", "x a0 dz residual residual_err me_steps cslots wslots")
@@ -485,10 +501,7 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dz, residual, residual_err = np.zeros((len(x), len(a0))), np.zeros_like(a0), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
     me_steps, cslots, wslots = maxent_slots(dims, tr.bases)
-    if maxent and lr:
-        ids, window = np.arange(dims.vocab_size), np.array(tr.classes)[me_steps, 1:]
-        c_at = _flat_entries(cslots, np.ones(cslots.shape, bool), 0, me_steps)
-        w_at = _flat_entries(wslots, (ids >= window[:, :1]) & (ids < window[:, 1:]), c, me_steps)
+    cols = np.repeat(np.arange(len(a0))[None], dims.maxent_order, axis=0)   # one row per order
     end, nll = 0, []
     for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
         z = z0[t] + gram[t] @ dz
@@ -496,7 +509,7 @@ def output_pass(params, tr, lr, limit, on_step=None):
             z -= lr * (residual @ x[t])
         zc, zw = z[:c], z[c + lo:c + hi]
         if maxent:
-            start, end = end, end + len(tr.bases[t])
+            start, end = end, end + min(dims.maxent_order, t + 2)   # the orders step t has
             cs, ws = cslots[start:end], wslots[start:end, lo:hi]
             zc, zw = zc + params.me_class[cs].sum(axis=0), zw + params.me_word[ws].sum(axis=0)
         q, p = softmax(zc), softmax(zw)
@@ -509,10 +522,10 @@ def output_pass(params, tr, lr, limit, on_step=None):
             residual_err[t] = -lr * (d @ residual)
             piece = np.outer(d, x[t])
             residual += piece.clip(-limit, limit) - piece
-        if maxent and lr:
+        if maxent and lr:   # values of the index's shape: numpy 2.4.6 mis-broadcasts a 1-D one
             step = -lr * (d.clip(-limit, limit) if clamped else d)
-            for table, (slots, cols) in ((params.me_class, c_at[t]), (params.me_word, w_at[t])):
-                np.add.at(table, slots, step[cols])
+            np.add.at(params.me_class, cs, step[cols[:len(cs), :c]])
+            np.add.at(params.me_word, ws, step[cols[:len(cs), c + lo:c + hi]])
         if on_step is not None:
             on_step(t, params)
     tr.word_nll = nll
@@ -553,20 +566,11 @@ def recon_rows(params, us):
     return pre_r, sigmoid_clipped(pre_r, params.dims.sigmoid_clip)
 
 
-def logit_rows(params, s, u, lo, hi):
-    """Row-wise class logits and member logits of ids [lo, hi), without
-    the max-entropy terms, for states as ``advance_rows`` returns them."""
-    zc = s @ params.W_sc.T + params.b_c
-    zw = s @ params.W_sw[lo:hi].T + params.b_w[lo:hi]
-    if params.dims.uses_u:
-        zc = zc + _times(params.W_uc, u)
-        zw = zw + _times(params.W_uw[lo:hi], u)
-    return zc, zw
-
-
-def word_distribution_rows(params, s, u, contexts, vocab_classes):
-    """``word_distribution`` for every row of an (N, s_dim) state matrix
-    with (N, u_dim) u rows and one max-entropy context per row.
+def word_distribution_rows(params, s, u, bases, vocab_classes):
+    """``word_distribution`` for every row of an (N, s_dim) state matrix,
+    with u as ``advance_rows`` returns it and the (N, orders, 2) class and
+    word bases of each row's available max-entropy orders (``token_bases``
+    without its -1 entries).
 
     Returns (N, vocab) arrays ``qw`` and ``p``: the probability of each
     id's class and each id's probability within its class. Their product
@@ -577,14 +581,14 @@ def word_distribution_rows(params, s, u, contexts, vocab_classes):
     bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
     starts = np.concatenate(([0], bounds[:-1]))
     class_ids = np.repeat(np.arange(len(bounds)), bounds - starts)
-    zc, zw = logit_rows(params, s, u, 0, dims.vocab_size)
-    if dims.maxent_order > 0:
-        slots = {}
-        rows = [slots.setdefault(ctx, len(slots)) for ctx in contexts]
-        bases = np.array([maxent_bases(dims, ctx) for ctx in slots])   # (contexts, orders, 3)
-        h = dims.maxent_hash_size
-        me_c = params.me_class[(bases[:, :, 1:2] + np.arange(dims.class_count)) % h][rows]
-        me_w = params.me_word[(bases[:, :, 2:] + np.arange(dims.vocab_size)) % h][rows]
+    zc = s @ params.W_sc.T + params.b_c
+    zw = s @ params.W_sw.T + params.b_w
+    if dims.uses_u:
+        zc = zc + _times(params.W_uc, u)
+        zw = zw + _times(params.W_uw, u)
+    if bases.shape[1]:   # mode="wrap" reads slot i % hash size
+        me_c = np.take(params.me_class, bases[:, :, :1] + np.arange(dims.class_count), mode="wrap")
+        me_w = np.take(params.me_word, bases[:, :, 1:] + np.arange(dims.vocab_size), mode="wrap")
         for k in range(bases.shape[1]):
             zc = zc + me_c[:, k]
             zw = zw + me_w[:, k]
@@ -594,11 +598,12 @@ def word_distribution_rows(params, s, u, contexts, vocab_classes):
 
 
 def _entry_terms(params, bases, classes, id_class):
-    """(n, class_count + vocab) rows of n (max-entropy bases, target class)
-    entries, in ``output_blocks`` row order: the max-entropy terms, one
-    gather over their ``maxent_slots``, with -inf at every word outside
-    the entry's class, so that a softmax over the word part of a logit row
-    plus its entry row is the member softmax of the target class."""
+    """(n, class_count + vocab) rows of n entries, given their (n, order, 2)
+    ``token_bases`` and target classes, in ``output_blocks`` row order: the
+    max-entropy terms, one gather over their ``maxent_slots``, with -inf at
+    every word outside the entry's class, so that a softmax over the word
+    part of a logit row plus its entry row is the member softmax of the
+    target class."""
     dims = params.dims
     terms = np.zeros((len(bases), dims.class_count + dims.vocab_size))
     if dims.maxent_order > 0:
@@ -609,16 +614,17 @@ def _entry_terms(params, bases, classes, id_class):
     return terms
 
 
-def score_states(params, vocab_classes, s, u, targets, contexts, step=None):
+def score_states(params, vocab_classes, s, u, targets, bases, step=None):
     """Word NLL of stored recurrence states: entry i of the (M,) result is
     the NLL of a target word under the output layer at state i.
 
     Row i of the (M, s_dim) matrix ``s`` is a state as ``advance_rows``
     returns it. Without ``step``, the u rows ``u`` (M, u_dim), ``targets``
-    and the max-entropy ``contexts`` hold one entry per state. With the
-    (M,) index ``step`` they hold one entry per step, which state i reads at
-    ``step[i]``, and the u-side, bias and max-entropy terms are computed
-    once per step. ``u`` is None without the visual memory.
+    and the (M, order, 2) ``token_bases`` entries ``bases`` hold one entry
+    per state. With the (M,) index ``step`` they hold one entry per step,
+    which state i reads at ``step[i]``, and the u-side, bias and
+    max-entropy terms are computed once per step. ``u`` is None without
+    the visual memory.
 
     The states run in blocks of at most ``ROW_SLICE``. A block takes one
     product with ``output_matrix`` and adds its ``_entry_terms``. Then one
@@ -633,28 +639,20 @@ def score_states(params, vocab_classes, s, u, targets, contexts, step=None):
     g = np.searchsorted(bounds, targets, side="right")
     id_class = np.searchsorted(bounds, np.arange(dims.vocab_size), side="right")
     picks = np.stack([g, c + targets])        # (2, entries): class and word row of each target
-    slots = {}
-    ctx = np.array([slots.setdefault(x, len(slots)) for x in contexts], dtype=np.int64)
-    bases = [maxent_bases(dims, x) for x in slots]
 
     def with_bias(u_rows, n):   # [1, u] rows: the columns of ``a`` after s
         return np.hstack([np.ones((n, 1))] + ([u_rows] if dims.uses_u else []))
 
-    if step is None:
-        keys = ctx * len(bounds) + g
-    else:
+    if step is not None:
         step_terms = (with_bias(u, len(targets)) @ a[:, sd:].T
-                      + _entry_terms(params, [bases[k] for k in ctx], g, id_class)).T
+                      + _entry_terms(params, bases, g, id_class)).T
     nll = np.empty(len(s))
     for start in range(0, len(s), ROW_SLICE):
         blk = slice(start, start + ROW_SLICE)
         if step is None:
-            used, inverse = np.unique(keys[blk], return_inverse=True)
-            terms = _entry_terms(params, [bases[k] for k in (used // len(bounds)).tolist()],
-                                 used % len(bounds), id_class)
             z = a @ np.hstack([s[blk], with_bias(u[blk] if dims.uses_u else None,
                                                  len(s[blk]))]).T
-            z += terms[inverse].T
+            z += _entry_terms(params, bases[blk], g[blk], id_class).T
             entry = blk
         else:
             z = a[:, :sd] @ s[blk].T
@@ -709,18 +707,18 @@ def gallery_scores(params, feats, items, vocab_classes):
         us = []
         for sent in sentences_of(item):
             check_sentence(dims, sent.ids, vocab_classes.eos_id)
-            s, u, context = np.broadcast_to(start.s, drive.shape), start.u, start.context
-            ss, contexts = np.empty((len(sent.ids),) + drive.shape), []
-            for t, prev in enumerate([sent.ids[-1]] + list(sent.ids[:-1])):
+            s, u = np.broadcast_to(start.s, drive.shape), start.u
+            inputs = [sent.ids[-1]] + list(sent.ids[:-1])
+            ss = np.empty((len(inputs),) + drive.shape)
+            for t, prev in enumerate(inputs):
                 s, u, _, _ = advance_rows(params, s, u, prev, drive)
-                context = shift_context(dims, context, prev)
                 ss[t] = s
                 us.append(u)
-                contexts.append(context)
             step = np.repeat(np.arange(len(ss)), len(drive))
             nll[k] += score_states(params, vocab_classes, ss.reshape(len(step), -1),
-                                   np.array(us[-len(ss):]) if dims.uses_u else None,
-                                   sent.ids, contexts, step).reshape(len(ss), -1).sum(axis=0)
+                                   np.array(us[-len(ss):]) if dims.uses_u else None, sent.ids,
+                                   token_bases(dims, np.array([inputs]))[0],
+                                   step).reshape(len(ss), -1).sum(axis=0)
         recons.append(recon_rows(params, us)[1] if dims.uses_u else None)
     return nll[:, inverse.reshape(-1)], recons if dims.uses_u else None
 

@@ -180,7 +180,7 @@ def _reference_candidates(params, vocab, v, hist, count, lam_recon, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([0, 3]),
+@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([0, 1, 2, 3, 4]),
        seed=st.integers(0, 2 ** 16), count=st.integers(1, 7),
        hist=st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1),
        lam_recon=st.sampled_from([0.0, 1.0]))
@@ -205,6 +205,37 @@ def test_batched_generation_matches_sequential_reference(variant, order, seed, c
     assert res.score == res.candidate_scores[first]
     assert res.sentence.ids == cands[first].ids
     assert res.sentence.ids == cands[ref_scores.index(min(ref_scores))].ids
+
+
+def _random_tables(params, rng):
+    """Max-entropy tables drawn at random: ``init_params`` leaves them at
+    zero, where any bases would give the same scores."""
+    for table in (params.me_class, params.me_word):
+        table[...] = rng.uniform(-1.0, 1.0, table.shape)
+    return params
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([1, 2, 3, 4]),
+       hash_size=st.sampled_from([257, 5]), seed=st.integers(0, 2 ** 16),
+       count=st.integers(1, 5), length=st.integers(1, 6))
+def test_batched_generation_reads_maxent_tables_as_the_reference(variant, order, hash_size,
+                                                                  seed, count, length):
+    # each candidate's newest bases come from the last order - 1 fed ids;
+    # a window one column short would read other table entries
+    params, vocab, example = gradcheck_setup(variant, seed=seed, maxent_order=order,
+                                             maxent_hash_size=hash_size)
+    _random_tables(params, SeededRng(seed).derive("tables"))
+    hist = {length: 1}
+    _, cands, ref_scores = _reference_candidates(params, vocab, example.features, hist,
+                                                 count, 1.0, SeededRng(seed))
+    rng = SeededRng(seed)
+    sample_length(hist, rng)
+    ids, scores = sample_candidates(params, vocab, example.features,
+                                    rng.random((count, length)), 1.0)
+    assert ids.tolist() == [c.ids for c in cands]
+    for got, ref in zip(scores, ref_scores):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_batched_generation_rejects_bad_features():
@@ -339,11 +370,12 @@ _grid_feature = st.lists(st.integers(0, 4).map(lambda k: k / 4.0), min_size=4, m
 _words = st.lists(st.sampled_from([f"w{i}" for i in range(10)]), min_size=0, max_size=6)
 
 
-def _case_model(variant, seed, hash_size, lone_class):
+def _case_model(variant, seed, hash_size, lone_class, order=3):
     """``gradcheck_setup``'s model; a hash size below the vocabulary size
     wraps and collides the max-entropy windows within one step, and
     ``lone_class`` leaves <eos> alone in its class."""
-    params, vocab, _ = gradcheck_setup(variant, seed=seed, maxent_hash_size=hash_size)
+    params, vocab, _ = gradcheck_setup(variant, seed=seed, maxent_order=order,
+                                       maxent_hash_size=hash_size)
     return params, with_one_member_class(vocab) if lone_class else vocab
 
 
@@ -351,7 +383,8 @@ def _case_model(variant, seed, hash_size, lone_class):
 def _retrieval_case(draw):
     variant = draw(st.sampled_from(model.VARIANTS))
     params, vocab = _case_model(variant, draw(st.integers(0, 2 ** 16)),
-                                draw(st.sampled_from([257, 5])), draw(st.booleans()))
+                                draw(st.sampled_from([257, 5])), draw(st.booleans()),
+                                draw(st.sampled_from([0, 1, 2, 3, 4])))
     feats = [np.array(f) for f in draw(st.lists(_grid_feature, min_size=1, max_size=7))]
     sentence = _words.map(lambda toks: encode(toks, vocab))
     item = st.one_of(sentence, st.lists(sentence, min_size=2, max_size=2).map(tuple))
@@ -431,6 +464,24 @@ def test_two_item_ti_tie_goes_to_earlier_item():
     for gallery in (feats, feats[::-1]):
         res = rank_retrieval(params, vocab, [sent], gallery, [{0}], mode="ti")
         assert res.ranked_ids == [[0, 1]]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("hash_size", [257, 5])
+def test_gallery_scorer_reads_maxent_tables_as_scalar_loss(order, hash_size):
+    # random tables, so every order's bases reach the gallery NLL
+    params, vocab, _ = gradcheck_setup("full", seed=order, maxent_order=order,
+                                       maxent_hash_size=hash_size)
+    rng = SeededRng(order).derive("tables")
+    _random_tables(params, rng)
+    feats = rng.uniform(0.0, 1.0, (3, 4))
+    items = [encode([], vocab), encode(["w3", "w1", "w4", "w1", "w5", "w9"], vocab),
+             (encode(["w2"], vocab), encode(["w6", "w5", "w3"], vocab))]
+    nll, _ = gallery_scores(params, feats, items, vocab)
+    for row, item in zip(nll, items):
+        for got, v in zip(row, feats):
+            want = sum(sentence_loss(params, v, s, 0.0, vocab)[0].word_nll for s in _sentences(item))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)

@@ -131,7 +131,7 @@ def _assert_rows_match(got, want):
 
 
 @settings(max_examples=60, deadline=None)
-@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([0, 3]),
+@given(variant=st.sampled_from(model.VARIANTS), order=st.sampled_from([0, 1, 2, 3, 4]),
        seed=st.integers(0, 2 ** 16),
        captions=st.lists(st.lists(st.integers(0, 9), max_size=7), min_size=1, max_size=5),
        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1,

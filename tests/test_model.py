@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from bicap import model
 from bicap.corpus import EncodedSentence, build_vocab, encode
 from bicap.model import (ModelDims, init_params, load_checkpoint, maxent_bases,
-                         reset_state, save_checkpoint, sentence_loss, step,
-                         word_distribution)
+                         reset_state, save_checkpoint, sentence_loss, shift_context, step,
+                         token_bases, word_distribution)
 from bicap.numkit import SeededRng
 
 from conftest import small_dims
@@ -265,7 +265,9 @@ def test_word_distribution_rows_match_scalar(variant, order):
         pool = [tuple(rng.integers(0, len(vocab)) for _ in range(max(0, order - 1)))
                 for _ in range(3)]
         contexts = [pool[rng.integers(0, 3)] for _ in range(n)]
-        qw, p = model.word_distribution_rows(params, s, u, contexts, vocab)
+        bases = np.array([[b[1:] for b in maxent_bases(dims, c)] for c in contexts],
+                         dtype=np.int64).reshape(n, order, 2)
+        qw, p = model.word_distribution_rows(params, s, u, bases, vocab)
         dist = qw * p
         assert dist.shape == (n, len(vocab))
         assert np.all(np.abs(dist.sum(axis=1) - 1.0) <= 1e-12)
@@ -273,6 +275,32 @@ def test_word_distribution_rows_match_scalar(variant, order):
             expected = word_distribution(params, s[i], None if u is None else u[i],
                                          contexts[i], vocab)
             assert np.all(np.abs(dist[i] - expected) <= 1e-12)
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("size", [1, 5, 257, 65536, 1 << 20])
+def test_token_bases_match_scalar_reference(order, size):
+    # every (row, step, order) entry of the numpy hash equals the scalar
+    # maxent_bases of the row's shifted history, byte for byte, and -1 marks
+    # the orders whose history is still too short; one-step rows are the
+    # <eos>-only sentence
+    dims = ModelDims(vocab_size=70000, class_count=5, maxent_order=order,
+                     maxent_hash_size=size, variant="rnn")
+    rng = np.random.default_rng(order * 7 + size)
+    for steps in (1, 2, 3, 4, 7):
+        tokens = rng.integers(0, dims.vocab_size, (12, steps))
+        tokens[0] = 0
+        tokens[1] = dims.vocab_size - 1
+        expected = np.full((12, steps, order, 2), -1)
+        for r, row in enumerate(tokens.tolist()):
+            context = ()
+            for t, token in enumerate(row):
+                context = shift_context(dims, context, token)
+                for k, cbase, wbase in maxent_bases(dims, context):
+                    expected[r, t, k - 1] = cbase, wbase
+        got = token_bases(dims, tokens)
+        assert got.dtype == np.int64
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_sentence_loss_minimal_sentence():
