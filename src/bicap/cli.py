@@ -145,7 +145,8 @@ def _load_model_and_data(model_path, data_path):
 
 def _generate_for_examples(params, vocab, meta, dataset, examples, seed,
                            candidates):
-    hist = corpus.caption_length_counts(dataset, "train")
+    # no candidate is empty, so empty training captions give no length
+    hist = {n: k for n, k in corpus.caption_length_counts(dataset, "train").items() if n >= 1}
     cfg = inference.GenConfig(length_hist=hist, candidate_count=candidates,
                               lam_recon=meta["lambda_recon"], seed=0)
     root = SeededRng(seed)

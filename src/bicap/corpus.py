@@ -110,14 +110,6 @@ class ClassedVocabulary:
     def n_classes(self):
         return len(self.class_bounds)
 
-    def class_of(self, token_id):
-        return int(np.searchsorted(self.class_bounds, token_id, side="right"))
-
-    def class_range(self, class_id):
-        """Half-open id range [start, end) of a class."""
-        start = 0 if class_id == 0 else int(self.class_bounds[class_id - 1])
-        return start, int(self.class_bounds[class_id])
-
     def content_hash(self):
         """Stable hash of tokens, counts and class bounds (checkpoint guard)."""
         import hashlib

@@ -8,6 +8,7 @@ negated average feature-reconstruction error (I), or by their combination
 (T+I).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,14 @@ class GenConfig:
             raise ValueError("candidate_count must be >= 1")
         if not self.length_hist:
             raise ValueError("length histogram is empty")
+        if not 0 <= self.lam_recon < math.inf:   # NaN fails the comparison too
+            raise ValueError(f"lam_recon must be >= 0 and finite, got {self.lam_recon!r}")
+        weights = np.array([float(w) for w in self.length_hist.values()])
+        if not (all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+                    for n in self.length_hist)
+                and np.all(weights >= 0) and 0 < weights.sum() < math.inf):
+            raise ValueError("length_hist must map lengths >= 1 to finite weights >= 0 "
+                             f"with a positive sum, got {self.length_hist!r}")
 
 
 def sample_length(hist, rng):
@@ -50,9 +59,11 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     Candidate i takes its t-th token from that step's next-word
     distribution with <eos> and <unk> masked out and the rest
     renormalized, by the rule of ``multinomial_sample`` applied to
-    ``uniforms[i, t]``; one more step appends <eos>. While sampling, each
-    candidate adds up the joint loss ``score_candidate`` computes: the
-    unmasked word NLL of each token plus ``lam_recon`` times the
+    ``uniforms[i, t]``; one more step appends <eos>. It samples on the
+    (vocab, C) arrays under ``word_distribution_rows``' ``.T`` views and
+    keeps each step's picked probabilities and u rows; after the last step
+    it adds up each candidate's joint loss, as ``score_candidate`` computes
+    it: the unmasked word NLL of each token plus ``lam_recon`` times the
     reconstruction cross-entropy. Returns the (C, length + 1) ids and the
     (C,) joint losses.
     """
@@ -70,27 +81,30 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     fed = np.full((count, length + 2), vocab.eos_id)   # step t feeds column t: <eos>, then ids
     ids = fed[:, 1:]
     reach = max(dims.maxent_order - 1, 1)               # fed tokens the newest bases read
-    scores = np.zeros(count)
+    keep = ~np.isin(np.arange(dims.vocab_size), [vocab.eos_id, vocab.unk_id])[:, None]
+    picked, us = np.empty((2, length + 1, count)), []  # class and member probability of each pick
     for t in range(length + 1):
         s, u, _, _ = advance_rows(params, s, u, fed[:, t], drive)
         bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1, :t + 2]
         qw, p = word_distribution_rows(params, s, u, bases, vocab)
+        qw, p = qw.T, p.T                               # (vocab, C)
         if t < length:
-            dist = qw * p
-            dist[:, [vocab.eos_id, vocab.unk_id]] = 0.0
-            mass = dist.sum(axis=1)
-            if not np.all(mass > 0.0):
+            dist = qw * p * keep
+            mass = dist.sum(axis=0)
+            if not mass.min() > 0.0:   # NaN fails it too
                 raise ValueError("no probability mass left after masking <eos>/<unk>")
-            cdf = np.cumsum(dist / mass[:, None], axis=1)
-            draw = uniforms[:, t] * cdf[:, -1]
-            ids[:, t] = np.minimum((cdf <= draw[:, None]).sum(axis=1), dims.vocab_size - 1)
+            cdf = np.add.accumulate(dist / mass, axis=0)
+            draw = uniforms[:, t] * cdf[-1]
+            ids[:, t] = np.minimum((cdf <= draw).sum(axis=0), dims.vocab_size - 1)
         prev = ids[:, t]
-        joint = -np.log(qw[rows, prev]) - np.log(p[rows, prev])
-        if dims.uses_u:
-            recon = sigmoid_clipped(u @ params.W_uv.T + params.b_v, dims.sigmoid_clip)
-            joint = joint + lam_recon * recon_cross_entropy(v, recon)
-        scores += joint
-    return ids, scores
+        picked[0, t], picked[1, t] = qw[prev, rows], p[prev, rows]
+        us.append(u)
+    logs = np.log(picked)
+    joint = -logs[0] - logs[1]                          # (length + 1, C)
+    if dims.uses_u:
+        recon = sigmoid_clipped(np.array(us) @ params.W_uv.T + params.b_v, dims.sigmoid_clip)
+        joint = joint + lam_recon * recon_cross_entropy(v, recon)
+    return ids, joint.sum(axis=0)
 
 
 def _encoded(vocab, ids):

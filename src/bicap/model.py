@@ -568,33 +568,36 @@ def recon_rows(params, us):
 
 def word_distribution_rows(params, s, u, bases, vocab_classes):
     """``word_distribution`` for every row of an (N, s_dim) state matrix,
-    with u as ``advance_rows`` returns it and the (N, orders, 2) class and
-    word bases of each row's available max-entropy orders (``token_bases``
-    without its -1 entries).
+    with its (N, u_dim) u rows (None without u) and the (N, orders, 2)
+    class and word bases of each row's available max-entropy orders
+    (``token_bases`` without its -1 entries).
 
     Returns (N, vocab) arrays ``qw`` and ``p``: the probability of each
     id's class and each id's probability within its class. Their product
-    is the distribution. The member softmax runs per class segment with
-    ``np.maximum.reduceat``/``np.add.reduceat``.
+    is the distribution. Both are ``.T`` views of (vocab, N) arrays: as in
+    ``score_states``, the rows are scored as one (classes + vocab, N) block
+    of ``output_matrix`` logits, and the class softmax and the member
+    softmax of each class segment reduce over axis 0.
     """
     dims = params.dims
+    c, sd = dims.class_count, dims.s_dim
     bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
     starts = np.concatenate(([0], bounds[:-1]))
     class_ids = np.repeat(np.arange(len(bounds)), bounds - starts)
-    zc = s @ params.W_sc.T + params.b_c
-    zw = s @ params.W_sw.T + params.b_w
+    a = output_matrix(params)
+    z = a[:, :sd] @ s.T + a[:, sd:sd + 1]
     if dims.uses_u:
-        zc = zc + _times(params.W_uc, u)
-        zw = zw + _times(params.W_uw, u)
-    if bases.shape[1]:   # mode="wrap" reads slot i % hash size
-        me_c = np.take(params.me_class, bases[:, :, :1] + np.arange(dims.class_count), mode="wrap")
-        me_w = np.take(params.me_word, bases[:, :, 1:] + np.arange(dims.vocab_size), mode="wrap")
-        for k in range(bases.shape[1]):
-            zc = zc + me_c[:, k]
-            zw = zw + me_w[:, k]
-    e = np.exp(zw - np.maximum.reduceat(zw, starts, axis=1)[:, class_ids])
-    p = e / np.add.reduceat(e, starts, axis=1)[:, class_ids]
-    return softmax(zc)[:, class_ids], p
+        z += a[:, sd + 1:] @ u.T
+    if bases.shape[1]:   # (orders, ids, N) slots; mode="wrap" reads slot i % hash size
+        cslots, wslots = bases.T[:, :, None] + np.arange(dims.vocab_size)[:, None]
+        z[:c] += np.take(params.me_class, cslots[:, :c], mode="wrap").sum(axis=0)
+        z[c:] += np.take(params.me_word, wslots, mode="wrap").sum(axis=0)
+    z[:c] -= z[:c].max(axis=0)
+    z[c:] -= np.maximum.reduceat(z[c:], starts, axis=0)[class_ids]
+    q, p = np.exp(z, out=z)[:c], z[c:]
+    q /= q.sum(axis=0)
+    p /= np.add.reduceat(p, starts, axis=0)[class_ids]
+    return q[class_ids].T, p.T
 
 
 def _entry_terms(params, bases, classes, id_class):

@@ -99,7 +99,8 @@ def softmax(z):
 def multinomial_sample(p, rng):
     """Draw one index from the distribution ``p`` using one uniform variate."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    # a NaN or inf entry makes the sum NaN or inf, which is never within 1e-9 of 1
+    if p.ndim != 1 or np.any(p < 0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ValueError("multinomial_sample expects a probability vector summing to 1")
     cdf = np.cumsum(p)
     u = rng.random() * cdf[-1]

@@ -26,6 +26,17 @@ VARIANT_WIDTHS = [pytest.param(variant, width, id=variant if width == 6 else f"{
                   for width in (6, 32) for variant in model.VARIANTS]
 
 
+def class_of(vocab, token_id):
+    """Class of a token id in a ``ClassedVocabulary``."""
+    return int(np.searchsorted(vocab.class_bounds, token_id, side="right"))
+
+
+def class_range(vocab, class_id):
+    """Half-open id range [start, end) of a class of a ``ClassedVocabulary``."""
+    start = 0 if class_id == 0 else int(vocab.class_bounds[class_id - 1])
+    return start, int(vocab.class_bounds[class_id])
+
+
 def with_one_member_class(vocab):
     """``vocab`` with its first id (<eos> in ``gradcheck_setup``'s
     vocabulary) alone in a class; the class count stays the same."""

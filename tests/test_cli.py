@@ -86,6 +86,21 @@ def test_generate_and_trace_and_retrieve(tmp_path):
     assert "mean_rank" in text and "R@1" in text
 
 
+def test_generate_skips_empty_training_captions(tmp_path):
+    # an empty caption has length 0, which no candidate can have, so it must
+    # not reach the length histogram, which GenConfig checks
+    data = _synth(tmp_path)
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    next(r for r in records if r["split"] == "train")["captions"].append("")
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    ckpt = tmp_path / "model.ckpt"
+    assert run(*_train_args(data, ckpt, epochs=1)) == 0
+    gen = tmp_path / "gen.tsv"
+    assert run("generate", "--model", ckpt, "--data", data, "--candidates", 2,
+               "--out", gen) == 0
+    assert len(gen.read_text().strip().split("\n")) == len(corpus.load_dataset(data).split("test"))
+
+
 def test_gradcheck_exit_codes(capsys):
     assert run("gradcheck", "--seed", 1) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,8 @@ from bicap.corpus import (EOS, UNK, build_vocab, encode, generate_synthetic,
                           tokenize, write_dataset_file)
 from bicap.numkit import SeededRng
 
+from conftest import class_of, class_range
+
 
 def test_tokenize_empty():
     assert tokenize("") == []
@@ -63,12 +65,12 @@ def test_build_vocab_partitions_ids_exactly():
     vocab = build_vocab(sentences, class_count=3)
     seen = []
     for c in range(vocab.n_classes):
-        lo, hi = vocab.class_range(c)
+        lo, hi = class_range(vocab, c)
         seen.extend(range(lo, hi))
     assert seen == list(range(len(vocab)))
     for i in range(len(vocab)):
-        c = vocab.class_of(i)
-        lo, hi = vocab.class_range(c)
+        c = class_of(vocab, i)
+        lo, hi = class_range(vocab, c)
         assert lo <= i < hi
 
 
@@ -107,7 +109,7 @@ def test_equal_mass_classing_on_zipf_corpora():
         total = vocab.counts.sum()
         masses = []
         for c in range(vocab.n_classes):
-            lo, hi = vocab.class_range(c)
+            lo, hi = class_range(vocab, c)
             masses.append(vocab.counts[lo:hi].sum() / total)
         assert max(masses) <= 2.0 * min(masses) + 1e-12, (k, n_words, masses)
 

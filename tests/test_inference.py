@@ -17,7 +17,8 @@ from bicap.model import (gallery_scores, init_params, maxent_bases, reset_state,
 from bicap.numkit import SeededRng, multinomial_sample
 from bicap.training import gradcheck_setup
 
-from conftest import VARIANT_WIDTHS, recon_score, small_dims, with_one_member_class
+from conftest import (VARIANT_WIDTHS, class_of, recon_score, small_dims,
+                      with_one_member_class)
 
 
 def _vocab5(class_count=2):
@@ -140,6 +141,26 @@ def test_generate_candidate_count_one_returns_single_sample():
     assert len(res.candidate_scores) == 1
 
 
+@pytest.mark.parametrize("lam_recon", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_gen_config_rejects_bad_lam_recon(lam_recon):
+    # a NaN weight would make every candidate score NaN and pick candidate 0
+    with pytest.raises(ValueError, match="lam_recon"):
+        GenConfig(length_hist={3: 1}, lam_recon=lam_recon)
+
+
+@pytest.mark.parametrize("hist", [{3: 0}, {3: 0, 4: 0.0}, {0: 1}, {-2: 1}, {2.0: 1},
+                                  {True: 1}, {"3": 1}, {3: -1}, {3: 1, 4: -0.5},
+                                  {3: math.nan}, {3: math.inf}, {3: 1, 4: math.inf}])
+def test_gen_config_rejects_bad_length_hist(hist):
+    with pytest.raises(ValueError, match="length_hist"):
+        GenConfig(length_hist=hist)
+
+
+def test_gen_config_accepts_zero_weights_with_positive_sum():
+    cfg = GenConfig(length_hist={np.int64(3): 0, 5: 2.5}, lam_recon=0.0)
+    assert all(sample_length(cfg.length_hist, SeededRng(k)) == 5 for k in range(5))
+
+
 def test_generate_returns_minimum_score_deterministically():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(4))
@@ -238,6 +259,34 @@ def test_batched_generation_reads_maxent_tables_as_the_reference(variant, order,
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("variant", model.VARIANTS)
+@pytest.mark.parametrize("count", [12, 4])
+@pytest.mark.parametrize("length", [1, 6])
+@pytest.mark.parametrize("lone_class", [False, True])
+def test_batched_generation_at_bundle_width(variant, count, length, lone_class):
+    # s = u = 32 as in the bundle; 12 candidates is the vocabulary size and
+    # 4 the class count, where a (vocab, candidates) array read with its
+    # axes swapped broadcasts silently instead of raising; hash size 5
+    # collides the max-entropy windows, and ``lone_class`` leaves <eos>
+    # alone in its class
+    params, vocab, example = gradcheck_setup(variant, seed=11, s_dim=32, u_dim=32,
+                                             maxent_hash_size=5)
+    assert (len(vocab), vocab.n_classes) == (12, 4)
+    if lone_class:
+        vocab = with_one_member_class(vocab)
+    _random_tables(params, SeededRng(count + length).derive("tables"))
+    hist = {length: 1}
+    _, cands, ref_scores = _reference_candidates(params, vocab, example.features, hist,
+                                                 count, 1.0, SeededRng(length))
+    rng = SeededRng(length)
+    sample_length(hist, rng)
+    ids, scores = sample_candidates(params, vocab, example.features,
+                                    rng.random((count, length)), 1.0)
+    assert ids.tolist() == [c.ids for c in cands]
+    for got, ref in zip(scores, ref_scores):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_batched_generation_rejects_bad_features():
     for variant in ("rnn_if", "full"):
         params, vocab, _ = gradcheck_setup(variant, seed=2)
@@ -257,7 +306,7 @@ def test_batched_generation_no_mass_left_is_loud():
     params, vocab, _ = gradcheck_setup("rnn", seed=3, maxent_order=0)
     params = model.ModelParams.zeros(params.dims)
     for tid in (vocab.eos_id, vocab.unk_id):
-        params.b_c[vocab.class_of(tid)] = 1000.0
+        params.b_c[class_of(vocab, tid)] = 1000.0
         params.b_w[tid] = 1000.0
     with pytest.raises(ValueError, match="no probability mass left"):
         sample_candidates(params, vocab, None, np.full((3, 2), 0.5), 1.0)

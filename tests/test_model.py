@@ -15,7 +15,7 @@ from bicap.model import (ModelDims, init_params, load_checkpoint, maxent_bases,
                          token_bases, word_distribution)
 from bicap.numkit import SeededRng
 
-from conftest import small_dims
+from conftest import class_of, class_range, small_dims
 
 
 def _vocab5():
@@ -163,7 +163,7 @@ def test_step_matches_straight_line_reimplementation():
     qc = [q / sum(qc) for q in qc]
     expected = np.zeros(V)
     for c in range(C):
-        lo, hi = vocab.class_range(c)
+        lo, hi = class_range(vocab, c)
         zw = []
         for w in range(lo, hi):
             z = params.b_w[w]
@@ -235,7 +235,7 @@ def test_word_distribution_brute_force_factorization():
     pc /= pc.sum()
     expected = np.zeros(5)
     for c in range(2):
-        lo, hi = vocab.class_range(c)
+        lo, hi = class_range(vocab, c)
         pw = np.exp(raw_w[lo:hi] - raw_w[lo:hi].max())
         expected[lo:hi] = pc[c] * pw / pw.sum()
     assert np.allclose(dist, expected, atol=1e-12)
@@ -332,7 +332,7 @@ def test_underflowed_target_gives_infinite_loss_not_an_error():
     params.b_c[:] = 0.0
     params.b_c[0] = 2000.0
     sent = example.captions[0]
-    assert any(vocab.class_of(t) != 0 for t in sent.ids)
+    assert any(class_of(vocab, t) != 0 for t in sent.ids)
     with np.errstate(divide="ignore"):
         total, _ = sentence_loss(params, example.features, sent, 1.0, vocab)
     assert total.joint == math.inf

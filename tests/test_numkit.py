@@ -91,6 +91,14 @@ def test_multinomial_rejects_non_distribution():
         multinomial_sample(np.array([-0.1, 1.1]), rng)
 
 
+def test_multinomial_rejects_nan_and_inf():
+    # a NaN sum fails every comparison, so it must not pass as "close to 1"
+    rng = SeededRng(0)
+    for p in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [0.5, np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="probability vector"):
+            multinomial_sample(np.array(p), rng)
+
+
 def test_multinomial_frequencies_chi_square():
     # 10,000 draws from [0.25, 0.75]; chi-square 99% critical value at
     # one degree of freedom is 6.635
