@@ -92,13 +92,24 @@ class ClassedVocabulary:
 
     Ids are assigned by descending unigram count (ties broken
     lexicographically), so each class is a contiguous id range; the ranges
-    are chosen to carry approximately equal probability mass.
+    are chosen to carry approximately equal probability mass. Class g holds
+    the ids [``class_starts[g]``, ``class_bounds[g]``); ``id_class`` maps
+    each id to its class. Bounds that do not strictly increase to the token
+    count raise ValueError.
     """
 
     def __init__(self, tokens, counts, class_bounds):
         self.tokens = list(tokens)
         self.counts = np.asarray(counts, dtype=np.int64)
-        self.class_bounds = np.asarray(class_bounds, dtype=np.int64)
+        bounds = self.class_bounds = np.asarray(class_bounds, dtype=np.int64)
+        if not bounds.size or not np.all(np.diff(bounds, prepend=0) > 0):
+            raise ValueError(f"class bounds {bounds.tolist()} are not a nonempty, strictly "
+                             "increasing list of positive ends")
+        if bounds[-1] != len(self.tokens):
+            raise ValueError(f"class bounds end at {bounds[-1]}, not at the token "
+                             f"count {len(self.tokens)}")
+        self.class_starts = np.concatenate(([0], bounds[:-1]))
+        self.id_class = np.repeat(np.arange(len(bounds)), bounds - self.class_starts)
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         self.eos_id = self.token_to_id[EOS]
         self.unk_id = self.token_to_id[UNK]

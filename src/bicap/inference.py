@@ -85,7 +85,7 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     picked, us = np.empty((2, length + 1, count)), []  # class and member probability of each pick
     for t in range(length + 1):
         s, u, _, _ = advance_rows(params, s, u, fed[:, t], drive)
-        bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1, :t + 2]
+        bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1]
         qw, p = word_distribution_rows(params, s, u, bases, vocab)
         qw, p = qw.T, p.T                               # (vocab, C)
         if t < length:

@@ -15,8 +15,8 @@ LOG2 = math.log(2.0)
 def _checked_features(dims, vocab, pairs):
     """Features of the pairs as an (N, v_dim) matrix, (N, 0) for the rnn
     variant, which reads none. An empty caption, one without a final
-    <eos>, an id outside the vocabulary or features that are not (v_dim,)
-    raise ValueError naming the example."""
+    <eos>, an id outside the vocabulary or features that are not a finite
+    (v_dim,) vector raise ValueError naming the example."""
     feats = []
     for ex, cap in pairs:
         try:
@@ -138,24 +138,9 @@ def _clipped_counts(candidate, references, n):
 
 
 def bleu(candidate, references, max_n=4):
-    """Geometric mean of modified 1..4-gram precisions times a brevity
-    penalty against the closest-length reference. Unsmoothed: any zero
-    precision (or an empty candidate) scores 0."""
-    references = [r for r in references if r]
-    if not references:
-        raise ValueError("bleu needs at least one nonempty reference")
-    if not candidate:
-        return 0.0
-    log_precisions = []
-    for n in range(1, max_n + 1):
-        clipped, total = _clipped_counts(candidate, references, n)
-        if clipped == 0 or total == 0:
-            return 0.0
-        log_precisions.append(math.log(clipped / total))
-    c = len(candidate)
-    r = _closest_ref_length(references, c)
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    return bp * math.exp(sum(log_precisions) / max_n)
+    """Sentence BLEU: ``corpus_bleu`` of the one pair. Unsmoothed: any
+    zero precision (or an empty candidate) scores 0."""
+    return corpus_bleu([(candidate, references)], max_n)
 
 
 def corpus_bleu(pairs, max_n=4):

@@ -329,11 +329,9 @@ def word_distribution(params, s, u, context, vocab_classes):
     bases = maxent_bases(dims, context)
     q = softmax(class_logits(params, s, u, bases))
     out = np.empty(dims.vocab_size)
-    lo = 0
-    for c, hi in enumerate(np.asarray(vocab_classes.class_bounds, dtype=np.int64)):
-        hi = int(hi)
+    for c, (lo, hi) in enumerate(zip(vocab_classes.class_starts.tolist(),
+                                     vocab_classes.class_bounds.tolist())):
         out[lo:hi] = q[c] * softmax(member_logits(params, s, u, bases, lo, hi))
-        lo = hi
     return out
 
 
@@ -352,12 +350,14 @@ def check_sentence(dims, ids, eos_id=None, what="sentence"):
 
 def feature_vector(dims, v):
     """``v`` as a float64 vector for the variants that read features; a
-    shape other than (v_dim,), or None, raises."""
+    shape other than (v_dim,), None, NaN or inf raises."""
     if not dims.uses_v:
         return v
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (dims.v_dim,):
         raise ValueError(f"feature vector must have dim {dims.v_dim}")
+    if not np.isfinite(v).all():
+        raise ValueError("feature vector holds NaN or inf")
     return v
 
 
@@ -437,8 +437,8 @@ def sentence_states(params, v, sent, vocab):
             pre[t, sd:] += params.W_uu @ act[t, sd:]
         pre[t] += drive
         act[t + 1] = sigmoid_clipped(pre[t], dims.sigmoid_clip)
-    b = [0] + vocab.class_bounds.tolist()
-    classes = [(g, b[g], b[g + 1]) for g in np.searchsorted(b[1:], sent.ids, "right").tolist()]
+    g = vocab.id_class[sent.ids]
+    classes = list(zip(g.tolist(), vocab.class_starts[g].tolist(), vocab.class_bounds[g].tolist()))
     u_side = ((act[:, sd:].copy(), pre[:, sd:].copy(), *recon_rows(params, act[1:, sd:]))
               if dims.uses_u else (None,) * 4)
     return SentenceTrace(inputs, np.array(sent.ids), classes, token_bases(dims, inputs[None])[0],
@@ -566,55 +566,53 @@ def recon_rows(params, us):
     return pre_r, sigmoid_clipped(pre_r, params.dims.sigmoid_clip)
 
 
+def context_logits(params, a, u, bases):
+    """The logits that do not read s, of K entries, as a (classes + vocab,
+    K) block in ``output_blocks`` row order: the bias column of the
+    ``output_matrix`` ``a``, its u columns times the (K, u_dim) rows ``u``
+    (None without u), and the max-entropy terms of the (K, order, 2)
+    ``token_bases`` entries ``bases``, of which an order whose base is -1
+    adds nothing. Adding the s columns times s gives every logit."""
+    dims = params.dims
+    c, sd = dims.class_count, dims.s_dim
+    if dims.maxent_order:   # (ids, orders, K) slots; mode="wrap" reads slot i % hash size
+        (cbase, wbase), dead = bases.T, bases.T[0] < 0
+        terms = np.empty((len(a),) + cbase.shape)
+        ids = np.arange(dims.vocab_size)[:, None, None]
+        np.take(params.me_class, cbase + ids[:c], out=terms[:c], mode="wrap")
+        np.take(params.me_word, wbase + ids, out=terms[c:], mode="wrap")
+        z = terms.sum(axis=1, where=~dead) if dead.any() else terms.sum(axis=1)
+    else:
+        z = np.zeros((len(a), len(bases)))
+    z += a[:, sd:sd + 1]
+    if dims.uses_u:
+        z += a[:, sd + 1:] @ u.T
+    return z
+
+
 def word_distribution_rows(params, s, u, bases, vocab_classes):
     """``word_distribution`` for every row of an (N, s_dim) state matrix,
-    with its (N, u_dim) u rows (None without u) and the (N, orders, 2)
-    class and word bases of each row's available max-entropy orders
-    (``token_bases`` without its -1 entries).
+    with its (N, u_dim) u rows (None without u) and the (N, order, 2)
+    ``token_bases`` entries of each row's context.
 
     Returns (N, vocab) arrays ``qw`` and ``p``: the probability of each
     id's class and each id's probability within its class. Their product
-    is the distribution. Both are ``.T`` views of (vocab, N) arrays: as in
-    ``score_states``, the rows are scored as one (classes + vocab, N) block
-    of ``output_matrix`` logits, and the class softmax and the member
+    is the distribution. Both are ``.T`` views of (vocab, N) arrays: the
+    rows are scored as one (classes + vocab, N) block of logits, the s
+    product plus ``context_logits``, and the class softmax and the member
     softmax of each class segment reduce over axis 0.
     """
-    dims = params.dims
-    c, sd = dims.class_count, dims.s_dim
-    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
-    starts = np.concatenate(([0], bounds[:-1]))
-    class_ids = np.repeat(np.arange(len(bounds)), bounds - starts)
+    c, sd = params.dims.class_count, params.dims.s_dim
+    starts, class_ids = vocab_classes.class_starts, vocab_classes.id_class
     a = output_matrix(params)
-    z = a[:, :sd] @ s.T + a[:, sd:sd + 1]
-    if dims.uses_u:
-        z += a[:, sd + 1:] @ u.T
-    if bases.shape[1]:   # (orders, ids, N) slots; mode="wrap" reads slot i % hash size
-        cslots, wslots = bases.T[:, :, None] + np.arange(dims.vocab_size)[:, None]
-        z[:c] += np.take(params.me_class, cslots[:, :c], mode="wrap").sum(axis=0)
-        z[c:] += np.take(params.me_word, wslots, mode="wrap").sum(axis=0)
+    z = context_logits(params, a, u, bases)
+    z += a[:, :sd] @ s.T
     z[:c] -= z[:c].max(axis=0)
     z[c:] -= np.maximum.reduceat(z[c:], starts, axis=0)[class_ids]
     q, p = np.exp(z, out=z)[:c], z[c:]
     q /= q.sum(axis=0)
     p /= np.add.reduceat(p, starts, axis=0)[class_ids]
     return q[class_ids].T, p.T
-
-
-def _entry_terms(params, bases, classes, id_class):
-    """(n, class_count + vocab) rows of n entries, given their (n, order, 2)
-    ``token_bases`` and target classes, in ``output_blocks`` row order: the
-    max-entropy terms, one gather over their ``maxent_slots``, with -inf at
-    every word outside the entry's class, so that a softmax over the word
-    part of a logit row plus its entry row is the member softmax of the
-    target class."""
-    dims = params.dims
-    terms = np.zeros((len(bases), dims.class_count + dims.vocab_size))
-    if dims.maxent_order > 0:
-        owner, cslots, wslots = maxent_slots(dims, bases)
-        terms = np.add.reduceat(np.hstack([params.me_class[cslots], params.me_word[wslots]]),
-                                np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
-    terms[:, dims.class_count:][id_class != classes[:, None]] = -np.inf
-    return terms
 
 
 def score_states(params, vocab_classes, s, u, targets, bases, step=None):
@@ -625,42 +623,35 @@ def score_states(params, vocab_classes, s, u, targets, bases, step=None):
     returns it. Without ``step``, the u rows ``u`` (M, u_dim), ``targets``
     and the (M, order, 2) ``token_bases`` entries ``bases`` hold one entry
     per state. With the (M,) index ``step`` they hold one entry per step,
-    which state i reads at ``step[i]``, and the u-side, bias and
-    max-entropy terms are computed once per step. ``u`` is None without
-    the visual memory.
+    which state i reads at ``step[i]``, and the ``context_logits`` are
+    built once per step. ``u`` is None without the visual memory.
 
-    The states run in blocks of at most ``ROW_SLICE``. A block takes one
-    product with ``output_matrix`` and adds its ``_entry_terms``. Then one
-    log-softmax runs over the classes and one over each state's target
-    class, and the targets are read out.
+    The states run in blocks of at most ``ROW_SLICE``. A block takes the s
+    product and adds the ``context_logits`` of its entries, with -inf at
+    every word outside the entry's target class. Then one log-softmax runs
+    over the classes and one over each state's target class, and the
+    targets are read out.
     """
     dims = params.dims
     c, sd = dims.class_count, dims.s_dim
     a = output_matrix(params)
-    bounds = np.asarray(vocab_classes.class_bounds, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
-    g = np.searchsorted(bounds, targets, side="right")
-    id_class = np.searchsorted(bounds, np.arange(dims.vocab_size), side="right")
+    g = vocab_classes.id_class[targets]
     picks = np.stack([g, c + targets])        # (2, entries): class and word row of each target
 
-    def with_bias(u_rows, n):   # [1, u] rows: the columns of ``a`` after s
-        return np.hstack([np.ones((n, 1))] + ([u_rows] if dims.uses_u else []))
+    def entry_logits(entries):
+        z = context_logits(params, a, u if u is None else u[entries], bases[entries])
+        z[c:][vocab_classes.id_class[:, None] != g[entries]] = -np.inf
+        return z
 
     if step is not None:
-        step_terms = (with_bias(u, len(targets)) @ a[:, sd:].T
-                      + _entry_terms(params, bases, g, id_class)).T
+        step_logits = entry_logits(slice(None))
     nll = np.empty(len(s))
     for start in range(0, len(s), ROW_SLICE):
         blk = slice(start, start + ROW_SLICE)
-        if step is None:
-            z = a @ np.hstack([s[blk], with_bias(u[blk] if dims.uses_u else None,
-                                                 len(s[blk]))]).T
-            z += _entry_terms(params, bases[blk], g[blk], id_class).T
-            entry = blk
-        else:
-            z = a[:, :sd] @ s[blk].T
-            z += step_terms[:, step[blk]]
-            entry = step[blk]
+        entry = blk if step is None else step[blk]
+        z = a[:, :sd] @ s[blk].T
+        z += entry_logits(blk) if step is None else step_logits[:, entry]
         # (classes + vocab, block) logits: the softmaxes reduce over axis 0
         (zc, zw), (tc, tw) = (z[:c], z[c:]), z[picks[:, entry], np.arange(z.shape[1])]
         mc, mw = zc.max(axis=0), zw.max(axis=0)
@@ -691,13 +682,17 @@ def gallery_scores(params, feats, items, vocab_classes):
     vocab_classes)[0].word_nll`` up to rounding. BLAS may round identical
     rows of a product differently by where they sit, so repeated rows (all
     rows, for ``rnn``, which ignores the features) are scored once: exact
-    ties stay exact, as in the scalar path.
+    ties stay exact, as in the scalar path. A row holding NaN or inf raises
+    ValueError naming its index.
     """
     dims = params.dims
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or (dims.uses_v and feats.shape[1] != dims.v_dim):
         raise ValueError(f"features must be an (N, {dims.v_dim}) matrix, "
                          f"got shape {feats.shape}")
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"feature row {bad[0]} holds NaN or inf")
     if dims.uses_v:
         rows, inverse = np.unique(feats, axis=0, return_inverse=True)
         drive = rows @ params.W_vs.T + params.b_s
@@ -795,8 +790,11 @@ def load_checkpoint(path):
 
     A truncated or corrupt file, an unknown version, blocks that differ
     from the ones its dims call for, or a payload whose sha256 differs from
-    the recorded one raise ValueError naming the path. Files written before
-    the checksum existed have no ``payload_sha256`` and load unchecked.
+    the recorded one raise ValueError naming the path. So do block offsets
+    that are not contiguous in block order, an ``nbytes`` other than its
+    shape's, or a payload that does not end at the last block; these name
+    the block. Files written before the checksum existed have no
+    ``payload_sha256`` and load unchecked.
     """
     from .corpus import ClassedVocabulary
 
@@ -816,14 +814,19 @@ def load_checkpoint(path):
         found = [(b["name"], b["shape"], b["dtype"]) for b in meta["blocks"]]
         if found != expected:
             raise ValueError(f"blocks {found} do not match the dims, which need {expected}")
-        blocks = {}
+        end = 0
         for b in meta["blocks"]:
-            chunk = payload[b["offset"]:b["offset"] + b["nbytes"]]
             need = 8 * math.prod(b["shape"])
-            if len(chunk) != need:
-                raise ValueError(f"block {b['name']} has {len(chunk)} payload bytes, "
-                                 f"its shape needs {need}")
-            blocks[b["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(b["shape"]).copy()
+            if (b["offset"], b["nbytes"]) != (end, need):
+                raise ValueError(f"block {b['name']} has offset {b['offset']} and nbytes "
+                                 f"{b['nbytes']}; block order and shape need {end} and {need}")
+            end += need
+        if end != len(payload):
+            raise ValueError(f"payload has {len(payload)} bytes, but its last block "
+                             f"{b['name']} ends at byte {end}")
+        blocks = {b["name"]: np.frombuffer(payload[b["offset"]:b["offset"] + b["nbytes"]],
+                                           dtype="<f8").reshape(b["shape"]).copy()
+                  for b in meta["blocks"]}
         digest = meta.get("payload_sha256")
         if digest is not None and hashlib.sha256(payload).hexdigest() != digest:
             raise ValueError("payload sha256 does not match the recorded one")

@@ -72,6 +72,22 @@ def test_build_vocab_partitions_ids_exactly():
         c = class_of(vocab, i)
         lo, hi = class_range(vocab, c)
         assert lo <= i < hi
+        assert vocab.id_class[i] == c
+        assert (vocab.class_starts[c], vocab.class_bounds[c]) == (lo, hi)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ([2, 2, 5], "strictly"),
+    ([3, 1, 5], "strictly"),
+    ([0, 5], "strictly"),
+    ([], "strictly"),
+    ([2, 4], "not at the token count 5"),
+    ([2, 6], "not at the token count 5"),
+], ids=["repeated", "decreasing", "empty_first", "no_classes", "short", "long"])
+def test_vocab_rejects_bad_class_bounds(bounds, message):
+    tokens = [EOS, UNK, "a", "b", "c"]
+    with pytest.raises(ValueError, match=message):
+        corpus.ClassedVocabulary(tokens, [3, 2, 2, 1, 1], bounds)
 
 
 def test_build_vocab_single_word_corpus():

@@ -558,6 +558,23 @@ def test_gallery_scorer_rejects_bad_shapes():
                        [EncodedSentence(ids=sent.ids[:-1], tokens=sent.tokens)], vocab)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_features_name_their_row(value):
+    # a gallery vector, an image query or a generation input
+    params, vocab, example = gradcheck_setup("full", seed=5)
+    sent = example.captions[0]
+    feats = np.vstack([example.features] * 3)
+    feats[2, 0] = value
+    with pytest.raises(ValueError, match="feature row 2 holds NaN or inf"):
+        gallery_scores(params, feats, [sent], vocab)
+    with pytest.raises(ValueError, match="feature row 2 holds NaN or inf"):
+        rank_retrieval(params, vocab, [sent], list(feats), [{0}], mode="ti")
+    with pytest.raises(ValueError, match="feature row 2 holds NaN or inf"):
+        rank_retrieval(params, vocab, list(feats), [sent], [{0}] * 3, mode="t")
+    with pytest.raises(ValueError, match="NaN or inf"):
+        sample_candidates(params, vocab, feats[2], np.full((2, 3), 0.5), 1.0)
+
+
 @pytest.mark.parametrize("variant", model.VARIANTS)
 def test_gallery_reconstruction_is_the_word_driven_trajectory(variant):
     params, vocab, example = gradcheck_setup(variant, seed=6)

@@ -93,6 +93,8 @@ def _bad_caption(vocab, kind):
     ("short_features", "dim 4"),
     ("matrix_features", "dim 4"),
     ("no_features", "dim 4"),
+    ("nan_features", "NaN or inf"),
+    ("inf_features", "NaN or inf"),
 ])
 def test_perplexity_bad_pair_names_example(kind, message):
     params, vocab, good = gradcheck_setup("full", seed=2)
@@ -100,7 +102,8 @@ def test_perplexity_bad_pair_names_example(kind, message):
     cap = good.captions[0]
     if kind.endswith("features"):
         bad.features = {"short_features": np.zeros(3), "matrix_features": np.zeros((1, 4)),
-                        "no_features": None}[kind]
+                        "no_features": None, "nan_features": np.full(4, np.nan),
+                        "inf_features": np.array([0.0, -np.inf, 0.0, 0.0])}[kind]
     else:
         cap = _bad_caption(vocab, kind)
     pairs = [(good, good.captions[0]), (bad, cap), (good, good.captions[0])]

@@ -528,6 +528,49 @@ def test_checkpoint_metadata_mismatch_names_path(tmp_path, edit, message):
     assert message in str(info.value)
 
 
+def _drop_checksum(meta):
+    del meta["payload_sha256"]
+
+
+def _block(meta, name):
+    return next(b for b in meta["blocks"] if b["name"] == name)
+
+
+def _swap_offsets(meta):
+    # W_ss and W_uu have one shape at s = u: each reads the other's bytes
+    ss, uu = _block(meta, "W_ss"), _block(meta, "W_uu")
+    ss["offset"], uu["offset"] = uu["offset"], ss["offset"]
+
+
+def _alias_block(meta):
+    _block(meta, "W_uu")["offset"] = _block(meta, "W_ss")["offset"]
+
+
+def _grow_nbytes(meta):
+    _block(meta, "b_s")["nbytes"] += 8
+
+
+@pytest.mark.parametrize("edit, tail, message", [
+    (_swap_offsets, b"", "block W_ss has offset"),
+    (_alias_block, b"", "block W_uu has offset"),
+    (_grow_nbytes, b"", "block b_s has offset"),
+    (_drop_checksum, bytes(8), "last block me_word ends at byte"),
+], ids=["swapped_offsets", "aliased_block", "nbytes", "trailing_payload"])
+def test_checkpoint_block_layout_names_path_and_block(tmp_path, edit, tail, message):
+    # the sha256 covers only the payload, so the header's layout is checked
+    # on its own: offsets contiguous in block order, nbytes of the shape's
+    # size, and the payload ending at the last block
+    vocab = _vocab5()
+    params = init_params(small_dims(vocab, v_dim=3, s_dim=8, u_dim=8), SeededRng(30))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, 1.0)
+    bad = tmp_path / "layout.ckpt"
+    bad.write_bytes(_rewrite_meta(path.read_bytes(), edit) + tail)
+    with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
+        load_checkpoint(bad)
+    assert message in str(info.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(where=st.integers(min_value=0), mask=st.integers(1, 255))
 def test_flipped_payload_byte_names_path(tmp_path_factory, where, mask):
@@ -539,10 +582,6 @@ def test_flipped_payload_byte_names_path(tmp_path_factory, where, mask):
     with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
         load_checkpoint(bad)
     assert "payload sha256" in str(info.value)
-
-
-def _drop_checksum(meta):
-    del meta["payload_sha256"]
 
 
 def test_checkpoint_without_checksum_still_loads(tmp_path):
