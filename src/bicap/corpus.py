@@ -95,12 +95,15 @@ class ClassedVocabulary:
     are chosen to carry approximately equal probability mass. Class g holds
     the ids [``class_starts[g]``, ``class_bounds[g]``); ``id_class`` maps
     each id to its class. Bounds that do not strictly increase to the token
-    count raise ValueError.
+    count, a repeated token and a count list of another length than the
+    tokens raise ValueError.
     """
 
     def __init__(self, tokens, counts, class_bounds):
         self.tokens = list(tokens)
         self.counts = np.asarray(counts, dtype=np.int64)
+        if len(self.counts) != len(self.tokens):
+            raise ValueError(f"{len(self.counts)} counts for {len(self.tokens)} tokens")
         bounds = self.class_bounds = np.asarray(class_bounds, dtype=np.int64)
         if not bounds.size or not np.all(np.diff(bounds, prepend=0) > 0):
             raise ValueError(f"class bounds {bounds.tolist()} are not a nonempty, strictly "
@@ -111,6 +114,9 @@ class ClassedVocabulary:
         self.class_starts = np.concatenate(([0], bounds[:-1]))
         self.id_class = np.repeat(np.arange(len(bounds)), bounds - self.class_starts)
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
+        if len(self.token_to_id) != len(self.tokens):
+            dup = next(t for i, t in enumerate(self.tokens) if self.token_to_id[t] != i)
+            raise ValueError(f"token {dup!r} appears more than once")
         self.eos_id = self.token_to_id[EOS]
         self.unk_id = self.token_to_id[UNK]
 

@@ -84,7 +84,7 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     keep = ~np.isin(np.arange(dims.vocab_size), [vocab.eos_id, vocab.unk_id])[:, None]
     picked, us = np.empty((2, length + 1, count)), []  # class and member probability of each pick
     for t in range(length + 1):
-        s, u, _, _ = advance_rows(params, s, u, fed[:, t], drive)
+        s, u = advance_rows(params, s, u, fed[:, t], drive)
         bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1]
         qw, p = word_distribution_rows(params, s, u, bases, vocab)
         qw, p = qw.T, p.T                               # (vocab, C)
@@ -171,7 +171,7 @@ def recon_trajectory(params, item):
         check_sentence(dims, sent.ids)
         u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
         for prev in [sent.ids[-1]] + list(sent.ids[:-1]):
-            u, _ = advance_u(params, u, prev)
+            u = advance_u(params, u, prev)
             us.append(u)
     return recon_rows(params, us)[1]
 
@@ -188,13 +188,22 @@ class RetrievalResult:
 
 def ranks_from_scores(scores, truth):
     """Per-query rankings from a (queries x gallery) score matrix; higher
-    scores rank first, ties keep the earlier gallery index."""
+    scores rank first, ties keep the earlier gallery index. A query with no
+    ground-truth set, an empty one or one holding an index outside the
+    gallery raises ValueError naming the query."""
     scores = np.asarray(scores, dtype=np.float64)
+    if len(truth) < len(scores):
+        raise ValueError(f"query {len(truth)} has no ground-truth set: {len(truth)} sets "
+                         f"for {len(scores)} queries")
     ranked_ids = []
     ranks = []
     for qi in range(scores.shape[0]):
         if not truth[qi]:
             raise ValueError(f"query {qi} has no ground-truth item")
+        bad = [g for g in truth[qi] if not 0 <= g < scores.shape[1]]
+        if bad:
+            raise ValueError(f"query {qi} has ground-truth index {bad[0]} outside the "
+                             f"gallery [0, {scores.shape[1]})")
         order = np.argsort(-scores[qi], kind="stable")
         ranked_ids.append(order.tolist())
         pos = {g: i for i, g in enumerate(order.tolist())}

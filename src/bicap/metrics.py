@@ -60,7 +60,7 @@ def _rows_word_nll(params, vocab, feats, sents):
         if n < len(s):   # never at t = 0, while u may still be one shared state
             s, drive = s[:n], drive[:n]
             u = None if u is None else u[:n]
-        s, u, _, _ = advance_rows(params, s, u, inputs[:n, t], drive)
+        s, u = advance_rows(params, s, u, inputs[:n, t], drive)
         ss[end:end + n] = s
         if us is not None:
             us[end:end + n] = u

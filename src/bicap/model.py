@@ -133,28 +133,50 @@ def block_shapes(dims):
     return shapes
 
 
+def output_blocks(dims, a):
+    """(name, view) of the dense online blocks in ``a`` = [[W_sc, b_c, W_uc],
+    [W_sw, b_w, W_uw]], which maps [s, 1, u] to the class, then word logits:
+    the layout of ``ModelParams.A``."""
+    c, s = dims.class_count, dims.s_dim
+    views = {"W_sc": a[:c, :s], "b_c": a[:c, s], "W_sw": a[c:, :s], "b_w": a[c:, s]}
+    if dims.uses_u:
+        views.update(W_uc=a[:c, s + 1:], W_uw=a[c:, s + 1:])
+    return views.items()
+
+
 class ModelParams:
     """All weight blocks of one model as float64 arrays.
 
     Gradient accumulators use the same container (``zeros_like``); blocks
-    are reachable both as attributes and through ``named_blocks``.
+    are reachable both as attributes and through ``named_blocks``. When it
+    holds the dense online blocks, it stores them once, as the matrix ``A``
+    of ``output_blocks``, and the blocks are views into it; the given
+    values are copied in. A write through a block view or through ``A``
+    shows in both.
     """
 
     def __init__(self, dims, blocks, names=None):
         self.dims = dims
         shapes = dict(block_shapes(dims))
         self._names = list(shapes) if names is None else list(names)
+        views = {}
+        if "W_sc" in self._names:
+            self.A = np.empty((dims.class_count + dims.vocab_size,
+                               dims.s_dim + 1 + dims.uses_u * dims.u_dim))
+            views = dict(output_blocks(dims, self.A))
         for name in self._names:
             arr = blocks[name]
             if arr.shape != shapes[name]:
                 raise ValueError(f"block {name}: expected shape {shapes[name]}, got {arr.shape}")
+            if name in views:
+                arr = views[name]
+                arr[...] = blocks[name]
             setattr(self, name, arr)
 
     @classmethod
     def zeros(cls, dims, names=None):
         shapes = dict(block_shapes(dims))
-        keep = list(shapes) if names is None else list(names)
-        return cls(dims, {name: np.zeros(shapes[name]) for name in keep}, names=keep)
+        return cls(dims, {name: np.zeros(shapes[name]) for name in names or shapes}, names=names)
 
     def zeros_like(self, names=None):
         return ModelParams.zeros(self.dims, names=names)
@@ -445,26 +467,6 @@ def sentence_states(params, v, sent, vocab):
                          act[:, :sd].copy(), pre[:, :sd].copy(), *u_side, word_nll=[])
 
 
-def output_blocks(dims, a):
-    """(name, view) of the dense online blocks in ``a`` = [[W_sc, b_c, W_uc],
-    [W_sw, b_w, W_uw]], which maps [s, 1, u] to the class, then word logits."""
-    c, s = dims.class_count, dims.s_dim
-    views = {"W_sc": a[:c, :s], "b_c": a[:c, s], "W_sw": a[c:, :s], "b_w": a[c:, s]}
-    if dims.uses_u:
-        views.update(W_uc=a[:c, s + 1:], W_uw=a[c:, s + 1:])
-    return views.items()
-
-
-def output_matrix(params):
-    """The dense online blocks of ``params`` as one ``output_blocks`` matrix."""
-    dims = params.dims
-    a = np.empty((dims.class_count + dims.vocab_size,
-                  dims.s_dim + 1 + (dims.u_dim if dims.uses_u else 0)))
-    for name, view in output_blocks(dims, a):
-        view[...] = getattr(params, name)
-    return a
-
-
 def maxent_slots(dims, bases):
     """(owner, cslots, wslots) of every max-entropy feature of an (n, order,
     2) array of ``token_bases`` entries, in C order: its entry, and the
@@ -475,7 +477,7 @@ def maxent_slots(dims, bases):
             (wbase + np.arange(dims.vocab_size)) % h)
 
 
-OutputPass = namedtuple("OutputPass", "x a0 dz residual residual_err me_steps cslots wslots")
+OutputPass = namedtuple("OutputPass", "x dz residual residual_err me_steps cslots wslots")
 
 
 def output_pass(params, tr, lr, limit, on_step=None):
@@ -496,12 +498,11 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dims = params.dims
     c = dims.class_count
     x = np.hstack([tr.s[1:], np.ones((len(tr.targets), 1))] + ([tr.u[1:]] if dims.uses_u else []))
-    a0 = output_matrix(params)
-    z0, gram = x @ a0.T, -lr * (x @ x.T)
-    dz, residual, residual_err = np.zeros((len(x), len(a0))), np.zeros_like(a0), np.zeros_like(x)
+    z0, gram = x @ params.A.T, -lr * (x @ x.T)
+    dz, residual, residual_err = np.zeros_like(z0), np.zeros_like(params.A), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
     me_steps, cslots, wslots = maxent_slots(dims, tr.bases)
-    cols = np.repeat(np.arange(len(a0))[None], dims.maxent_order, axis=0)   # one row per order
+    cols = np.repeat(np.arange(dz.shape[1])[None], dims.maxent_order, axis=0)   # one row per order
     end, nll = 0, []
     for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
         z = z0[t] + gram[t] @ dz
@@ -529,7 +530,7 @@ def output_pass(params, tr, lr, limit, on_step=None):
         if on_step is not None:
             on_step(t, params)
     tr.word_nll = nll
-    return OutputPass(x, a0, dz, residual, residual_err, me_steps, cslots, wslots)
+    return OutputPass(x, dz, residual, residual_err, me_steps, cslots, wslots)
 
 
 def _times(W, x):
@@ -539,23 +540,22 @@ def _times(W, x):
 
 
 def advance_u(params, u, prev):
-    """The u half of ``advance_rows``: (u, pre_u) after token(s) ``prev``."""
-    pre_u = params.W_wu.T[prev] + _times(params.W_uu, u) + params.b_u
-    return sigmoid_clipped(pre_u, params.dims.sigmoid_clip), pre_u
+    """The u half of ``advance_rows``: u after token(s) ``prev``."""
+    return sigmoid_clipped(params.W_wu.T[prev] + _times(params.W_uu, u) + params.b_u,
+                           params.dims.sigmoid_clip)
 
 
 def advance_rows(params, s, u, prev, drive):
     """One recurrence update of one (s_dim,) state or of (N, s_dim) rows;
-    returns (s, u, pre_s, pre_u), the u pair None without the visual memory.
+    returns (s, u), u None without the visual memory.
 
     ``u`` is one (u_dim,) state, also when shared by every s row, or an
     (N, u_dim) matrix; ``prev`` is one token id or (N,) ids; ``drive`` is
     ``W_vs @ v + b_s``, per row or shared, or ``b_s`` alone.
     """
-    pre_s = params.W_ws.T[prev] + _times(params.W_ss, s) + drive
-    s = sigmoid_clipped(pre_s, params.dims.sigmoid_clip)
-    u, pre_u = advance_u(params, u, prev) if params.dims.uses_u else (None, None)
-    return s, u, pre_s, pre_u
+    s = sigmoid_clipped(params.W_ws.T[prev] + _times(params.W_ss, s) + drive,
+                        params.dims.sigmoid_clip)
+    return s, advance_u(params, u, prev) if params.dims.uses_u else None
 
 
 def recon_rows(params, us):
@@ -566,14 +566,14 @@ def recon_rows(params, us):
     return pre_r, sigmoid_clipped(pre_r, params.dims.sigmoid_clip)
 
 
-def context_logits(params, a, u, bases):
+def context_logits(params, u, bases):
     """The logits that do not read s, of K entries, as a (classes + vocab,
-    K) block in ``output_blocks`` row order: the bias column of the
-    ``output_matrix`` ``a``, its u columns times the (K, u_dim) rows ``u``
+    K) block in ``output_blocks`` row order: the bias column of
+    ``params.A``, its u columns times the (K, u_dim) rows ``u``
     (None without u), and the max-entropy terms of the (K, order, 2)
     ``token_bases`` entries ``bases``, of which an order whose base is -1
     adds nothing. Adding the s columns times s gives every logit."""
-    dims = params.dims
+    dims, a = params.dims, params.A
     c, sd = dims.class_count, dims.s_dim
     if dims.maxent_order:   # (ids, orders, K) slots; mode="wrap" reads slot i % hash size
         (cbase, wbase), dead = bases.T, bases.T[0] < 0
@@ -604,9 +604,8 @@ def word_distribution_rows(params, s, u, bases, vocab_classes):
     """
     c, sd = params.dims.class_count, params.dims.s_dim
     starts, class_ids = vocab_classes.class_starts, vocab_classes.id_class
-    a = output_matrix(params)
-    z = context_logits(params, a, u, bases)
-    z += a[:, :sd] @ s.T
+    z = context_logits(params, u, bases)
+    z += params.A[:, :sd] @ s.T
     z[:c] -= z[:c].max(axis=0)
     z[c:] -= np.maximum.reduceat(z[c:], starts, axis=0)[class_ids]
     q, p = np.exp(z, out=z)[:c], z[c:]
@@ -632,15 +631,13 @@ def score_states(params, vocab_classes, s, u, targets, bases, step=None):
     over the classes and one over each state's target class, and the
     targets are read out.
     """
-    dims = params.dims
-    c, sd = dims.class_count, dims.s_dim
-    a = output_matrix(params)
+    c, sd = params.dims.class_count, params.dims.s_dim
     targets = np.asarray(targets, dtype=np.int64)
     g = vocab_classes.id_class[targets]
     picks = np.stack([g, c + targets])        # (2, entries): class and word row of each target
 
     def entry_logits(entries):
-        z = context_logits(params, a, u if u is None else u[entries], bases[entries])
+        z = context_logits(params, u if u is None else u[entries], bases[entries])
         z[c:][vocab_classes.id_class[:, None] != g[entries]] = -np.inf
         return z
 
@@ -650,7 +647,7 @@ def score_states(params, vocab_classes, s, u, targets, bases, step=None):
     for start in range(0, len(s), ROW_SLICE):
         blk = slice(start, start + ROW_SLICE)
         entry = blk if step is None else step[blk]
-        z = a[:, :sd] @ s[blk].T
+        z = params.A[:, :sd] @ s[blk].T
         z += entry_logits(blk) if step is None else step_logits[:, entry]
         # (classes + vocab, block) logits: the softmaxes reduce over axis 0
         (zc, zw), (tc, tw) = (z[:c], z[c:]), z[picks[:, entry], np.arange(z.shape[1])]
@@ -709,7 +706,7 @@ def gallery_scores(params, feats, items, vocab_classes):
             inputs = [sent.ids[-1]] + list(sent.ids[:-1])
             ss = np.empty((len(inputs),) + drive.shape)
             for t, prev in enumerate(inputs):
-                s, u, _, _ = advance_rows(params, s, u, prev, drive)
+                s, u = advance_rows(params, s, u, prev, drive)
                 ss[t] = s
                 us.append(u)
             step = np.repeat(np.arange(len(ss)), len(drive))

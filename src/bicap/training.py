@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import SeededRng, sigmoid_clip_mask
-from .model import (ONLINE_BLOCKS, block_shapes, output_blocks, output_pass, recon_losses,
-                    sentence_states)
+from .model import ONLINE_BLOCKS, block_shapes, output_pass, recon_losses, sentence_states
 
 
 @dataclass
@@ -77,8 +76,8 @@ def _output_errors(params, out, lr):
     """The (T, dim) errors the output layer injects into s and u (None
     without u). Step t's is A(t)^T dz_t for the dense blocks A(t) it read
     (``model.output_pass``): dz_t A0 - lr sum_{k<t} (dz_t . dz_k) x_k, plus
-    the clamp's share."""
-    e = out.dz @ out.a0 - lr * (np.tril(out.dz @ out.dz.T, -1) @ out.x) + out.residual_err
+    the clamp's share. A0 is ``params.A``, so this runs before its update."""
+    e = out.dz @ params.A - lr * (np.tril(out.dz @ out.dz.T, -1) @ out.x) + out.residual_err
     s = params.dims.s_dim
     return e[:, :s], (e[:, s + 1:] if params.dims.uses_u else None)
 
@@ -163,8 +162,7 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     tr = sentence_states(params, v, sent, vocab)
     out = output_pass(params, tr, 0.0, math.inf)
     grads = params.zeros_like()
-    for name, view in output_blocks(dims, out.dz.T @ out.x):
-        getattr(grads, name)[...] = view
+    grads.A[...] = out.dz.T @ out.x
     if dims.maxent_order > 0:
         np.add.at(grads.me_class, out.cslots, out.dz[out.me_steps, :dims.class_count])
         np.add.at(grads.me_word, out.wslots, out.dz[out.me_steps, dims.class_count:])
@@ -203,8 +201,7 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     e_s, e_u = _output_errors(params, out, lr)
     _recurrent_chain(params, tr, v, e_s, e_u, config.lam_recon, config.bptt_unroll,
                      config.recon_kind, batch_grads)
-    for name, view in output_blocks(params.dims, out.dz.T @ out.x + out.residual):
-        getattr(params, name)[...] -= lr * view
+    params.A -= lr * (out.dz.T @ out.x + out.residual)
     clip_gradients(batch_grads, clip)
     apply_update(params, batch_grads, lr, weight_decay=config.weight_decay)
     return _joint_loss(tr, v, config.lam_recon, config.recon_kind), len(sent.ids)
@@ -306,19 +303,12 @@ def grad_check(params, vocab, example, caption_index=0, eps=1e-5,
         total, _ = sentence_loss(params, v, sent, lam_recon, vocab, recon_kind)
         return total.joint
 
-    dims = params.dims
     worst = 0.0
     for name, arr in params.named_blocks():
-        garr = getattr(grads, name)
-        if name == "W_vs" and dims.variant == "full":
-            free = np.zeros(arr.shape, dtype=bool)
-            free[:dims.vs_connected_rows, :] = True
-            indices = np.flatnonzero(free.ravel())
-        else:
-            indices = range(arr.size)
-        flat = arr.ravel()
-        gflat = garr.ravel()
-        for i in indices:
+        # the masked W_vs rows come last in C order; ``ravel()`` would copy a view of ``A``
+        free = params.dims.vs_connected_rows * arr.shape[1] if name == "W_vs" else arr.size
+        flat, gflat = arr.flat, getattr(grads, name).flat
+        for i in range(free):
             orig = flat[i]
             flat[i] = orig + eps
             lp = loss_at()
@@ -326,10 +316,7 @@ def grad_check(params, vocab, example, caption_index=0, eps=1e-5,
             lm = loss_at()
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
-            analytic = gflat[i]
-            rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            if rel > worst:
-                worst = rel
+            worst = max(worst, abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric)))
     return worst
 
 

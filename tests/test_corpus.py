@@ -90,6 +90,18 @@ def test_vocab_rejects_bad_class_bounds(bounds, message):
         corpus.ClassedVocabulary(tokens, [3, 2, 2, 1, 1], bounds)
 
 
+@pytest.mark.parametrize("tokens, counts, message", [
+    ([EOS, UNK, "a", "b"], [3, 2], "2 counts for 4 tokens"),
+    ([EOS, UNK, "a", "b"], [3, 2, 2, 1, 1], "5 counts for 4 tokens"),
+    ([EOS, UNK, "a", "a"], [3, 2, 2, 1], "token 'a' appears more than once"),
+], ids=["short_counts", "extra_counts", "repeated_token"])
+def test_vocab_rejects_mismatched_counts_and_repeated_tokens(tokens, counts, message):
+    # counts past the tokens, or tokens past the counts, would never reach
+    # content_hash, and a repeated token would silently take its last id
+    with pytest.raises(ValueError, match=message):
+        corpus.ClassedVocabulary(tokens, counts, [2, 4])
+
+
 def test_build_vocab_single_word_corpus():
     vocab = build_vocab([["hello"], ["hello"]])
     assert sorted(vocab.tokens) == sorted(["hello", EOS, UNK])

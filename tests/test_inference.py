@@ -366,6 +366,16 @@ def test_ranks_require_ground_truth():
         ranks_from_scores(np.eye(2), [{0}, set()])
 
 
+@pytest.mark.parametrize("truth, message", [
+    ([{0}, {5}], "query 1 has ground-truth index 5 outside the gallery"),
+    ([{-1}, {1}], "query 0 has ground-truth index -1 outside the gallery"),
+    ([{0}], "query 1 has no ground-truth set: 1 sets for 2 queries"),
+], ids=["index_past_gallery", "negative_index", "short_truth"])
+def test_ranks_reject_bad_ground_truth(truth, message):
+    with pytest.raises(ValueError, match=message):
+        ranks_from_scores(np.eye(2), truth)
+
+
 def test_aggregate_r_at_k_monotone_random_runs():
     rng = SeededRng(15)
     for _ in range(10):

@@ -443,6 +443,81 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _dense_outputs(params, vocab, rng):
+    """``score_states`` and ``word_distribution_rows`` at fixed random
+    states, targets and contexts, as bytes."""
+    dims, n = params.dims, 6
+    s = rng.uniform(0.01, 0.99, (n, dims.s_dim))
+    u = rng.uniform(0.01, 0.99, (n, dims.u_dim)) if dims.uses_u else None
+    targets, fed = (rng.random((2, n)) * len(vocab)).astype(np.int64)
+    bases = token_bases(dims, fed[None])[0]
+    qw, p = model.word_distribution_rows(params, s, u, bases, vocab)
+    return [a.tobytes() for a in (model.score_states(params, vocab, s, u, targets, bases), qw, p)]
+
+
+@pytest.mark.parametrize("variant", ["rnn", "full"])
+def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
+    # ModelParams stores the dense online blocks once, as A: a write through
+    # a block, apply_update or train_sentence shows in A, and every scorer
+    # then reads what a container built from the written blocks reads.
+    from bicap.training import TrainConfig, apply_update, gradcheck_setup, train_sentence
+
+    params, vocab, example = gradcheck_setup(variant, seed=21)
+    dims = params.dims
+    dense = {name for name, _ in model.output_blocks(dims, params.A)}
+    assert params.A.shape == (dims.class_count + dims.vocab_size,
+                              dims.s_dim + 1 + (dims.u_dim if dims.uses_u else 0))
+
+    def rebuilt(p):
+        return model.ModelParams(p.dims, dict(p.named_blocks()))
+
+    def check_written(p, before):
+        for name, view in model.output_blocks(dims, p.A):
+            assert np.shares_memory(getattr(p, name), p.A), name
+            assert getattr(p, name).tobytes() == view.tobytes(), name
+        after = _dense_outputs(p, vocab, SeededRng(5))
+        assert after == _dense_outputs(rebuilt(p), vocab, SeededRng(5))
+        assert all(x != y for x, y in zip(after, before))
+
+    base = _dense_outputs(params, vocab, SeededRng(5))
+    delta = 1e-3 * np.arange(params.A.size).reshape(params.A.shape)   # not softmax-invariant
+    p = params.copy()
+    for name, view in p.named_blocks():
+        if name in dense:
+            view += dict(model.output_blocks(dims, delta))[name]
+    assert np.array_equal(p.A, params.A + delta)
+    check_written(p, base)
+
+    p, grads = params.copy(), params.zeros_like()
+    grads.A[...] = delta
+    apply_update(p, grads, lr=1.0)
+    assert np.array_equal(p.A, params.A - delta)
+    check_written(p, base)
+
+    p = params.copy()
+    train_sentence(p, vocab, example.features, example.captions[0], TrainConfig(), 0.5)
+    assert not np.array_equal(p.A, params.A)
+    check_written(p, base)
+
+    # batch-gradient containers hold no dense block, so no A
+    batch = [n for n, _ in model.block_shapes(dims) if n not in model.ONLINE_BLOCKS]
+    assert not hasattr(params.zeros_like(names=batch), "A")
+
+    # copy(), load_checkpoint and the constructor each own their A
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, 1.0)
+    blocks = {name: arr.copy() for name, arr in params.named_blocks()}
+    made = model.ModelParams(dims, blocks)
+    for other in (params.copy(), load_checkpoint(path)[0], made):
+        assert other.A.tobytes() == params.A.tobytes()
+        assert not np.shares_memory(other.A, params.A)
+        other.A += 1.0
+        assert all(np.array_equal(getattr(other, name), arr + 1.0)
+                   for name, arr in params.named_blocks() if name in dense)
+    assert all(np.array_equal(blocks[name], arr) for name, arr in params.named_blocks())
+    assert _dense_outputs(params, vocab, SeededRng(5)) == base
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(30))

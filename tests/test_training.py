@@ -98,7 +98,7 @@ def test_clip_gradients_matches_np_clip_on_edge_values(limit):
                       -0.5 * limit, np.nextafter(limit, np.inf), 5e-324])
     grads = params.zeros_like()
     for _, arr in grads.named_blocks():
-        arr.ravel()[:] = np.resize(edges, arr.size)
+        arr[...] = np.resize(edges, arr.size).reshape(arr.shape)   # ravel() of a view of A copies
     want = {name: np.clip(arr, -limit, limit) for name, arr in grads.named_blocks()}
     assert clip_gradients(grads, limit) is grads
     for name, arr in grads.named_blocks():
