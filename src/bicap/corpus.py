@@ -95,8 +95,8 @@ class ClassedVocabulary:
     are chosen to carry approximately equal probability mass. Class g holds
     the ids [``class_starts[g]``, ``class_bounds[g]``); ``id_class`` maps
     each id to its class. Bounds that do not strictly increase to the token
-    count, a repeated token and a count list of another length than the
-    tokens raise ValueError.
+    count, a repeated token, a count list of another length than the
+    tokens and tokens without ``<eos>`` or ``<unk>`` raise ValueError.
     """
 
     def __init__(self, tokens, counts, class_bounds):
@@ -117,6 +117,9 @@ class ClassedVocabulary:
         if len(self.token_to_id) != len(self.tokens):
             dup = next(t for i, t in enumerate(self.tokens) if self.token_to_id[t] != i)
             raise ValueError(f"token {dup!r} appears more than once")
+        missing = next((t for t in (EOS, UNK) if t not in self.token_to_id), None)
+        if missing is not None:
+            raise ValueError(f"the tokens lack the reserved token {missing}")
         self.eos_id = self.token_to_id[EOS]
         self.unk_id = self.token_to_id[UNK]
 

@@ -15,8 +15,9 @@ import numpy as np
 
 from .corpus import EncodedSentence
 from .model import (advance_rows, advance_u, check_sentence, feature_vector, gallery_scores,
-                    recon_cross_entropy, recon_rows, reset_state, sentence_loss,
-                    sentence_states, sentences_of, token_bases, word_distribution_rows)
+                    input_columns, recon_cross_entropy, recon_rows, sentence_loss,
+                    sentence_states, sentences_of, stacked_drive, stacked_start, token_bases,
+                    word_distribution_rows)
 from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
 
 
@@ -60,33 +61,37 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
     distribution with <eos> and <unk> masked out and the rest
     renormalized, by the rule of ``multinomial_sample`` applied to
     ``uniforms[i, t]``; one more step appends <eos>. It samples on the
-    (vocab, C) arrays under ``word_distribution_rows``' ``.T`` views and
-    keeps each step's picked probabilities and u rows; after the last step
-    it adds up each candidate's joint loss, as ``score_candidate`` computes
-    it: the unmasked word NLL of each token plus ``lam_recon`` times the
+    (vocab, C) arrays under ``word_distribution_rows``' ``.T`` views. Each
+    step advances the C stacked [s | u] rows through ``advance_rows``, in
+    place of their gathered input columns, and keeps the picked
+    probabilities and the u rows; after the last step it adds up each
+    candidate's joint loss, as ``score_candidate`` computes it: the
+    unmasked word NLL of each token plus ``lam_recon`` times the
     reconstruction cross-entropy. Returns the (C, length + 1) ids and the
     (C,) joint losses.
     """
-    dims = params.dims
+    dims, sd = params.dims, params.dims.s_dim
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.ndim != 2 or uniforms.shape[1] < 1:
         raise ValueError("length must be >= 1")
     count, length = uniforms.shape
     v = feature_vector(dims, v)
-    drive = params.W_vs @ v + params.b_s if dims.uses_v else params.b_s
-    state = reset_state(params)
-    s = np.broadcast_to(state.s, (count, dims.s_dim))
-    u = state.u
+    drive, prev = stacked_drive(params, v), stacked_start(params)
+    us = np.empty((length + 1, count, dims.u_dim)) if dims.uses_u else None
     rows = np.arange(count)
     fed = np.full((count, length + 2), vocab.eos_id)   # step t feeds column t: <eos>, then ids
     ids = fed[:, 1:]
     reach = max(dims.maxent_order - 1, 1)               # fed tokens the newest bases read
     keep = ~np.isin(np.arange(dims.vocab_size), [vocab.eos_id, vocab.unk_id])[:, None]
-    picked, us = np.empty((2, length + 1, count)), []  # class and member probability of each pick
+    picked = np.empty((2, length + 1, count))           # class and member probability of each pick
     for t in range(length + 1):
-        s, u = advance_rows(params, s, u, fed[:, t], drive)
+        pre = input_columns(params, fed[:, t])
+        prev = advance_rows(params, pre, prev, drive, pre)
+        u = prev[:, sd:] if dims.uses_u else None
+        if u is not None:
+            us[t] = u                                   # contiguous for the reconstruction head
         bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1]
-        qw, p = word_distribution_rows(params, s, u, bases, vocab)
+        qw, p = word_distribution_rows(params, prev[:, :sd], u, bases, vocab)
         qw, p = qw.T, p.T                               # (vocab, C)
         if t < length:
             dist = qw * p * keep
@@ -96,13 +101,12 @@ def sample_candidates(params, vocab, v, uniforms, lam_recon):
             cdf = np.add.accumulate(dist / mass, axis=0)
             draw = uniforms[:, t] * cdf[-1]
             ids[:, t] = np.minimum((cdf <= draw).sum(axis=0), dims.vocab_size - 1)
-        prev = ids[:, t]
-        picked[0, t], picked[1, t] = qw[prev, rows], p[prev, rows]
-        us.append(u)
+        w = ids[:, t]
+        picked[0, t], picked[1, t] = qw[w, rows], p[w, rows]
     logs = np.log(picked)
     joint = -logs[0] - logs[1]                          # (length + 1, C)
     if dims.uses_u:
-        recon = sigmoid_clipped(np.array(us) @ params.W_uv.T + params.b_v, dims.sigmoid_clip)
+        recon = sigmoid_clipped(us @ params.W_uv.T + params.b_v, dims.sigmoid_clip)
         joint = joint + lam_recon * recon_cross_entropy(v, recon)
     return ids, joint.sum(axis=0)
 
@@ -190,11 +194,14 @@ def ranks_from_scores(scores, truth):
     """Per-query rankings from a (queries x gallery) score matrix; higher
     scores rank first, ties keep the earlier gallery index. A query with no
     ground-truth set, an empty one or one holding an index outside the
-    gallery raises ValueError naming the query."""
+    gallery raises ValueError naming the query; more sets than queries
+    raise ValueError naming both counts."""
     scores = np.asarray(scores, dtype=np.float64)
     if len(truth) < len(scores):
         raise ValueError(f"query {len(truth)} has no ground-truth set: {len(truth)} sets "
                          f"for {len(scores)} queries")
+    if len(truth) > len(scores):
+        raise ValueError(f"{len(truth)} ground-truth sets for {len(scores)} queries")
     ranked_ids = []
     ranks = []
     for qi in range(scores.shape[0]):

@@ -3,11 +3,12 @@
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, reset_state,
-                    score_states, token_bases)
+from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, input_columns,
+                    score_states, stacked_drive, stacked_start, token_bases)
 
 LOG2 = math.log(2.0)
 
@@ -16,58 +17,65 @@ def _checked_features(dims, vocab, pairs):
     """Features of the pairs as an (N, v_dim) matrix, (N, 0) for the rnn
     variant, which reads none. An empty caption, one without a final
     <eos>, an id outside the vocabulary or features that are not a finite
-    (v_dim,) vector raise ValueError naming the example."""
-    feats = []
+    (v_dim,) vector raise ValueError naming the example.
+
+    One pass checks the stacked features and the concatenated ids of all
+    pairs. Only if it fails are the pairs walked one by one, caption before
+    features, to name the first bad example."""
+    try:
+        feats = (np.array([ex.features for ex, _ in pairs], dtype=np.float64) if dims.uses_v
+                 else np.empty((len(pairs), 0)))
+        ends = np.cumsum([len(cap.ids) for _, cap in pairs])
+        ids = np.array(list(chain.from_iterable(cap.ids for _, cap in pairs)))
+        if (feats.shape == (len(pairs), dims.v_dim * dims.uses_v) and np.isfinite(feats).all()
+                and np.all(np.diff(ends, prepend=0) > 0) and ids.dtype.kind in "iu"
+                and np.all(ids[ends - 1] == vocab.eos_id)
+                and 0 <= ids.min() and ids.max() < dims.vocab_size):
+            return feats
+    except (TypeError, ValueError):   # ragged or non-numeric features or ids
+        pass
+    rows = []
     for ex, cap in pairs:
         try:
             check_sentence(dims, cap.ids, vocab.eos_id, "caption")
-            feats.append(feature_vector(dims, ex.features) if dims.uses_v else ())
+            rows.append(feature_vector(dims, ex.features) if dims.uses_v else ())
         except ValueError as exc:
             raise ValueError(f"example {ex.id!r}: {exc}") from None
-    return np.array(feats, dtype=np.float64)
+    return np.array(rows, dtype=np.float64)
 
 
 def _rows_word_nll(params, vocab, feats, sents):
     """Word NLL of captions sorted longest first, run as the rows of one
     forward; returns one (T,) array per caption.
 
-    Each row has its own drive ``W_vs @ v + b_s`` and u row. A step
-    advances the rows whose caption has not ended yet, which the sort makes
-    a prefix, and stores their states; ``score_states`` then scores every
-    stored state against its target, under the ``token_bases`` of the
-    (rows, steps) matrix of fed tokens.
+    Each row has its own ``stacked_drive``. A step advances the stacked
+    [s | u] rows whose caption has not ended yet, which the sort makes a
+    prefix of the previous step's rows, through one ``advance_rows`` call.
+    Every state goes into one (states, dim) array, step after step, with
+    its input columns gathered once beforehand; ``score_states`` then
+    scores every stored state against its target, under the
+    ``token_bases`` of the (rows, steps) matrix of fed tokens.
     """
-    dims = params.dims
+    dims, sd = params.dims, params.dims.s_dim
     lengths = np.array([len(ids) for ids in sents])
     count, steps = len(sents), int(lengths[0])
     inputs = np.full((count, steps + 1), vocab.eos_id)   # <eos> doubles as begin-of-sentence
     for r, ids in enumerate(sents):
         inputs[r, 1:len(ids) + 1] = ids
     inputs, targets = inputs[:, :-1], inputs[:, 1:]
-    if dims.uses_v:
-        drive = feats @ params.W_vs.T + params.b_s
-    else:
-        drive = np.broadcast_to(params.b_s, (count, dims.s_dim))
-    state = reset_state(params)
-    s = np.broadcast_to(state.s, (count, dims.s_dim))
-    u = state.u
-    live = lengths[:, None] > np.arange(steps)      # (count, steps): row r is live at step t
-    total = int(lengths.sum())
-    ss = np.empty((total, dims.s_dim))
-    us = np.empty((total, dims.u_dim)) if dims.uses_u else None
+    live = lengths > np.arange(steps)[:, None]      # (steps, count): row r is live at step t
+    act = input_columns(params, inputs.T[live])     # (states, dim), in step order
+    prev = stacked_start(params)                    # shared by every row at step 0
+    drive = np.broadcast_to(stacked_drive(params, feats), (count, act.shape[1]))
     end = 0
-    for t, n in enumerate(live.sum(axis=0).tolist()):
-        if n < len(s):   # never at t = 0, while u may still be one shared state
-            s, drive = s[:n], drive[:n]
-            u = None if u is None else u[:n]
-        s, u = advance_rows(params, s, u, inputs[:n, t], drive)
-        ss[end:end + n] = s
-        if us is not None:
-            us[end:end + n] = u
+    for t, n in enumerate(live.sum(axis=1).tolist()):   # each step's states replace its columns
+        rows = act[end:end + n]
+        prev = advance_rows(params, rows, prev[:n] if t else prev, drive[:n], rows)
         end += n
     nll = np.zeros((count, steps))
-    nll.T[live.T] = score_states(params, vocab, ss, us, targets.T[live.T],
-                                 token_bases(dims, inputs).transpose(1, 0, 2, 3)[live.T])
+    nll.T[live] = score_states(params, vocab, act[:, :sd], act[:, sd:] if dims.uses_u else None,
+                               targets.T[live],
+                               token_bases(dims, inputs).transpose(1, 0, 2, 3)[live])
     return [nll[r, :k] for r, k in enumerate(lengths)]
 
 

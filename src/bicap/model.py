@@ -441,24 +441,19 @@ def sentence_states(params, v, sent, vocab):
     """The recurrence of a sentence from a fresh state, with no output
     step. s and u read only the batch blocks, which stay fixed within a
     sentence, so the whole recurrence can run before training moves the
-    output blocks word by word. It steps one stacked [s | u] row, from
-    input columns gathered once, byte for byte as ``_advance`` does. A
-    sentence that ``check_sentence`` rejects raises ValueError."""
-    dims, sd, state = params.dims, params.dims.s_dim, reset_state(params)
+    output blocks word by word. It steps one stacked [s | u] row through
+    ``advance_rows``, from input columns gathered once, byte for byte as
+    ``_advance`` does. A sentence that ``check_sentence`` rejects raises
+    ValueError."""
+    dims, sd = params.dims, params.dims.s_dim
     check_sentence(dims, sent.ids, vocab.eos_id)
     inputs = np.array([sent.ids[-1]] + list(sent.ids[:-1]))  # <eos> doubles as begin-of-sentence
-    drive = params.W_vs @ feature_vector(dims, v) + params.b_s if dims.uses_v else params.b_s
-    pre, start = params.W_ws.T[inputs], state.s   # pre holds the input columns until step t
-    if dims.uses_u:
-        drive = np.concatenate([drive, params.b_u])
-        pre, start = np.hstack([pre, params.W_wu.T[inputs]]), np.concatenate([start, state.u])
-    act = np.vstack([start, np.empty_like(pre)])
+    drive = stacked_drive(params, feature_vector(dims, v))
+    pre = input_columns(params, inputs)   # row t holds pre-activations once step t has run
+    act = np.empty((len(inputs) + 1, pre.shape[1]))
+    act[0] = stacked_start(params)
     for t in range(len(inputs)):
-        pre[t, :sd] += params.W_ss @ act[t, :sd]
-        if dims.uses_u:
-            pre[t, sd:] += params.W_uu @ act[t, sd:]
-        pre[t] += drive
-        act[t + 1] = sigmoid_clipped(pre[t], dims.sigmoid_clip)
+        advance_rows(params, pre[t], act[t], drive, act[t + 1])
     g = vocab.id_class[sent.ids]
     classes = list(zip(g.tolist(), vocab.class_starts[g].tolist(), vocab.class_bounds[g].tolist()))
     u_side = ((act[:, sd:].copy(), pre[:, sd:].copy(), *recon_rows(params, act[1:, sd:]))
@@ -540,22 +535,64 @@ def _times(W, x):
 
 
 def advance_u(params, u, prev):
-    """The u half of ``advance_rows``: u after token(s) ``prev``."""
-    return sigmoid_clipped(params.W_wu.T[prev] + _times(params.W_uu, u) + params.b_u,
+    """The u half of ``advance_rows`` for one (u_dim,) state: u after token
+    ``prev``. For the paths that step u alone or share one u state among
+    many s rows."""
+    return sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
                            params.dims.sigmoid_clip)
 
 
-def advance_rows(params, s, u, prev, drive):
-    """One recurrence update of one (s_dim,) state or of (N, s_dim) rows;
-    returns (s, u), u None without the visual memory.
+def stacked_start(params):
+    """The sentence-boundary state of ``reset_state`` as one [s | u] row
+    (s alone without u)."""
+    state = reset_state(params)
+    return state.s if state.u is None else np.concatenate([state.s, state.u])
 
-    ``u`` is one (u_dim,) state, also when shared by every s row, or an
-    (N, u_dim) matrix; ``prev`` is one token id or (N,) ids; ``drive`` is
-    ``W_vs @ v + b_s``, per row or shared, or ``b_s`` alone.
+
+def stacked_drive(params, v):
+    """The drive [W_vs @ v + b_s | b_u] of one (v_dim,) feature vector, or
+    of each row of an (N, v_dim) matrix; b_s stands for W_vs @ v + b_s in
+    the ``rnn`` variant, which ignores ``v``, and b_u is left out without
+    u."""
+    dims = params.dims
+    drive = _times(params.W_vs, v) + params.b_s if dims.uses_v else params.b_s
+    if not dims.uses_u:
+        return drive
+    return np.concatenate([drive, np.broadcast_to(params.b_u, drive.shape[:-1] + (dims.u_dim,))],
+                          axis=-1)
+
+
+def input_columns(params, ids):
+    """The input columns [W_ws[:, i]; W_wu[:, i]] (W_ws[:, i] without u) of
+    one token id, as a row, or of an array of ids, as (len(ids), dim)
+    rows. The result is a new array, also for one id, which ``advance_rows``
+    can change in place."""
+    cols = params.W_ws.T.take(ids, axis=0)
+    if not params.dims.uses_u:
+        return cols
+    return np.concatenate([cols, params.W_wu.T.take(ids, axis=0)], axis=-1)
+
+
+def advance_rows(params, pre, prev, drive, out):
+    """One recurrence update of stacked [s | u] rows (s alone without u),
+    written into ``out``, which is returned.
+
+    ``pre`` holds the ``input_columns`` of the fed token(s), one (dim,) row
+    or (N, dim) rows, and becomes the pre-activations in place: it adds
+    ``W_ss @ s`` and ``W_uu @ u`` of the previous state ``prev``, then the
+    ``stacked_drive`` ``drive``. ``prev`` and ``drive`` are each one row,
+    also when shared by every row of ``pre``, or (N, dim) rows. The sums
+    keep ``_advance``'s order, (columns + recurrent product) + drive, and a
+    single row takes ``W @ x`` as it does, so one row equals ``_advance``
+    byte for byte. ``out`` gets the clipped sigmoid of the pre-activations.
     """
-    s = sigmoid_clipped(params.W_ws.T[prev] + _times(params.W_ss, s) + drive,
-                        params.dims.sigmoid_clip)
-    return s, advance_u(params, u, prev) if params.dims.uses_u else None
+    dims, sd = params.dims, params.dims.s_dim
+    recurrent = _times(params.W_ss, prev[..., :sd])
+    if dims.uses_u:   # one contiguous add: adding into the column halves of N rows is slower
+        recurrent = np.concatenate([recurrent, _times(params.W_uu, prev[..., sd:])], axis=-1)
+    pre += recurrent
+    pre += drive
+    return sigmoid_clipped(pre, dims.sigmoid_clip, out=out)
 
 
 def recon_rows(params, us):
@@ -705,9 +742,10 @@ def gallery_scores(params, feats, items, vocab_classes):
             s, u = np.broadcast_to(start.s, drive.shape), start.u
             inputs = [sent.ids[-1]] + list(sent.ids[:-1])
             ss = np.empty((len(inputs),) + drive.shape)
-            for t, prev in enumerate(inputs):
-                s, u = advance_rows(params, s, u, prev, drive)
-                ss[t] = s
+            for t, prev in enumerate(inputs):   # the s half of ``advance_rows``; u is shared
+                s = sigmoid_clipped(params.W_ws.T[prev] + _times(params.W_ss, s) + drive,
+                                    dims.sigmoid_clip, out=ss[t])
+                u = advance_u(params, u, prev) if dims.uses_u else None
                 us.append(u)
             step = np.repeat(np.arange(len(ss)), len(drive))
             nll[k] += score_states(params, vocab_classes, ss.reshape(len(step), -1),

@@ -62,20 +62,22 @@ class SeededRng:
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
-def sigmoid_clipped(z, clip=DEFAULT_SIGMOID_CLIP):
+def sigmoid_clipped(z, clip=DEFAULT_SIGMOID_CLIP, out=None):
     """Elementwise 1/(1+exp(-z)) with the argument clamped to [-clip, clip].
 
     Outputs stay strictly inside (0, 1): the recurrent state and the
     reconstruction cross-entropy rely on that, and for z above ~36.7 the
     exact sigmoid rounds to 1.0 in float64, so the result is capped one ulp
-    below 1 (σ(-clip) is representable on the low side as is).
+    below 1 (σ(-clip) is representable on the low side as is). With
+    ``out``, a float64 array of the result's shape, the result is written
+    there and ``out`` is returned.
     """
     if clip <= 0:
         raise ValueError("clip must be positive")
     # np.minimum/np.maximum clamp as np.clip does (also on +-inf, +-0 and
     # NaN) without its Python wrapper; float32 input still gives float64
     z = np.minimum(np.maximum(np.asarray(z, dtype=np.float64), -clip), clip)
-    return np.minimum(1.0 / (1.0 + np.exp(-z)), _BELOW_ONE)
+    return np.minimum(1.0 / (1.0 + np.exp(-z)), _BELOW_ONE, out=out)
 
 
 def sigmoid_clip_mask(z, clip=DEFAULT_SIGMOID_CLIP):

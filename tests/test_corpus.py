@@ -102,6 +102,13 @@ def test_vocab_rejects_mismatched_counts_and_repeated_tokens(tokens, counts, mes
         corpus.ClassedVocabulary(tokens, counts, [2, 4])
 
 
+@pytest.mark.parametrize("missing", [EOS, UNK])
+def test_vocab_without_reserved_token_names_it(missing):
+    tokens = [t for t in (EOS, UNK, "a", "b") if t != missing]
+    with pytest.raises(ValueError, match=f"lack the reserved token {missing}"):
+        corpus.ClassedVocabulary(tokens, [1] * len(tokens), [len(tokens)])
+
+
 def test_build_vocab_single_word_corpus():
     vocab = build_vocab([["hello"], ["hello"]])
     assert sorted(vocab.tokens) == sorted(["hello", EOS, UNK])

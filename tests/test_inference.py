@@ -370,7 +370,8 @@ def test_ranks_require_ground_truth():
     ([{0}, {5}], "query 1 has ground-truth index 5 outside the gallery"),
     ([{-1}, {1}], "query 0 has ground-truth index -1 outside the gallery"),
     ([{0}], "query 1 has no ground-truth set: 1 sets for 2 queries"),
-], ids=["index_past_gallery", "negative_index", "short_truth"])
+    ([{0}, {1}, {7}], "3 ground-truth sets for 2 queries"),
+], ids=["index_past_gallery", "negative_index", "short_truth", "long_truth"])
 def test_ranks_reject_bad_ground_truth(truth, message):
     with pytest.raises(ValueError, match=message):
         ranks_from_scores(np.eye(2), truth)

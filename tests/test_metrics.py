@@ -112,6 +112,27 @@ def test_perplexity_bad_pair_names_example(kind, message):
     assert "'bad7'" in str(info.value)
 
 
+@pytest.mark.parametrize("first, second", [("nan_features", "no_eos"), ("no_eos", "nan_features")])
+def test_perplexity_of_two_bad_pairs_names_the_earlier(first, second):
+    # the one-pass check finds both, and the per-pair walk names the
+    # earlier pair, whether its features or its caption are bad
+    params, vocab, good = gradcheck_setup("full", seed=2)
+    messages = {"nan_features": "NaN or inf", "no_eos": "does not end with <eos>"}
+
+    def bad_pair(kind, name):
+        ex = CaptionedExample(id=name, features=good.features, captions=[], split="test")
+        if kind == "nan_features":
+            ex.features = np.full(4, np.nan)
+            return ex, good.captions[0]
+        return ex, _bad_caption(vocab, kind)
+
+    pairs = [(good, good.captions[0]), bad_pair(first, "early"), (good, good.captions[0]),
+             bad_pair(second, "late")]
+    with pytest.raises(ValueError, match=messages[first]) as info:
+        perplexity_of_pairs(params, vocab, pairs)
+    assert "'early'" in str(info.value) and "'late'" not in str(info.value)
+
+
 def _perturbed(params, rng):
     """Every block drawn at random, so biases, u0 and the max-entropy
     tables all reach the scores."""

@@ -369,6 +369,40 @@ def test_sentence_states_read_no_online_block(variant):
     assert a.word_nll != b.word_nll
 
 
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_advance_rows_matches_scalar_advance(variant):
+    # one stacked [s | u] row steps as _advance byte for byte; (N, dim) rows
+    # agree within 1e-12, from the shared start row and from per-row states
+    from bicap.training import gradcheck_setup
+
+    params, vocab, _ = gradcheck_setup(variant, seed=17, s_dim=32, u_dim=32)
+    dims, sd = params.dims, params.dims.s_dim
+    rng = np.random.default_rng(17)
+    for _, arr in params.named_blocks():   # nonzero biases and u0 too
+        arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    ids = rng.integers(0, len(vocab), 20)
+    feats = rng.uniform(0.0, 1.0, (len(ids), dims.v_dim))
+    start = model.stacked_start(params)
+    states = rng.uniform(0.0, 1.0, (len(ids), len(start)))
+
+    def scalar(state, prev, v):
+        s, u, *_ = model._advance(params, state[:sd], state[sd:] if dims.uses_u else None,
+                                  prev, v)
+        return s if u is None else np.concatenate([s, u])
+
+    for state, prev, v in zip(states, ids, feats):
+        out = np.empty_like(start)
+        got = model.advance_rows(params, model.input_columns(params, prev), state,
+                                 model.stacked_drive(params, v), out)
+        assert got is out and out.tobytes() == scalar(state, prev, v).tobytes()
+    for prev_rows in (start, states):
+        want = np.array([scalar(state, prev, v) for state, prev, v in
+                         zip(np.broadcast_to(prev_rows, states.shape), ids, feats)])
+        got = model.advance_rows(params, model.input_columns(params, ids), prev_rows,
+                                 model.stacked_drive(params, feats), np.empty_like(states))
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_decomposability_u_trajectory_ignores_features():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(6))
@@ -589,12 +623,18 @@ def _grow_dims(meta):
     meta["dims"]["s_dim"] += 2
 
 
+def _rename_eos(meta):
+    tokens = meta["vocab"]["tokens"]
+    tokens[tokens.index("<eos>")] = "<end>"
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_version, "unsupported version 2"),
     (_rename_block, "do not match the dims"),
     (_reshape_block, "do not match the dims"),
     (_grow_dims, "do not match the dims"),
-], ids=["version", "renamed_block", "reshaped_block", "other_dims"])
+    (_rename_eos, "lack the reserved token <eos>"),
+], ids=["version", "renamed_block", "reshaped_block", "other_dims", "no_eos_token"])
 def test_checkpoint_metadata_mismatch_names_path(tmp_path, edit, message):
     bad = tmp_path / "edited.ckpt"
     bad.write_bytes(_rewrite_meta(_saved_checkpoint(tmp_path), edit))

@@ -29,6 +29,10 @@ def test_sigmoid_clips_large_arguments():
                           np.nextafter(1.0, 0.0))
         out = sigmoid_clipped(z, clip=50.0)
         assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+        # written into a caller's array, byte-equal to the allocating call
+        buf = np.full(len(edges), 7.0)
+        assert sigmoid_clipped(z, clip=50.0, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
 
 
 def test_sigmoid_rejects_bad_clip():
