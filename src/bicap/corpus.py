@@ -94,9 +94,12 @@ class ClassedVocabulary:
     lexicographically), so each class is a contiguous id range; the ranges
     are chosen to carry approximately equal probability mass. Class g holds
     the ids [``class_starts[g]``, ``class_bounds[g]``); ``id_class`` maps
-    each id to its class. Bounds that do not strictly increase to the token
-    count, a repeated token, a count list of another length than the
-    tokens and tokens without ``<eos>`` or ``<unk>`` raise ValueError.
+    each id to its class. In an output layer's (classes + vocab) logit
+    order, ``class_columns[g]`` indexes the logits that class g's words
+    read: every class logit, then those of its members. Bounds that do not
+    strictly increase to the token count, a repeated token, a count list of
+    another length than the tokens and tokens without ``<eos>`` or
+    ``<unk>`` raise ValueError.
     """
 
     def __init__(self, tokens, counts, class_bounds):
@@ -113,6 +116,9 @@ class ClassedVocabulary:
                              f"count {len(self.tokens)}")
         self.class_starts = np.concatenate(([0], bounds[:-1]))
         self.id_class = np.repeat(np.arange(len(bounds)), bounds - self.class_starts)
+        c = len(bounds)
+        self.class_columns = [np.concatenate((np.arange(c), np.arange(c + lo, c + hi)))
+                              for lo, hi in zip(self.class_starts.tolist(), bounds.tolist())]
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         if len(self.token_to_id) != len(self.tokens):
             dup = next(t for i, t in enumerate(self.tokens) if self.token_to_id[t] != i)
@@ -432,12 +438,25 @@ def synthetic_records(attr_count, example_count, rng, captions_per_example=2,
     redrawn until at least one is active) and every caption mentions each
     active attribute exactly once, in a fresh random order with filler
     words, so recovering the feature vector from a caption requires
-    remembering every attribute mentioned so far.
+    remembering every attribute mentioned so far. ``split_fractions`` are
+    the (train, valid, test) shares of the scenes, in that order.
+
+    Bad settings raise ValueError naming the field before any draw:
+    ``captions_per_example`` below 1, and split fractions that are not
+    three values >= 0 summing to 1 within 1e-9.
     """
     if attr_count < 2:
         raise ValueError("attr_count must be >= 2")
     if example_count < 1:
         raise ValueError("example_count must be >= 1")
+    if captions_per_example < 1:
+        raise ValueError(f"captions_per_example must be >= 1, got {captions_per_example!r}")
+    fractions = tuple(split_fractions)
+    # NaN fails both comparisons, so it is rejected too
+    if not (len(fractions) == 3 and all(f >= 0 for f in fractions)
+            and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ValueError("split_fractions must be three (train, valid, test) fractions "
+                         f">= 0 that sum to 1, got {fractions!r}")
     names = attribute_names(attr_count)
     n_train = round(split_fractions[0] * example_count)
     n_valid = round(split_fractions[1] * example_count)

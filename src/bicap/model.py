@@ -15,6 +15,7 @@ P(w | class(w)), with both the class and the within-class logits fed by
 ``s``, ``u`` and hashed n-gram (max-entropy) feature tables.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -42,7 +43,7 @@ def _hash_ngram(salt, order, history):
     return h
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelDims:
     """Architecture hyperparameters shared by params, state and training."""
 
@@ -137,46 +138,88 @@ def output_blocks(dims, a):
     """(name, view) of the dense online blocks in ``a`` = [[W_sc, b_c, W_uc],
     [W_sw, b_w, W_uw]], which maps [s, 1, u] to the class, then word logits:
     the layout of ``ModelParams.A``."""
+    _, _, blocks = storage_groups(dims)[0]   # A comes first
+    return [(name, a[index]) for name, _, index in blocks]
+
+
+@functools.lru_cache(maxsize=64)
+def storage_groups(dims):
+    """(group, shape, blocks) of the arrays that ``ModelParams`` stores its
+    blocks in, with (name, shape, index) per block: the block is the view
+    ``group[index]`` of that shape.
+
+    ``A`` is the dense output layer of ``output_blocks``. ``me`` (the
+    max-entropy tables, absent at order 0) and ``B`` (every batch block)
+    are flat, their blocks laid out one after another: ``me`` is
+    [me_class | me_word], and ``B`` starts with W_ws and W_wu, so that their
+    rows stack as one input layer ``W_in``.
+    """
     c, s = dims.class_count, dims.s_dim
-    views = {"W_sc": a[:c, :s], "b_c": a[:c, s], "W_sw": a[c:, :s], "b_w": a[c:, s]}
-    if dims.uses_u:
-        views.update(W_uc=a[:c, s + 1:], W_uw=a[c:, s + 1:])
-    return views.items()
+    shapes = dict(block_shapes(dims))
+    top, bottom, u_cols = slice(None, c), slice(c, None), slice(s + 1, None)
+    dense = {"W_sc": (top, slice(None, s)), "b_c": (top, s), "W_uc": (top, u_cols),
+             "W_sw": (bottom, slice(None, s)), "b_w": (bottom, s), "W_uw": (bottom, u_cols)}
+    groups = [("A", (c + dims.vocab_size, s + 1 + dims.uses_u * dims.u_dim),
+               tuple((name, shapes[name], dense[name]) for name in shapes if name in dense))]
+    flat = {"me": [name for name in shapes if name.startswith("me_")],
+            "B": sorted((name for name in shapes if name not in ONLINE_BLOCKS),
+                        key=lambda name: name not in ("W_ws", "W_wu"))}   # a stable sort
+    for group, names in flat.items():
+        blocks, end = [], 0
+        for name in names:
+            start, end = end, end + math.prod(shapes[name])
+            blocks.append((name, shapes[name], slice(start, end)))
+        if blocks:
+            groups.append((group, (end,), tuple(blocks)))
+    return tuple(groups)
 
 
 class ModelParams:
     """All weight blocks of one model as float64 arrays.
 
-    Gradient accumulators use the same container (``zeros_like``); blocks
-    are reachable both as attributes and through ``named_blocks``. When it
-    holds the dense online blocks, it stores them once, as the matrix ``A``
-    of ``output_blocks``, and the blocks are views into it; the given
-    values are copied in. A write through a block view or through ``A``
-    shows in both.
+    The blocks live in the arrays of ``storage_groups``: ``A`` (the dense
+    online blocks), ``me`` (the max-entropy tables) and ``B`` (the batch
+    blocks, of which ``W_in`` = [W_ws; W_wu] is one (s_dim [+ u_dim],
+    vocab) view), and each block is a view into its group, reachable both
+    as an attribute and through ``named_blocks``. A write through a block
+    or through its group shows in both. Given ``blocks``, their values are
+    copied in; otherwise every block is zero.
+
+    Gradient accumulators use the same container (``zeros_like``), which
+    may hold a subset of the blocks, made of whole groups.
     """
 
-    def __init__(self, dims, blocks, names=None):
+    def __init__(self, dims, blocks=None, names=None):
         self.dims = dims
         shapes = dict(block_shapes(dims))
         self._names = list(shapes) if names is None else list(names)
-        views = {}
-        if "W_sc" in self._names:
-            self.A = np.empty((dims.class_count + dims.vocab_size,
-                               dims.s_dim + 1 + dims.uses_u * dims.u_dim))
-            views = dict(output_blocks(dims, self.A))
+        self._groups, views, wanted = [], {}, set(self._names)
+        for group, shape, members in storage_groups(dims):
+            held = [name in wanted for name, _, _ in members]
+            if not any(held):
+                continue
+            if not all(held):
+                raise ValueError(f"blocks {self._names} hold part of group {group}")
+            arr = np.zeros(shape)
+            for name, block_shape, index in members:
+                views[name] = arr[index].reshape(block_shape)
+            setattr(self, group, arr)
+            self._groups.append(group)
         for name in self._names:
-            arr = blocks[name]
-            if arr.shape != shapes[name]:
-                raise ValueError(f"block {name}: expected shape {shapes[name]}, got {arr.shape}")
-            if name in views:
-                arr = views[name]
-                arr[...] = blocks[name]
-            setattr(self, name, arr)
+            view = views[name]
+            if blocks is not None:
+                if blocks[name].shape != shapes[name]:
+                    raise ValueError(f"block {name}: expected shape {shapes[name]}, "
+                                     f"got {blocks[name].shape}")
+                view[...] = blocks[name]
+            setattr(self, name, view)
+        if "B" in self._groups:
+            self.W_in = self.B[:(dims.s_dim + dims.uses_u * dims.u_dim) * dims.vocab_size].reshape(
+                -1, dims.vocab_size)
 
     @classmethod
     def zeros(cls, dims, names=None):
-        shapes = dict(block_shapes(dims))
-        return cls(dims, {name: np.zeros(shapes[name]) for name in names or shapes}, names=names)
+        return cls(dims, names=names)
 
     def zeros_like(self, names=None):
         return ModelParams.zeros(self.dims, names=names)
@@ -185,8 +228,20 @@ class ModelParams:
         for name in self._names:
             yield name, getattr(self, name)
 
+    def named_groups(self):
+        """(name, array) of each storage group the container holds."""
+        for name in self._groups:
+            yield name, getattr(self, name)
+
     def copy(self):
-        return ModelParams(self.dims, {n: a.copy() for n, a in self.named_blocks()})
+        return ModelParams(self.dims, names=self._names).assign(self)
+
+    def assign(self, other):
+        """Copy the values of ``other``, a container of the same blocks, into
+        this one's groups, in place; returns this container."""
+        for name, arr in other.named_groups():
+            getattr(self, name)[...] = arr
+        return self
 
     def apply_vs_mask(self):
         """Zero the text-half rows of W_vs (full variant only)."""
@@ -198,15 +253,13 @@ class ModelParams:
 
 
 def init_params(dims, rng):
-    """Uniform [-0.1, 0.1] weights, zero biases, zero u0, zero max-entropy
-    tables; the masked W_vs rows are zeroed. Deterministic given the seed."""
-    blocks = {}
+    """Uniform [-0.1, 0.1] weights, drawn in ``block_shapes`` order, zero
+    biases, zero u0, zero max-entropy tables; the masked W_vs rows are
+    zeroed. Deterministic given the seed."""
+    params = ModelParams.zeros(dims)
     for name, shape in block_shapes(dims):
         if name.startswith("W_"):
-            blocks[name] = rng.uniform(-0.1, 0.1, shape)
-        else:
-            blocks[name] = np.zeros(shape)
-    params = ModelParams(dims, blocks)
+            getattr(params, name)[...] = rng.uniform(-0.1, 0.1, shape)
     params.apply_vs_mask()
     return params
 
@@ -427,6 +480,7 @@ class SentenceTrace:
     inputs: np.ndarray   # (T,) token fed at each step (BOS = <eos>)
     targets: np.ndarray  # (T,) token predicted at each step
     classes: list        # (class, lo, hi) of each target's class
+    columns: list        # ``class_columns`` of each target's class
     bases: np.ndarray    # (T, order, 2): ``token_bases`` of the inputs
     s: np.ndarray        # (T + 1, s_dim): s_0 .. s_T
     pre_s: np.ndarray    # (T, s_dim) pre-activations
@@ -454,25 +508,28 @@ def sentence_states(params, v, sent, vocab):
     act[0] = stacked_start(params)
     for t in range(len(inputs)):
         advance_rows(params, pre[t], act[t], drive, act[t + 1])
-    g = vocab.id_class[sent.ids]
-    classes = list(zip(g.tolist(), vocab.class_starts[g].tolist(), vocab.class_bounds[g].tolist()))
+    g = vocab.id_class[sent.ids].tolist()
+    classes = list(zip(g, vocab.class_starts[g].tolist(), vocab.class_bounds[g].tolist()))
     u_side = ((act[:, sd:].copy(), pre[:, sd:].copy(), *recon_rows(params, act[1:, sd:]))
               if dims.uses_u else (None,) * 4)
-    return SentenceTrace(inputs, np.array(sent.ids), classes, token_bases(dims, inputs[None])[0],
-                         act[:, :sd].copy(), pre[:, :sd].copy(), *u_side, word_nll=[])
+    return SentenceTrace(inputs, np.array(sent.ids), classes, [vocab.class_columns[k] for k in g],
+                         token_bases(dims, inputs[None])[0], act[:, :sd].copy(),
+                         pre[:, :sd].copy(), *u_side, word_nll=[])
 
 
 def maxent_slots(dims, bases):
-    """(owner, cslots, wslots) of every max-entropy feature of an (n, order,
-    2) array of ``token_bases`` entries, in C order: its entry, and the
-    ``me_class`` and ``me_word`` slots of each class and word id."""
+    """(owner, slots) of every max-entropy feature of an (n, order, 2) array
+    of ``token_bases`` entries, in C order: its entry, and its (classes +
+    vocab) slots in ``ModelParams.me``, in the output layer's logit order:
+    the ``me_class`` slot of each class id, then the ``me_word`` slot of
+    each word id, offset by the hash size."""
     owner, k = np.nonzero(bases[..., 0] >= 0)
     h, (cbase, wbase) = dims.maxent_hash_size, bases[owner, k].T[..., None]
-    return (owner, (cbase + np.arange(dims.class_count)) % h,
-            (wbase + np.arange(dims.vocab_size)) % h)
+    return owner, np.hstack([(cbase + np.arange(dims.class_count)) % h,
+                             (wbase + np.arange(dims.vocab_size)) % h + h])
 
 
-OutputPass = namedtuple("OutputPass", "x dz residual residual_err me_steps cslots wslots")
+OutputPass = namedtuple("OutputPass", "x dz residual residual_err me_steps slots")
 
 
 def output_pass(params, tr, lr, limit, on_step=None):
@@ -488,7 +545,12 @@ def output_pass(params, tr, lr, limit, on_step=None):
     t on are still zero. As s, u in [0, 1] and |dz| <= 1, the clamp acts only
     if ``limit < 1``; its residuals clip(piece) - piece are then carried
     densely. Returns an ``OutputPass`` (``output_blocks`` layout), with the
-    step and table slots of each (step, order) max-entropy feature.
+    step and ``me`` slots of each (step, order) max-entropy feature.
+
+    A step reads only the logits of its target's class columns
+    (``tr.columns``), gathered once with their max-entropy terms: the class
+    softmax and the member softmax then run in place on the two segments of
+    that one array, and fill its columns of the ``dz`` row.
     """
     dims = params.dims
     c = dims.class_count
@@ -496,36 +558,43 @@ def output_pass(params, tr, lr, limit, on_step=None):
     z0, gram = x @ params.A.T, -lr * (x @ x.T)
     dz, residual, residual_err = np.zeros_like(z0), np.zeros_like(params.A), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
-    me_steps, cslots, wslots = maxent_slots(dims, tr.bases)
-    cols = np.repeat(np.arange(dz.shape[1])[None], dims.maxent_order, axis=0)   # one row per order
-    end, nll = 0, []
-    for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
+    me_steps, slots = maxent_slots(dims, tr.bases)
+    g, lo, hi = np.array(tr.classes).T
+    picks = np.stack([g, c + tr.targets - lo], axis=1)   # where a step's columns hold its targets
+    picked, segments = np.empty(picks.shape), np.array([0, c])
+    sizes = np.stack([np.full_like(g, c), hi - lo], axis=1)   # of the two segments, per step
+    end = 0
+    for t, (cols, (gc, gw)) in enumerate(zip(tr.columns, picks.tolist())):
         z = z0[t] + gram[t] @ dz
         if clamped:
             z -= lr * (residual @ x[t])
-        zc, zw = z[:c], z[c + lo:c + hi]
+        z = z[cols]
         if maxent:
             start, end = end, end + min(dims.maxent_order, t + 2)   # the orders step t has
-            cs, ws = cslots[start:end], wslots[start:end, lo:hi]
-            zc, zw = zc + params.me_class[cs].sum(axis=0), zw + params.me_word[ws].sum(axis=0)
-        q, p = softmax(zc), softmax(zw)
-        nll.append(-float(np.log(q[g])) - float(np.log(p[target - lo])))  # inf, not an error, at 0
+            sl = slots[start:end].take(cols, axis=1)
+            z += np.add.reduce(params.me[sl], axis=0)
+        z -= np.maximum.reduceat(z, segments).repeat(sizes[t])
+        np.exp(z, out=z)
+        zc, zw = z[:c], z[c:]
+        zc /= np.add.reduce(zc)   # slice sums: add.reduceat sums in another order
+        zw /= np.add.reduce(zw)
+        picked[t] = z[gc], z[gw]
+        z[gc] -= 1.0
+        z[gw] -= 1.0
         d = dz[t]
-        d[:c], d[c + lo:c + hi] = q, p
-        d[g] -= 1.0
-        d[c + target] -= 1.0
+        d[cols] = z
         if clamped:
             residual_err[t] = -lr * (d @ residual)
             piece = np.outer(d, x[t])
             residual += piece.clip(-limit, limit) - piece
         if maxent and lr:   # values of the index's shape: numpy 2.4.6 mis-broadcasts a 1-D one
-            step = -lr * (d.clip(-limit, limit) if clamped else d)
-            np.add.at(params.me_class, cs, step[cols[:len(cs), :c]])
-            np.add.at(params.me_word, ws, step[cols[:len(cs), c + lo:c + hi]])
+            step = -lr * (z.clip(-limit, limit) if clamped else z)
+            np.add.at(params.me, sl, step[None].repeat(len(sl), 0))
         if on_step is not None:
             on_step(t, params)
-    tr.word_nll = nll
-    return OutputPass(x, dz, residual, residual_err, me_steps, cslots, wslots)
+    logs = np.log(picked)   # inf, not an error, where a probability is 0
+    tr.word_nll = (-logs[:, 0] - logs[:, 1]).tolist()
+    return OutputPass(x, dz, residual, residual_err, me_steps, slots)
 
 
 def _times(W, x):
@@ -565,12 +634,9 @@ def stacked_drive(params, v):
 def input_columns(params, ids):
     """The input columns [W_ws[:, i]; W_wu[:, i]] (W_ws[:, i] without u) of
     one token id, as a row, or of an array of ids, as (len(ids), dim)
-    rows. The result is a new array, also for one id, which ``advance_rows``
-    can change in place."""
-    cols = params.W_ws.T.take(ids, axis=0)
-    if not params.dims.uses_u:
-        return cols
-    return np.concatenate([cols, params.W_wu.T.take(ids, axis=0)], axis=-1)
+    rows, gathered from ``W_in`` at once. The result is a new array, also for
+    one id, which ``advance_rows`` can change in place."""
+    return params.W_in.T.take(ids, axis=0)
 
 
 def advance_rows(params, pre, prev, drive, out):
@@ -860,7 +926,7 @@ def load_checkpoint(path):
             raise ValueError(f"payload has {len(payload)} bytes, but its last block "
                              f"{b['name']} ends at byte {end}")
         blocks = {b["name"]: np.frombuffer(payload[b["offset"]:b["offset"] + b["nbytes"]],
-                                           dtype="<f8").reshape(b["shape"]).copy()
+                                           dtype="<f8").reshape(b["shape"])
                   for b in meta["blocks"]}
         digest = meta.get("payload_sha256")
         if digest is not None and hashlib.sha256(payload).hexdigest() != digest:

@@ -145,7 +145,7 @@ def clip_gradients(grads, limit):
     """Per-element clamp to [-limit, limit], in place, byte-equal to ``np.clip``."""
     if limit is None or not math.isfinite(limit):
         return grads
-    for _, arr in grads.named_blocks():
+    for _, arr in grads.named_groups():
         np.minimum(np.maximum(arr, -limit, out=arr), limit, out=arr)
     return grads
 
@@ -164,8 +164,7 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     grads = params.zeros_like()
     grads.A[...] = out.dz.T @ out.x
     if dims.maxent_order > 0:
-        np.add.at(grads.me_class, out.cslots, out.dz[out.me_steps, :dims.class_count])
-        np.add.at(grads.me_word, out.wslots, out.dz[out.me_steps, dims.class_count:])
+        np.add.at(grads.me, out.slots, out.dz[out.me_steps])
     e_s, e_u = _output_errors(params, out, 0.0)
     _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, grads)
     clip_gradients(grads, grad_clip)
@@ -173,8 +172,9 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
 
 
 def apply_update(params, grads, lr, weight_decay=0.0):
-    """Plain SGD on the blocks that ``grads`` holds."""
-    for name, g in grads.named_blocks():
+    """Plain SGD on the blocks that ``grads`` holds, one storage group at a
+    time."""
+    for name, g in grads.named_groups():
         arr = getattr(params, name)
         if weight_decay:
             arr -= lr * (g + weight_decay * arr)
@@ -261,12 +261,11 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
         finite = math.isfinite(stats.train_loss) and math.isfinite(valid_ppl)
         if finite and valid_ppl < best_ppl:
             best_ppl = valid_ppl
-            best_params = params.copy()
+            best_params.assign(params)
             strikes = 0
         else:
             if not finite:
-                for name, arr in best_params.named_blocks():
-                    getattr(params, name)[...] = arr
+                params.assign(best_params)
                 if log_fn is not None:
                     log_fn(f"epoch {epoch} not finite (train_joint_loss {stats.train_loss} "
                            f"valid_ppl {valid_ppl}): restored the best parameters")

@@ -220,6 +220,18 @@ def test_invalid_input_leaves_output_unwritten(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--train-frac", 0.9, "--valid-frac", 0.3], "split_fractions"),
+    (["--train-frac", -0.1, "--valid-frac", 0.5], "split_fractions"),
+    (["--captions", 0], "captions_per_example"),
+])
+def test_synth_rejects_bad_settings_before_writing(tmp_path, capsys, flags, field):
+    out = tmp_path / "data.jsonl"
+    assert run("synth", "--attrs", 6, "--n", 20, "--out", out, *flags) == 2
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -359,6 +359,50 @@ def test_synthetic_rejects_tiny_attr_count():
         synthetic_records(1, 10, SeededRng(0))
 
 
+class _CountingRng(SeededRng):
+    """A SeededRng that counts its draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self, size=None):
+        self.draws += 1
+        return super().random(size)
+
+    def integers(self, low, high):
+        self.draws += 1
+        return super().integers(low, high)
+
+    def shuffle(self, seq):
+        self.draws += 1
+        super().shuffle(seq)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(captions_per_example=0), "captions_per_example"),
+    (dict(captions_per_example=-2), "captions_per_example"),
+    (dict(split_fractions=(0.9, 0.3, -0.2)), "split_fractions"),
+    (dict(split_fractions=(-0.1, 0.6, 0.5)), "split_fractions"),
+    (dict(split_fractions=(0.5, 0.2, 0.2)), "split_fractions"),      # sums to 0.9
+    (dict(split_fractions=(0.7, 0.3, 1e-8)), "split_fractions"),     # 1e-8 over
+    (dict(split_fractions=(0.7, 0.3)), "split_fractions"),
+    (dict(split_fractions=(float("nan"), 0.5, 0.5)), "split_fractions"),
+])
+def test_synthetic_rejects_bad_settings_before_any_draw(kwargs, field):
+    rng = _CountingRng(0)
+    with pytest.raises(ValueError, match=field):
+        synthetic_records(8, 20, rng, **kwargs)
+    assert rng.draws == 0
+
+
+def test_synthetic_accepts_fractions_within_rounding_of_one():
+    # 0.65 + 0.15 + 0.2 sums to 1 + 2.2e-16 in floating point
+    records = synthetic_records(8, 20, SeededRng(0), split_fractions=(0.65, 0.15, 0.2))
+    assert [r["split"] for r in records] == ["train"] * 13 + ["valid"] * 3 + ["test"] * 4
+    assert all(len(r["captions"]) == 2 for r in records)
+
+
 def test_caption_length_counts(tiny_dataset):
     counts = corpus.caption_length_counts(tiny_dataset, "train")
     pairs = tiny_dataset.caption_pairs("train")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -550,6 +551,113 @@ def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
                    for name, arr in params.named_blocks() if name in dense)
     assert all(np.array_equal(blocks[name], arr) for name, arr in params.named_blocks())
     assert _dense_outputs(params, vocab, SeededRng(5)) == base
+
+
+# sha256 of the checkpoint of ``_storage_params(variant)``, written by the
+# per-block storage that held each block in its own array
+_CHECKPOINT_SHA256 = {
+    "rnn": "8be43905b0c0a0568237d2dfb6cef39e2f44819ffefa21d57840d8bff692ad7b",
+    "rnn_if": "c180ede8fcf0fbc8663ae3e903c1b920fa60cce50d234cdb60f8536d8e6028d3",
+    "full": "0128243878ae702a47066ec64ded6411eced4e888a25bafc4d723b288cf8adb2",
+}
+
+
+def _storage_params(variant):
+    """``gradcheck_setup`` weights with max-entropy tables of exact,
+    nonzero values."""
+    from bicap.training import gradcheck_setup
+
+    params, vocab, _ = gradcheck_setup(variant, seed=23)
+    h = params.dims.maxent_hash_size
+    params.me_class[:] = np.arange(h) * 0.25
+    params.me_word[:] = np.arange(h) * -0.5
+    return params, vocab
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_storage_groups_contract(tmp_path, variant):
+    # every block is a view of one of the groups A, me and B; the input
+    # layer W_in = [W_ws; W_wu] is one view of B; group-wise updates equal
+    # the block-wise ones; the checkpoint format does not change
+    from bicap.training import apply_update, clip_gradients
+
+    params, vocab = _storage_params(variant)
+    dims = params.dims
+    groups = {group: blocks for group, _, blocks in model.storage_groups(dims)}
+    assert [name for name, _ in params.named_groups()] == list(groups) == ["A", "me", "B"]
+    assert sorted(n for members in groups.values() for n, _, _ in members) == \
+        sorted(n for n, _ in model.block_shapes(dims))
+    assert [n for n, _, _ in groups["B"]][:1 + dims.uses_u] == ["W_ws", "W_wu"][:1 + dims.uses_u]
+    in_rows = dims.s_dim + dims.uses_u * dims.u_dim
+    assert params.W_in.shape == (in_rows, dims.vocab_size)
+    assert np.shares_memory(params.W_in, params.B)
+    assert params.W_in.tobytes() == np.vstack(
+        [params.W_ws] + ([params.W_wu] if dims.uses_u else [])).tobytes()
+    ids = np.array([3, 0, 3, 11])
+    assert model.input_columns(params, ids).tobytes() == np.hstack(
+        [params.W_ws.T[ids]] + ([params.W_wu.T[ids]] if dims.uses_u else [])).tobytes()
+    for group, members in groups.items():
+        store = getattr(params, group)
+        for name, shape, index in members:
+            view = getattr(params, name)
+            assert view.shape == shape and np.shares_memory(view, store), name
+            assert view.tobytes() == store[index].tobytes(), name
+            before = store.copy()
+            view += 1.0   # a write through the view shows in its group alone
+            assert np.count_nonzero(store != before) == view.size, name
+            store[...] = before
+    assert params.me_class.base is params.me and params.me_word.base is params.me
+    assert params.me_class.size == params.me_word.size == dims.maxent_hash_size
+
+    # copy() is independent of its source, both ways
+    twin = params.copy()
+    for group, store in params.named_groups():
+        assert getattr(twin, group).tobytes() == store.tobytes()
+        assert not np.shares_memory(getattr(twin, group), store)
+    twin.B += 1.0
+    twin.me += 1.0
+    assert params.W_ws[0, 0] + 1.0 == twin.W_ws[0, 0]
+    twin.A[...] = params.A + 1.0
+    assert twin.W_sc[0, 0] == params.W_sc[0, 0] + 1.0
+
+    # batch-gradient containers hold B alone
+    batch = [n for n, _ in model.block_shapes(dims) if n not in model.ONLINE_BLOCKS]
+    grads = params.zeros_like(names=batch)
+    assert [name for name, _ in grads.named_groups()] == ["B"]
+    assert not hasattr(grads, "A") and not hasattr(grads, "me")
+    with pytest.raises(ValueError, match="part of group"):
+        params.zeros_like(names=["W_sc"])
+
+    # group-wise clip and update equal a per-block loop, byte for byte
+    rng = np.random.default_rng(3)
+    for names in (None, batch):
+        for decay in (0.0, 0.01):
+            g = params.zeros_like(names=names)
+            for _, store in g.named_groups():
+                store[:] = rng.normal(0.0, 10.0, store.shape)
+            want, got = params.copy(), params.copy()
+            for name, arr in g.named_blocks():
+                block = np.clip(arr, -15.0, 15.0)
+                target = getattr(want, name)
+                if decay:
+                    target -= 0.3 * (block + decay * target)
+                else:
+                    target -= 0.3 * block
+            want.apply_vs_mask()
+            apply_update(got, clip_gradients(g, 15.0), 0.3, weight_decay=decay)
+            for name, arr in want.named_blocks():
+                assert getattr(got, name).tobytes() == arr.tobytes(), (names, decay, name)
+
+    # the checkpoint format is unchanged, and it loads into the groups
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, 1.0)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == _CHECKPOINT_SHA256[variant]
+    assert raw.endswith(b"".join(arr.tobytes() for _, arr in params.named_blocks()))
+    loaded = load_checkpoint(path)[0]
+    for group, store in params.named_groups():
+        assert getattr(loaded, group).tobytes() == store.tobytes()
+        assert getattr(loaded, group).flags.writeable
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

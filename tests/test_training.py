@@ -634,6 +634,74 @@ def test_online_clamp_matches_reference_at_bundle_width(bundle_pairs, variant, o
         _assert_blocks_close(params, ref_params)
 
 
+def _reference_output_pass(params, tr, lr, limit):
+    """``model.output_pass`` word by word, per table: ``numkit.softmax`` on
+    the class and the member slice of the logits, ``np.log`` of each target
+    probability, and one ``np.add.at`` into each max-entropy table. Returns
+    (dz, word NLL list)."""
+    dims = params.dims
+    c, h, maxent = dims.class_count, dims.maxent_hash_size, dims.maxent_order > 0
+    x = np.hstack([tr.s[1:], np.ones((len(tr.targets), 1))] + ([tr.u[1:]] if dims.uses_u else []))
+    z0, gram = x @ params.A.T, -lr * (x @ x.T)
+    dz, residual = np.zeros_like(z0), np.zeros_like(params.A)
+    nll = []
+    for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
+        z = z0[t] + gram[t] @ dz
+        if limit < 1.0:
+            z -= lr * (residual @ x[t])
+        zc, zw = z[:c], z[c + lo:c + hi]
+        if maxent:
+            live = tr.bases[t][tr.bases[t][:, 0] >= 0]   # (orders, 2) class and word bases
+            cs = (live[:, :1] + np.arange(c)) % h
+            ws = (live[:, 1:] + np.arange(lo, hi)) % h
+            zc, zw = zc + params.me_class[cs].sum(axis=0), zw + params.me_word[ws].sum(axis=0)
+        q, p = softmax(zc), softmax(zw)
+        nll.append(-float(np.log(q[g])) - float(np.log(p[target - lo])))
+        d = dz[t]
+        d[:c], d[c + lo:c + hi] = q, p
+        d[g] -= 1.0
+        d[c + target] -= 1.0
+        if limit < 1.0:
+            piece = np.outer(d, x[t])
+            residual += piece.clip(-limit, limit) - piece
+        if maxent and lr:
+            step = -lr * (d.clip(-limit, limit) if limit < 1.0 else d)
+            np.add.at(params.me_class, cs, np.broadcast_to(step[:c], cs.shape))
+            np.add.at(params.me_word, ws, np.broadcast_to(step[c + lo:c + hi], ws.shape))
+    return dz, nll
+
+
+@pytest.mark.parametrize("lr", [0.0, 0.5])
+@pytest.mark.parametrize("limit", [0.5, 15.0])
+@pytest.mark.parametrize("hash_size", [5, 65536])
+@pytest.mark.parametrize("order", [0, 3])
+def test_output_pass_matches_per_word_reference_bytes(bundle_pairs, order, hash_size, limit, lr):
+    # the fused step (one gather, both softmax segments in place, one
+    # np.log, one table update) against the per-table reference, byte for
+    # byte, on the bundle vocabulary (26 words, 6 classes) with tables away
+    # from zero; at hash size 5, below the 6 classes, slots repeat in a row
+    dataset, pairs = bundle_pairs
+    vocab = dataset.vocab
+    dims = model.ModelDims(vocab_size=len(vocab), class_count=vocab.n_classes,
+                           v_dim=dataset.feature_dim, s_dim=32, u_dim=32, maxent_order=order,
+                           maxent_hash_size=hash_size, variant="full")
+    params = init_params(dims, SeededRng(8).derive("init"))
+    params.A[:] = np.random.default_rng(8).normal(0.0, 1.0, params.A.shape)
+    if order:
+        params.me[:] = np.random.default_rng(9).normal(0.0, 1.0, params.me.shape)
+    ref = params.copy()
+    for ex, sent in pairs[:20]:
+        tr = sentence_states(params, ex.features, sent, vocab)
+        out = model.output_pass(params, tr, lr, limit)
+        dz, nll = _reference_output_pass(ref, sentence_states(ref, ex.features, sent, vocab),
+                                         lr, limit)
+        assert out.dz.tobytes() == dz.tobytes()
+        assert np.array(tr.word_nll).tobytes() == np.array(nll).tobytes()
+        if order:
+            assert params.me_class.tobytes() == ref.me_class.tobytes()
+            assert params.me_word.tobytes() == ref.me_word.tobytes()
+
+
 @pytest.mark.parametrize("limit", [0.5, 15.0])
 @pytest.mark.parametrize("hash_size", [3, 257])
 def test_flat_maxent_update_matches_per_word_2d_add_at(hash_size, limit):
@@ -652,10 +720,10 @@ def test_flat_maxent_update_matches_per_word_2d_add_at(hash_size, limit):
         for t, (_, lo, hi) in enumerate(sentence_states(ref, v, sent, vocab).classes):
             step = -lr * (out.dz[t].clip(-limit, limit) if limit < 1 else out.dz[t])
             mine = out.me_steps == t
-            for table, slots, part in ((ref.me_class, out.cslots[mine], step[:c]),
-                                       (ref.me_word, out.wslots[mine][:, lo:hi],
-                                        step[c + lo:c + hi])):
-                np.add.at(table, slots, np.broadcast_to(part, slots.shape))
+            # me = [me_class | me_word]: the class slots, then the member slots
+            for slots, part in ((out.slots[mine][:, :c], step[:c]),
+                                (out.slots[mine][:, c + lo:c + hi], step[c + lo:c + hi])):
+                np.add.at(ref.me, slots, np.broadcast_to(part, slots.shape))
         for name in ("me_class", "me_word"):
             assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), name
 
