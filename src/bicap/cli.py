@@ -211,8 +211,7 @@ def cmd_eval(args):
             raise ValueError("human-consistency mode needs examples with >= 2 captions")
         reports.append(metrics.MetricReport(
             name="human-consistency", perplexity=float("nan"),
-            bleu_percent=100.0 * metrics.corpus_bleu(hc),
-            n_sentences=len(hc)))
+            bleu_percent=100.0 * metrics.corpus_bleu(hc)))
     else:
         ppl = metrics.perplexity(params, vocab, dataset, args.split)
         examples = dataset.split(args.split)
@@ -222,9 +221,7 @@ def cmd_eval(args):
                      for ex, res in zip(examples, results)]
         bleu_pct = 100.0 * metrics.corpus_bleu(gen_pairs)
         reports.append(metrics.MetricReport(
-            name=params.dims.variant, perplexity=ppl, bleu_percent=bleu_pct,
-            n_sentences=len(gen_pairs),
-            n_tokens=sum(len(c.ids) for _, c in pairs)))
+            name=params.dims.variant, perplexity=ppl, bleu_percent=bleu_pct))
     table = metrics.render_report(reports)
     _write_text(args.out, table)
     _write_text(args.out + ".tsv", metrics.report_tsv(reports))

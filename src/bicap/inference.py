@@ -187,7 +187,6 @@ class RetrievalResult:
     r_at: dict              # K -> percent of queries with rank <= K
     median_rank: float
     mean_rank: float
-    mode: str = ""
 
 
 def ranks_from_scores(scores, truth):
@@ -218,12 +217,12 @@ def ranks_from_scores(scores, truth):
     return ranked_ids, ranks
 
 
-def aggregate_ranks(ranked_ids, ranks, mode=""):
+def aggregate_ranks(ranked_ids, ranks):
     ranks_arr = np.asarray(ranks)
     r_at = {k: 100.0 * float((ranks_arr <= k).mean()) for k in (1, 5, 10)}
     return RetrievalResult(ranked_ids=ranked_ids, ranks=list(ranks),
                            r_at=r_at, median_rank=float(np.median(ranks_arr)),
-                           mean_rank=float(ranks_arr.mean()), mode=mode)
+                           mean_rank=float(ranks_arr.mean()))
 
 
 # Decimals kept of a z-scored T+I sum: z-scores are O(1), and the batched and
@@ -334,7 +333,7 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
     else:
         raise ValueError("mode must be 't', 'i' or 'ti'")
     ranked_ids, ranks = ranks_from_scores(scores, truth)
-    return aggregate_ranks(ranked_ids, ranks, mode=mode)
+    return aggregate_ranks(ranked_ids, ranks)
 
 
 def image_retrieval_task(dataset, split="test", concat=False):
@@ -398,9 +397,9 @@ def activation_trace(params, vocab, v, sent):
     """Record s_t and u_t after every token of a sentence, plus a per-unit
     temporal-stability statistic (mean absolute step-to-step change). Only
     the recurrence runs; no next-word distribution is built."""
-    tr = sentence_states(params, v, sent, vocab)
-    s_rows = tr.s[1:]
-    u_rows = None if tr.u is None else tr.u[1:]
+    tr, sd = sentence_states(params, v, sent, vocab), params.dims.s_dim
+    s_rows = tr.act[1:, :sd]
+    u_rows = tr.act[1:, sd:] if params.dims.uses_u else None
     return ActivationTrace(
         tokens=[vocab.tokens[i] for i in tr.inputs],
         s_rows=s_rows,

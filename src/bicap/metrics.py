@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -187,9 +187,6 @@ class MetricReport:
     name: str
     perplexity: float
     bleu_percent: float
-    n_sentences: int = 0
-    n_tokens: int = 0
-    notes: dict = field(default_factory=dict)
 
 
 _REPORT_COLUMNS = ("model", "PPL", "BLEU", "METEOR")

@@ -134,21 +134,14 @@ def block_shapes(dims):
     return shapes
 
 
-def output_blocks(dims, a):
-    """(name, view) of the dense online blocks in ``a`` = [[W_sc, b_c, W_uc],
-    [W_sw, b_w, W_uw]], which maps [s, 1, u] to the class, then word logits:
-    the layout of ``ModelParams.A``."""
-    _, _, blocks = storage_groups(dims)[0]   # A comes first
-    return [(name, a[index]) for name, _, index in blocks]
-
-
 @functools.lru_cache(maxsize=64)
 def storage_groups(dims):
     """(group, shape, blocks) of the arrays that ``ModelParams`` stores its
     blocks in, with (name, shape, index) per block: the block is the view
     ``group[index]`` of that shape.
 
-    ``A`` is the dense output layer of ``output_blocks``. ``me`` (the
+    ``A`` = [[W_sc, b_c, W_uc], [W_sw, b_w, W_uw]] is the dense output
+    layer, which maps [s, 1, u] to the class, then word logits. ``me`` (the
     max-entropy tables, absent at order 0) and ``B`` (every batch block)
     are flat, their blocks laid out one after another: ``me`` is
     [me_class | me_word], and ``B`` starts with W_ws and W_wu, so that their
@@ -247,9 +240,6 @@ class ModelParams:
         """Zero the text-half rows of W_vs (full variant only)."""
         if self.dims.variant == "full":
             self.W_vs[self.dims.vs_connected_rows:, :] = 0.0
-
-    def allclose(self, other, **kw):
-        return all(np.allclose(a, getattr(other, n), **kw) for n, a in self.named_blocks())
 
 
 def init_params(dims, rng):
@@ -474,19 +464,18 @@ def recon_losses(tr, v, recon_kind):
 @dataclass
 class SentenceTrace:
     """One sentence's recurrence, computed before any output step. Row t
-    of a per-step array belongs to step t; ``s``/``u`` row t + 1 is the
-    state that step t produces. The u-side arrays are None without u."""
+    of a per-step array belongs to step t; ``act`` row t + 1 is the stacked
+    [s | u] state that step t produces, its first s_dim columns s, the rest
+    u (none without u). The reconstruction arrays are None without u."""
 
     inputs: np.ndarray   # (T,) token fed at each step (BOS = <eos>)
     targets: np.ndarray  # (T,) token predicted at each step
     classes: list        # (class, lo, hi) of each target's class
     columns: list        # ``class_columns`` of each target's class
     bases: np.ndarray    # (T, order, 2): ``token_bases`` of the inputs
-    s: np.ndarray        # (T + 1, s_dim): s_0 .. s_T
-    pre_s: np.ndarray    # (T, s_dim) pre-activations
-    u: np.ndarray        # (T + 1, u_dim): u_0 .. u_T
-    pre_u: np.ndarray
-    pre_r: np.ndarray
+    act: np.ndarray      # (T + 1, s_dim [+ u_dim]): [s | u]_0 .. [s | u]_T
+    pre: np.ndarray      # (T, s_dim [+ u_dim]) pre-activations
+    pre_r: np.ndarray    # (T, v_dim)
     recon: np.ndarray    # (T, v_dim)
     word_nll: list       # set by ``output_pass``, in step order
 
@@ -510,11 +499,10 @@ def sentence_states(params, v, sent, vocab):
         advance_rows(params, pre[t], act[t], drive, act[t + 1])
     g = vocab.id_class[sent.ids].tolist()
     classes = list(zip(g, vocab.class_starts[g].tolist(), vocab.class_bounds[g].tolist()))
-    u_side = ((act[:, sd:].copy(), pre[:, sd:].copy(), *recon_rows(params, act[1:, sd:]))
-              if dims.uses_u else (None,) * 4)
     return SentenceTrace(inputs, np.array(sent.ids), classes, [vocab.class_columns[k] for k in g],
-                         token_bases(dims, inputs[None])[0], act[:, :sd].copy(),
-                         pre[:, :sd].copy(), *u_side, word_nll=[])
+                         token_bases(dims, inputs[None])[0], act, pre,
+                         *(recon_rows(params, act[1:, sd:]) if dims.uses_u else (None, None)),
+                         word_nll=[])
 
 
 def maxent_slots(dims, bases):
@@ -544,17 +532,17 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dz_k x_k^T and step t reads X A0^T - lr (X X^T)[t] @ dz, whose rows from
     t on are still zero. As s, u in [0, 1] and |dz| <= 1, the clamp acts only
     if ``limit < 1``; its residuals clip(piece) - piece are then carried
-    densely. Returns an ``OutputPass`` (``output_blocks`` layout), with the
-    step and ``me`` slots of each (step, order) max-entropy feature.
+    densely. Returns an ``OutputPass`` (in the layout of ``params.A``), with
+    the step and ``me`` slots of each (step, order) max-entropy feature.
 
     A step reads only the logits of its target's class columns
     (``tr.columns``), gathered once with their max-entropy terms: the class
     softmax and the member softmax then run in place on the two segments of
     that one array, and fill its columns of the ``dz`` row.
     """
-    dims = params.dims
+    dims, sd = params.dims, params.dims.s_dim
     c = dims.class_count
-    x = np.hstack([tr.s[1:], np.ones((len(tr.targets), 1))] + ([tr.u[1:]] if dims.uses_u else []))
+    x = np.hstack([tr.act[1:, :sd], np.ones((len(tr.targets), 1)), tr.act[1:, sd:]])
     z0, gram = x @ params.A.T, -lr * (x @ x.T)
     dz, residual, residual_err = np.zeros_like(z0), np.zeros_like(params.A), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
@@ -597,12 +585,6 @@ def output_pass(params, tr, lr, limit, on_step=None):
     return OutputPass(x, dz, residual, residual_err, me_steps, slots)
 
 
-def _times(W, x):
-    """``W`` applied to each row of ``x``: ``W @ x`` for one (dim,) state,
-    which rounds as the scalar ``step`` does, ``x @ W.T`` for (N, dim)."""
-    return W @ x if x.ndim == 1 else x @ W.T
-
-
 def advance_u(params, u, prev):
     """The u half of ``advance_rows`` for one (u_dim,) state: u after token
     ``prev``. For the paths that step u alone or share one u state among
@@ -624,7 +606,7 @@ def stacked_drive(params, v):
     the ``rnn`` variant, which ignores ``v``, and b_u is left out without
     u."""
     dims = params.dims
-    drive = _times(params.W_vs, v) + params.b_s if dims.uses_v else params.b_s
+    drive = v @ params.W_vs.T + params.b_s if dims.uses_v else params.b_s
     if not dims.uses_u:
         return drive
     return np.concatenate([drive, np.broadcast_to(params.b_u, drive.shape[:-1] + (dims.u_dim,))],
@@ -648,30 +630,33 @@ def advance_rows(params, pre, prev, drive, out):
     ``W_ss @ s`` and ``W_uu @ u`` of the previous state ``prev``, then the
     ``stacked_drive`` ``drive``. ``prev`` and ``drive`` are each one row,
     also when shared by every row of ``pre``, or (N, dim) rows. The sums
-    keep ``_advance``'s order, (columns + recurrent product) + drive, and a
-    single row takes ``W @ x`` as it does, so one row equals ``_advance``
-    byte for byte. ``out`` gets the clipped sigmoid of the pre-activations.
+    keep ``_advance``'s order, (columns + recurrent product) + drive, and
+    numpy sends one row's ``x @ W.T`` to the gemv of ``W @ x``, so one row
+    equals ``_advance`` byte for byte. ``out`` gets the clipped sigmoid of
+    the pre-activations.
     """
     dims, sd = params.dims, params.dims.s_dim
-    recurrent = _times(params.W_ss, prev[..., :sd])
+    recurrent = prev[..., :sd] @ params.W_ss.T
     if dims.uses_u:   # one contiguous add: adding into the column halves of N rows is slower
-        recurrent = np.concatenate([recurrent, _times(params.W_uu, prev[..., sd:])], axis=-1)
+        recurrent = np.concatenate([recurrent, prev[..., sd:] @ params.W_uu.T], axis=-1)
     pre += recurrent
     pre += drive
     return sigmoid_clipped(pre, dims.sigmoid_clip, out=out)
 
 
 def recon_rows(params, us):
-    """(pre_r, recon) of a sequence of u states as (T, v_dim) arrays. Each
-    state takes its own ``W_uv @ u``, which rounds as the scalar ``step``
-    does; the sigmoid is elementwise, so it runs once over all rows."""
-    pre_r = np.array([params.W_uv @ u for u in us]) + params.b_v
+    """(pre_r, recon) of a sequence of u states as (T, v_dim) arrays, from
+    one call. Each state is its own (1, u_dim) slice of a stacked matmul,
+    which numpy sends to the gemv of ``W_uv @ u``, so it rounds as the
+    scalar ``step`` does; one (T, u_dim) gemm would not. The sigmoid is
+    elementwise, so it runs once over all rows."""
+    pre_r = (np.asarray(us)[:, None] @ params.W_uv.T)[:, 0] + params.b_v
     return pre_r, sigmoid_clipped(pre_r, params.dims.sigmoid_clip)
 
 
 def context_logits(params, u, bases):
     """The logits that do not read s, of K entries, as a (classes + vocab,
-    K) block in ``output_blocks`` row order: the bias column of
+    K) block in the row order of ``params.A``: the bias column of
     ``params.A``, its u columns times the (K, u_dim) rows ``u``
     (None without u), and the max-entropy terms of the (K, order, 2)
     ``token_bases`` entries ``bases``, of which an order whose base is -1
@@ -809,7 +794,7 @@ def gallery_scores(params, feats, items, vocab_classes):
             inputs = [sent.ids[-1]] + list(sent.ids[:-1])
             ss = np.empty((len(inputs),) + drive.shape)
             for t, prev in enumerate(inputs):   # the s half of ``advance_rows``; u is shared
-                s = sigmoid_clipped(params.W_ws.T[prev] + _times(params.W_ss, s) + drive,
+                s = sigmoid_clipped(params.W_ws.T[prev] + s @ params.W_ss.T + drive,
                                     dims.sigmoid_clip, out=ss[t])
                 u = advance_u(params, u, prev) if dims.uses_u else None
                 us.append(u)

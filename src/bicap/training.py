@@ -73,72 +73,79 @@ def _joint_loss(tr, v, lam, recon_kind):
 
 
 def _output_errors(params, out, lr):
-    """The (T, dim) errors the output layer injects into s and u (None
-    without u). Step t's is A(t)^T dz_t for the dense blocks A(t) it read
-    (``model.output_pass``): dz_t A0 - lr sum_{k<t} (dz_t . dz_k) x_k, plus
-    the clamp's share. A0 is ``params.A``, so this runs before its update."""
+    """The (T, s_dim [+ u_dim]) errors the output layer injects into the
+    stacked [s | u] states. Step t's is A(t)^T dz_t for the dense blocks
+    A(t) it read (``model.output_pass``): dz_t A0 - lr sum_{k<t} (dz_t .
+    dz_k) x_k, plus the clamp's share, without the bias column. A0 is
+    ``params.A``, so this runs before its update."""
     e = out.dz @ params.A - lr * (np.tril(out.dz @ out.dz.T, -1) @ out.x) + out.residual_err
-    s = params.dims.s_dim
-    return e[:, :s], (e[:, s + 1:] if params.dims.uses_u else None)
+    sd = params.dims.s_dim
+    return np.concatenate([e[:, :sd], e[:, sd + 1:]], axis=1)
 
 
-def _hop_sums(delta, W, dsig, unroll):
-    """Truncated chain of one recurrent state for all source steps at once.
+def _hop_sums(delta, params, dsig, unroll):
+    """Truncated chain of the stacked [s | u] state for all source steps at
+    once.
 
     Row t of ``delta`` is step t's error, through the sigmoid derivative
     ``dsig[t]``; hop h moves the errors of steps t >= h to positions t - h
-    with one (T - h, dim) @ (dim, dim) product. Returns the deltas summed
-    per position, and the sum of the position-0 deltas of hops below
-    ``unroll``, which have one transition left, to the initial state.
+    with one (T - h, s_dim) @ W_ss product and, with u, one (T - h, u_dim)
+    @ W_uu product, joined as ``model.advance_rows`` joins them. Returns
+    the deltas summed per position, and the sum of the position-0 deltas of
+    hops below ``unroll``, which have one transition left, to the initial
+    state.
     """
+    sd = params.dims.s_dim
     acc = delta.copy()
     first = delta[0].copy()
     for h in range(1, min(unroll, len(acc) - 1) + 1):
-        delta = (delta[1:] @ W) * dsig[:len(delta) - 1]
+        hop = delta[1:, :sd] @ params.W_ss
+        if params.dims.uses_u:
+            hop = np.concatenate([hop, delta[1:, sd:] @ params.W_uu], axis=1)
+        delta = hop * dsig[:len(delta) - 1]
         acc[:len(delta)] += delta
         if h < unroll:
             first += delta[0]
     return acc, first
 
 
-def _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, g_batch):
+def _recurrent_chain(params, tr, v, e, lam, unroll, recon_kind, g_batch):
     """Reconstruction-head gradients plus the truncated backward chain of
     a sentence, accumulated into the batch-side container.
 
-    ``e_s``/``e_u`` are the (T, dim) errors each step's softmax injects
-    into s_t and u_t. ``unroll`` bounds how many recurrent transitions an error
-    traverses; unroll >= sentence length gives the untruncated gradient.
-    The chain reads only batch blocks, fixed within a sentence, so it runs
-    once at its end over (T, dim) arrays (Williams & Peng's BPTT(h; h')).
+    ``e`` holds the (T, s_dim [+ u_dim]) errors each step's softmax injects
+    into the stacked state [s | u]_t; the reconstruction error joins its u
+    half, in place. ``unroll`` bounds how many recurrent transitions an
+    error traverses; unroll >= sentence length gives the untruncated
+    gradient. The chain reads only batch blocks, fixed within a sentence,
+    so it runs once at its end over the (T, dim) trace arrays (Williams &
+    Peng's BPTT(h; h')), and one scatter adds its input-column sums into
+    ``W_in`` = [W_ws; W_wu].
     """
-    dims = params.dims
-    clip = dims.sigmoid_clip
-    s = tr.s
-    dsig_s = _dsig(s[1:], tr.pre_s, clip)
-    acc_s, _ = _hop_sums(e_s * dsig_s, params.W_ss, dsig_s, unroll)
-    g_batch.W_ss += acc_s.T @ s[:-1]
-    np.add.at(g_batch.W_ws.T, tr.inputs, acc_s)
-    col_s = acc_s.sum(axis=0)
-    g_batch.b_s += col_s
-    if dims.uses_v:
-        nrows = dims.vs_connected_rows
-        g_batch.W_vs[:nrows] += np.outer(col_s[:nrows], v)
+    dims, sd = params.dims, params.dims.s_dim
+    clip, act = dims.sigmoid_clip, tr.act
     if dims.uses_u:
-        u, recon = tr.u, tr.recon
-        mask_r = sigmoid_clip_mask(tr.pre_r, clip)
+        recon, mask_r = tr.recon, sigmoid_clip_mask(tr.pre_r, clip)
         if recon_kind == "ce":
             dr = lam * (recon - v) * mask_r
         else:
             dr = lam * 2.0 * (recon - v) * recon * (1.0 - recon) * mask_r
-        g_batch.W_uv += dr.T @ u[1:]
+        g_batch.W_uv += dr.T @ act[1:, sd:]
         g_batch.b_v += dr.sum(axis=0)
-        dsig_u = _dsig(u[1:], tr.pre_u, clip)
-        acc_u, first_u = _hop_sums((e_u + dr @ params.W_uv) * dsig_u,
-                                   params.W_uu, dsig_u, unroll)
-        g_batch.W_uu += acc_u.T @ u[:-1]
-        np.add.at(g_batch.W_wu.T, tr.inputs, acc_u)
-        g_batch.b_u += acc_u.sum(axis=0)
-        g_batch.u0 += (params.W_uu.T @ first_u) * _dsig(u[0], params.u0, clip)
+        e[:, sd:] += dr @ params.W_uv
+    dsig = _dsig(act[1:], tr.pre, clip)
+    acc, first = _hop_sums(e * dsig, params, dsig, unroll)
+    g_batch.W_ss += acc[:, :sd].T @ act[:-1, :sd]
+    np.add.at(g_batch.W_in.T, tr.inputs, acc)
+    col = acc.sum(axis=0)
+    g_batch.b_s += col[:sd]
+    if dims.uses_v:
+        nrows = dims.vs_connected_rows
+        g_batch.W_vs[:nrows] += np.outer(col[:nrows], v)
+    if dims.uses_u:
+        g_batch.W_uu += acc[:, sd:].T @ act[:-1, sd:]
+        g_batch.b_u += col[sd:]
+        g_batch.u0 += (params.W_uu.T @ first[sd:]) * _dsig(act[0, sd:], params.u0, clip)
 
 
 def clip_gradients(grads, limit):
@@ -165,8 +172,8 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     grads.A[...] = out.dz.T @ out.x
     if dims.maxent_order > 0:
         np.add.at(grads.me, out.slots, out.dz[out.me_steps])
-    e_s, e_u = _output_errors(params, out, 0.0)
-    _recurrent_chain(params, tr, v, e_s, e_u, lam, unroll, recon_kind, grads)
+    _recurrent_chain(params, tr, v, _output_errors(params, out, 0.0), lam, unroll, recon_kind,
+                     grads)
     clip_gradients(grads, grad_clip)
     return grads, _joint_loss(tr, v, lam, recon_kind)
 
@@ -198,9 +205,8 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     clip = config.grad_clip
     tr = sentence_states(params, v, sent, vocab)
     out = output_pass(params, tr, lr, clip, on_step)
-    e_s, e_u = _output_errors(params, out, lr)
-    _recurrent_chain(params, tr, v, e_s, e_u, config.lam_recon, config.bptt_unroll,
-                     config.recon_kind, batch_grads)
+    _recurrent_chain(params, tr, v, _output_errors(params, out, lr), config.lam_recon,
+                     config.bptt_unroll, config.recon_kind, batch_grads)
     params.A -= lr * (out.dz.T @ out.x + out.residual)
     clip_gradients(batch_grads, clip)
     apply_update(params, batch_grads, lr, weight_decay=config.weight_decay)

@@ -490,6 +490,14 @@ def _dense_outputs(params, vocab, rng):
     return [a.tobytes() for a in (model.score_states(params, vocab, s, u, targets, bases), qw, p)]
 
 
+def _output_blocks(dims, a):
+    """(name, view) of the dense online blocks in ``a`` = [[W_sc, b_c, W_uc],
+    [W_sw, b_w, W_uw]], which maps [s, 1, u] to the class, then word logits:
+    the layout of ``ModelParams.A``."""
+    _, _, blocks = model.storage_groups(dims)[0]   # A comes first
+    return [(name, a[index]) for name, _, index in blocks]
+
+
 @pytest.mark.parametrize("variant", ["rnn", "full"])
 def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
     # ModelParams stores the dense online blocks once, as A: a write through
@@ -499,7 +507,7 @@ def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
 
     params, vocab, example = gradcheck_setup(variant, seed=21)
     dims = params.dims
-    dense = {name for name, _ in model.output_blocks(dims, params.A)}
+    dense = {name for name, _ in _output_blocks(dims, params.A)}
     assert params.A.shape == (dims.class_count + dims.vocab_size,
                               dims.s_dim + 1 + (dims.u_dim if dims.uses_u else 0))
 
@@ -507,7 +515,7 @@ def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
         return model.ModelParams(p.dims, dict(p.named_blocks()))
 
     def check_written(p, before):
-        for name, view in model.output_blocks(dims, p.A):
+        for name, view in _output_blocks(dims, p.A):
             assert np.shares_memory(getattr(p, name), p.A), name
             assert getattr(p, name).tobytes() == view.tobytes(), name
         after = _dense_outputs(p, vocab, SeededRng(5))
@@ -519,7 +527,7 @@ def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
     p = params.copy()
     for name, view in p.named_blocks():
         if name in dense:
-            view += dict(model.output_blocks(dims, delta))[name]
+            view += dict(_output_blocks(dims, delta))[name]
     assert np.array_equal(p.A, params.A + delta)
     check_written(p, base)
 

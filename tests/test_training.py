@@ -72,6 +72,11 @@ def test_truncation_consistency_full_unroll():
         assert np.array_equal(arr, getattr(g_long, name)), name
 
 
+def _allclose(a, b, **kw):
+    """Every block of the containers ``a`` and ``b`` is ``np.allclose``."""
+    return all(np.allclose(arr, getattr(b, name), **kw) for name, arr in a.named_blocks())
+
+
 def test_truncation_changes_gradients():
     params, vocab, example = gradcheck_setup("full", seed=5)
     sent = example.captions[0]
@@ -79,7 +84,7 @@ def test_truncation_changes_gradients():
                                     unroll=len(sent.ids))
     g_trunc, _ = sentence_gradients(params, vocab, example.features, sent, 1.0,
                                     unroll=1)
-    assert not g_exact.allclose(g_trunc)
+    assert not _allclose(g_exact, g_trunc)
 
 
 def test_bptt_clips_elementwise():
@@ -570,19 +575,22 @@ def test_stacked_chain_matches_per_hop_reference(case):
 def test_states_match_reference_forward_under_online_updates(variant, width):
     # the recurrence reads no online block, so the states the reference
     # generator records while the online update runs between its yields
-    # are the ones sentence_states computes before any update
-    for order in (3, 0):
-        params, vocab, example = gradcheck_setup(variant, seed=11, s_dim=width, u_dim=width,
-                                                 maxent_order=order)
+    # are the ones sentence_states computes before any update; at v_dim
+    # 4096 over 36 steps, the one-call reconstruction head and the drive
+    # must still round as the scalar W_uv @ u and W_vs @ v do
+    for order, v_dim in ((3, 4), (0, 4), (3, 4096)):
+        params, vocab, example = gradcheck_setup(variant, seed=11, v_dim=v_dim, s_dim=width,
+                                                 u_dim=width, maxent_order=order)
         v = example.features
-        for sent in (example.captions[0], encode([], vocab)):  # the second is <eos> alone
+        long = encode([f"w{(7 * i) % 10}" for i in range(35)], vocab)
+        for sent in (example.captions[0], encode([], vocab), long):  # the second is <eos> alone
             states = sentence_states(params, v, sent, vocab)
             moving = params.copy()
             for t, ref in forward_steps(moving, v, sent, vocab):
                 dz_c, dz_w, lo, hi, _, _ = _output_errors(moving, ref, t)
                 for name, idx, piece in _reference_pieces(moving, ref, t, dz_c, dz_w, lo, hi):
                     np.add.at(getattr(moving, name), idx, -0.5 * piece)
-            assert not moving.allclose(params)
+            assert not _allclose(moving, params)
             assert states.inputs.tolist() == ref.inputs
             assert states.targets.tolist() == ref.targets
             expected = np.full((len(ref.bases), params.dims.maxent_order, 2), -1)
@@ -591,10 +599,14 @@ def test_states_match_reference_forward_under_online_updates(variant, width):
                     expected[t, k - 1] = cbase, wbase
             assert states.bases.tobytes() == expected.tobytes()
             assert states.classes == [(g, *r) for g, r in zip(ref.class_ids, ref.member_range)]
-            for name in ("s", "pre_s", "u", "pre_u", "pre_r", "recon"):
-                got, rows = getattr(states, name), getattr(ref, name)
-                if got is None:
-                    assert all(row is None for row in rows), name
+            sd = params.dims.s_dim   # the halves of the stacked trace, as C-order bytes
+            halves = {"s": states.act[:, :sd], "pre_s": states.pre[:, :sd],
+                      "u": states.act[:, sd:], "pre_u": states.pre[:, sd:],
+                      "pre_r": states.pre_r, "recon": states.recon}
+            for name, got in halves.items():
+                rows = getattr(ref, name)
+                if all(row is None for row in rows):
+                    assert got is None or got.size == 0, name
                 else:
                     assert got.tobytes() == np.array(rows).tobytes(), name
 
@@ -641,7 +653,9 @@ def _reference_output_pass(params, tr, lr, limit):
     (dz, word NLL list)."""
     dims = params.dims
     c, h, maxent = dims.class_count, dims.maxent_hash_size, dims.maxent_order > 0
-    x = np.hstack([tr.s[1:], np.ones((len(tr.targets), 1))] + ([tr.u[1:]] if dims.uses_u else []))
+    sd = dims.s_dim
+    x = np.hstack([tr.act[1:, :sd], np.ones((len(tr.targets), 1))]
+                  + ([tr.act[1:, sd:]] if dims.uses_u else []))
     z0, gram = x @ params.A.T, -lr * (x @ x.T)
     dz, residual = np.zeros_like(z0), np.zeros_like(params.A)
     nll = []
