@@ -9,11 +9,10 @@ inputs validate, and a resolved-config echo goes to the log of every run.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import corpus, inference, metrics, model, training
 from .numkit import SeededRng
@@ -58,28 +57,39 @@ def _echo_config(cfg, log_lines):
     log_lines.append(line)
 
 
-TRAIN_DEFAULTS = {
-    "variant": "full",
-    "s_dim": 100,
-    "u_dim": 100,
-    "class_count": None,
-    "maxent_order": 3,
-    "maxent_hash_size": 1 << 20,
-    "sigmoid_clip": 50.0,
-    "learning_rate": 0.1,
-    "max_epochs": 20,
-    "bptt_unroll": 5,
-    "grad_clip": 15.0,
-    "lambda_recon": 1.0,
-    "weight_decay": 0.0,
-    "recon_kind": "ce",
-}
 # The config key of each TrainConfig setting, and the train flags that are
 # not "--" plus the key with dashes.
 TRAIN_FIELDS = {"learning_rate": "learning_rate", "bptt_unroll": "bptt_unroll",
                 "grad_clip": "grad_clip", "lam_recon": "lambda_recon", "max_epochs": "max_epochs",
                 "weight_decay": "weight_decay", "recon_kind": "recon_kind"}
 TRAIN_FLAGS = {"learning_rate": "--lr", "max_epochs": "--epochs", "bptt_unroll": "--unroll"}
+# The ModelDims fields that train sets; the dataset fixes vocab_size and v_dim.
+MODEL_KEYS = ("variant", "s_dim", "u_dim", "class_count", "maxent_order", "maxent_hash_size",
+              "sigmoid_clip")
+
+
+def _field_defaults(cls):
+    """A dataclass's field defaults by name; None for a field without one
+    (``ModelDims.class_count``, which the vocabulary then decides)."""
+    return {f.name: None if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(cls)}
+
+
+def _train_defaults():
+    """Every train setting and its library default, in flag order: the
+    model keys, then the TrainConfig keys, those with a short flag first."""
+    dims, train = _field_defaults(model.ModelDims), _field_defaults(training.TrainConfig)
+    config = {key: train[field] for field, key in TRAIN_FIELDS.items()}
+    return {**{key: dims[key] for key in MODEL_KEYS},
+            **{key: config[key] for key in [*TRAIN_FLAGS, *config]}}
+
+
+TRAIN_DEFAULTS = _train_defaults()
+
+
+def train_flag(key):
+    """The train flag that sets a config key."""
+    return TRAIN_FLAGS.get(key, "--" + key.replace("_", "-"))
 
 
 def cmd_synth(args):
@@ -102,17 +112,13 @@ def cmd_train(args):
         try:
             training.TrainConfig(**{field: cfg[key]})
         except ValueError as exc:
-            flag = TRAIN_FLAGS.get(key, "--" + key.replace("_", "-"))
-            raise ValueError(f"config key {key!r} (flag {flag}): {exc}") from None
+            raise ValueError(f"config key {key!r} (flag {train_flag(key)}): {exc}") from None
 
     dataset = corpus.load_dataset(args.data, class_count=cfg["class_count"])
     vocab = dataset.vocab
-    dims = model.ModelDims(
-        vocab_size=len(vocab), class_count=vocab.n_classes,
-        v_dim=dataset.feature_dim, s_dim=cfg["s_dim"], u_dim=cfg["u_dim"],
-        maxent_order=cfg["maxent_order"],
-        maxent_hash_size=cfg["maxent_hash_size"],
-        sigmoid_clip=cfg["sigmoid_clip"], variant=cfg["variant"])
+    dims = model.ModelDims(**{key: cfg[key] for key in MODEL_KEYS if key != "class_count"},
+                           class_count=vocab.n_classes, vocab_size=len(vocab),
+                           v_dim=dataset.feature_dim)
     root = SeededRng(args.seed)
     params = model.init_params(dims, root.derive("init"))
     train_cfg = training.TrainConfig(seed=args.seed,
@@ -148,7 +154,7 @@ def _generate_for_examples(params, vocab, meta, dataset, examples, seed,
     # no candidate is empty, so empty training captions give no length
     hist = {n: k for n, k in corpus.caption_length_counts(dataset, "train").items() if n >= 1}
     cfg = inference.GenConfig(length_hist=hist, candidate_count=candidates,
-                              lam_recon=meta["lambda_recon"], seed=0)
+                              lam_recon=meta["lambda_recon"])
     root = SeededRng(seed)
     return [inference.generate(params, vocab, ex.features, cfg,
                                rng=root.derive(f"generate/{ex.id}"))
@@ -282,21 +288,11 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON config file; flags override")
-    p.add_argument("--variant", choices=model.VARIANTS, default=None)
-    p.add_argument("--s-dim", type=int, default=None)
-    p.add_argument("--u-dim", type=int, default=None)
-    p.add_argument("--class-count", type=int, default=None)
-    p.add_argument("--maxent-order", type=int, default=None)
-    p.add_argument("--maxent-hash-size", type=int, default=None)
-    p.add_argument("--sigmoid-clip", type=float, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--unroll", dest="bptt_unroll", type=int, default=None)
-    p.add_argument("--grad-clip", type=float, default=None)
-    p.add_argument("--lambda-recon", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--recon-kind", choices=("ce", "mse"), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    choices = {"variant": model.VARIANTS, "recon_kind": ("ce", "mse")}
+    for key, default in TRAIN_DEFAULTS.items():
+        p.add_argument(train_flag(key), dest=key, default=None, choices=choices.get(key),
+                       type=int if default is None else type(default))
+    p.add_argument("--seed", type=int, default=training.TrainConfig.seed)
     p.add_argument("--log", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -304,7 +300,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=corpus.SPLITS, default="test")
-    p.add_argument("--candidates", type=int, default=100)
+    p.add_argument("--candidates", type=int, default=inference.GenConfig.candidate_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -325,7 +321,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=corpus.SPLITS, default="test")
-    p.add_argument("--candidates", type=int, default=100)
+    p.add_argument("--candidates", type=int, default=inference.GenConfig.candidate_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--human-consistency", action="store_true")
     p.add_argument("--out", required=True)

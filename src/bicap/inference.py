@@ -160,19 +160,20 @@ def generate(params, vocab, v, cfg, rng=None):
                      length=length, candidate_scores=scores.tolist())
 
 
-def recon_trajectory(params, item):
+def recon_trajectory(params, vocab, item):
     """Per-step feature reconstructions driven by words alone.
 
     Only the visual-memory half of the network runs here: the trajectory
     never reads s or the observed features, which is what makes one model
-    usable in both directions.
+    usable in both directions. A sentence that ``check_sentence`` rejects
+    (empty, no final <eos>, an id outside the vocabulary) raises.
     """
     dims = params.dims
     if not dims.uses_u:
         raise ValueError(f"variant '{dims.variant}' has no reconstruction half")
     us = []
     for sent in sentences_of(item):
-        check_sentence(dims, sent.ids)
+        check_sentence(dims, sent.ids, vocab.eos_id)
         u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
         for prev in [sent.ids[-1]] + list(sent.ids[:-1]):
             u = advance_u(params, u, prev)

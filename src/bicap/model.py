@@ -58,6 +58,11 @@ class ModelDims:
     variant: str = "full"
 
     def __post_init__(self):
+        for name in ("vocab_size", "class_count", "v_dim", "s_dim", "u_dim", "maxent_order",
+                     "maxent_hash_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.vocab_size < 1 or not 1 <= self.class_count <= self.vocab_size:

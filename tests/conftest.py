@@ -45,11 +45,11 @@ def with_one_member_class(vocab):
     return corpus.ClassedVocabulary(vocab.tokens, vocab.counts, [1] + bounds[1:])
 
 
-def recon_score(params, item, v):
+def recon_score(params, vocab, item, v):
     """Scalar I score of one (item, features) pair: the negated average
     per-step cross-entropy between the word-driven reconstruction
     trajectory and ``v`` (higher is better)."""
-    traj = inference.recon_trajectory(params, item)
+    traj = inference.recon_trajectory(params, vocab, item)
     v = np.asarray(v, dtype=np.float64)
     return float(v @ np.log(traj).mean(axis=0) + (1.0 - v) @ np.log(1.0 - traj).mean(axis=0))
 

@@ -108,8 +108,8 @@ def test_criterion_03_decomposability():
             assert np.array_equal(out_a.recon, out_b.recon)
             assert not np.array_equal(state_a.s, state_b.s)
             prev = target
-        traj_a = inference.recon_trajectory(params, sent)
-        traj_b = inference.recon_trajectory(params, sent)
+        traj_a = inference.recon_trajectory(params, vocab, sent)
+        traj_b = inference.recon_trajectory(params, vocab, sent)
         assert np.array_equal(traj_a, traj_b)
 
 
@@ -330,7 +330,7 @@ def test_trained_reconstruction_beats_untrained(trained_bundle):
     trained = trained_bundle["models"]["full"]
     untrained = model.init_params(trained.dims, SeededRng(42).derive("init"))
     def mean_score(params):
-        vals = [recon_score(params, ex.captions[0], ex.features)
+        vals = [recon_score(params, ds.vocab, ex.captions[0], ex.features)
                 for ex in ds.split("test")]
         return float(np.mean(vals))
     assert mean_score(trained) > mean_score(untrained)

@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from bicap import cli, corpus
+from bicap import cli, corpus, model, training
 from bicap.cli import load_config, main
 
 
@@ -193,6 +197,51 @@ def test_empty_config_uses_documented_defaults(tmp_path):
     cfg_path.write_text("{}")
     resolved = load_config(cfg_path, {}, cli.TRAIN_DEFAULTS)
     assert resolved == cli.TRAIN_DEFAULTS
+
+
+def test_train_settings_table_is_the_library_defaults_and_the_flags():
+    dims = model.ModelDims(vocab_size=9, class_count=2, v_dim=1)
+    field_of = {key: field for field, key in cli.TRAIN_FIELDS.items()}
+    model_keys = {f.name for f in dataclasses.fields(model.ModelDims)} - {"vocab_size", "v_dim"}
+    assert set(cli.TRAIN_DEFAULTS) == model_keys | set(field_of)
+    for key, default in cli.TRAIN_DEFAULTS.items():
+        if key == "class_count":
+            want = None                 # the vocabulary decides it
+        elif key in field_of:
+            want = getattr(training.TrainConfig(), field_of[key])
+        else:
+            want = getattr(dims, key)
+        assert default == want and type(default) is type(want), key
+
+    parser = cli.build_parser()
+    required = ["train", "--data", "d.jsonl", "--out", "m.ckpt"]
+    unset = parser.parse_args(required)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices["train"]._actions
+    for key, default in cli.TRAIN_DEFAULTS.items():
+        flags = [a for a in actions if a.dest == key]
+        assert len(flags) == 1, key
+        assert getattr(unset, key) is None, key      # a config file may still set it
+        if flags[0].choices:
+            value = next(c for c in flags[0].choices if c != default)
+        else:
+            value = 4 if default is None else default + type(default)(1)
+        args = parser.parse_args(required + [flags[0].option_strings[0], str(value)])
+        assert getattr(args, key) == value and type(getattr(args, key)) is type(value), key
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("bicap ")]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]
+        commands.add(argv[0])
+    assert commands == {"synth", "train", "eval", "generate", "retrieve", "trace", "gradcheck"}
 
 
 def test_identical_seeds_give_byte_identical_outputs(tmp_path):

@@ -320,25 +320,25 @@ def test_recon_score_zero_weight_model():
     params = model.ModelParams.zeros(dims)
     sent = encode(["aa", "bb"], vocab)
     v = np.array([1.0, 0.0, 1.0])
-    assert recon_score(params, sent, v) == pytest.approx(-3 * math.log(2.0), rel=1e-12)
+    assert recon_score(params, vocab, sent, v) == pytest.approx(-3 * math.log(2.0), rel=1e-12)
 
 
 def test_recon_trajectory_ignores_features_and_matches_score():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(8))
     sent = encode(["cc", "aa", "bb"], vocab)
-    traj = recon_trajectory(params, sent)
+    traj = recon_trajectory(params, vocab, sent)
     assert traj.shape == (len(sent.ids), 3)
     for v in (np.array([1.0, 0.0, 0.0]), np.array([0.2, 0.9, 0.4])):
         ce = -(v * np.log(traj) + (1 - v) * np.log(1 - traj)).sum(axis=1).mean()
-        assert recon_score(params, sent, v) == pytest.approx(-ce, rel=1e-12)
+        assert recon_score(params, vocab, sent, v) == pytest.approx(-ce, rel=1e-12)
 
 
 def test_recon_requires_visual_memory_variant():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, variant="rnn_if", v_dim=3), SeededRng(8))
     with pytest.raises(ValueError):
-        recon_trajectory(params, encode(["aa"], vocab))
+        recon_trajectory(params, vocab, encode(["aa"], vocab))
 
 
 def test_ranks_from_scores_hand_case_and_ties():
@@ -478,7 +478,7 @@ def _scalar_ranking(params, vocab, queries, gallery, mode):
             e = np.exp(t - t.max())
             score = e / e.sum()
         else:
-            i = np.array([recon_score(params, item, v) for v, item in pairs])
+            i = np.array([recon_score(params, vocab, item, v) for v, item in pairs])
             score = np.round(_zscore(t) + _zscore(i), ZSCORE_DECIMALS)
         ranked.append(sorted(range(len(gallery)), key=lambda j: (-score[j], j)))
     return ranked
@@ -596,7 +596,7 @@ def test_gallery_reconstruction_is_the_word_driven_trajectory(variant):
     if variant != "full":
         assert recons == [None] * 3
         return
-    want = recon_trajectory(params, sent).tobytes()
+    want = recon_trajectory(params, vocab, sent).tobytes()
     assert all(r[0].tobytes() == want for r in recons)
 
 
@@ -619,7 +619,18 @@ def test_out_of_range_token_ids_are_rejected(bad):
     with pytest.raises(ValueError, match=message):
         sentence_loss(params, example.features, sent, 1.0, vocab)
     with pytest.raises(ValueError, match=message):
-        recon_trajectory(params, (example.captions[0], sent))
+        recon_trajectory(params, vocab, (example.captions[0], sent))
+
+
+def test_caption_without_eos_is_rejected_by_both_reconstructions():
+    # without the check the last word was fed as the begin-of-sentence token
+    params, vocab, example = gradcheck_setup("full", seed=1)
+    ids = example.captions[0].ids
+    sent = EncodedSentence(ids=ids[:-1], tokens=[vocab.tokens[i] for i in ids[:-1]])
+    with pytest.raises(ValueError, match="does not end with <eos>"):
+        recon_trajectory(params, vocab, sent)
+    with pytest.raises(ValueError, match="does not end with <eos>"):
+        gallery_scores(params, example.features[None], [sent], vocab)
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)

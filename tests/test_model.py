@@ -759,6 +759,20 @@ def test_checkpoint_metadata_mismatch_names_path(tmp_path, edit, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("field, value", [("s_dim", 10.0), ("maxent_order", 3.0),
+                                          ("maxent_order", True)],
+                         ids=["float_s_dim", "float_order", "bool_order"])
+def test_checkpoint_non_integer_dims_name_path_and_field(tmp_path, field, value):
+    # a float s_dim used to raise a bare TypeError from slicing, and a float
+    # or bool maxent_order used to load silently
+    bad = tmp_path / "edited.ckpt"
+    bad.write_bytes(_rewrite_meta(_saved_checkpoint(tmp_path),
+                                  lambda meta: meta["dims"].update({field: value})))
+    with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
+        load_checkpoint(bad)
+    assert f"{field} must be an integer, got {value!r}" in str(info.value)
+
+
 def _drop_checksum(meta):
     del meta["payload_sha256"]
 
