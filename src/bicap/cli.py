@@ -177,15 +177,14 @@ def cmd_generate(args):
     return 0
 
 
+RETRIEVAL_TASKS = {"sentence": inference.sentence_retrieval_task,
+                   "image": inference.image_retrieval_task}
+
+
 def cmd_retrieve(args):
     params, vocab, meta, dataset = _load_model_and_data(args.model, args.data)
-    concat = args.protocol == "concat"
-    if args.direction == "sentence":
-        queries, gallery, truth = inference.sentence_retrieval_task(
-            dataset, args.split, concat=concat)
-    else:
-        queries, gallery, truth = inference.image_retrieval_task(
-            dataset, args.split, concat=concat)
+    queries, gallery, truth = RETRIEVAL_TASKS[args.direction](
+        dataset, args.split, concat=args.protocol == "concat")
     result = inference.rank_retrieval(params, vocab, queries, gallery, truth,
                                       mode=args.mode, combine=args.combine)
     lines = [
@@ -273,6 +272,15 @@ def build_parser():
         prog="bicap",
         description="Bi-directional recurrent captioning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--model", required=True)
+    io.add_argument("--data", required=True)
+    io.add_argument("--out", required=True)
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--split", choices=corpus.SPLITS, default="test")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--candidates", type=int, default=inference.GenConfig.candidate_count)
+    sampling.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth", help="write a synthetic captioned dataset")
     p.add_argument("--attrs", type=int, required=True)
@@ -296,43 +304,26 @@ def build_parser():
     p.add_argument("--log", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="generate captions for a split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=corpus.SPLITS, default="test")
-    p.add_argument("--candidates", type=int, default=inference.GenConfig.candidate_count)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("generate", help="generate captions for a split",
+                       parents=[io, split, sampling])
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("retrieve", help="cross-modal retrieval metrics")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=corpus.SPLITS, default="test")
-    p.add_argument("--direction", choices=("sentence", "image"), required=True)
+    p = sub.add_parser("retrieve", help="cross-modal retrieval metrics", parents=[io, split])
+    p.add_argument("--direction", choices=tuple(RETRIEVAL_TASKS), required=True)
     p.add_argument("--mode", choices=("t", "i", "ti"), default="t")
     p.add_argument("--protocol", choices=("per-sentence", "concat"),
                    default="per-sentence")
     p.add_argument("--combine", choices=("zscore", "rank"), default="zscore")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("eval", help="perplexity and generation BLEU report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=corpus.SPLITS, default="test")
-    p.add_argument("--candidates", type=int, default=inference.GenConfig.candidate_count)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("eval", help="perplexity and generation BLEU report",
+                       parents=[io, split, sampling])
     p.add_argument("--human-consistency", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("trace", help="export hidden activations over a caption")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("trace", help="export hidden activations over a caption", parents=[io])
     p.add_argument("--example-id", required=True)
     p.add_argument("--caption-index", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")

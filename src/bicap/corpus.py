@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numkit import is_int
+
 EOS = "<eos>"
 UNK = "<unk>"
 
@@ -441,16 +443,15 @@ def synthetic_records(attr_count, example_count, rng, captions_per_example=2,
     remembering every attribute mentioned so far. ``split_fractions`` are
     the (train, valid, test) shares of the scenes, in that order.
 
-    Bad settings raise ValueError naming the field before any draw:
-    ``captions_per_example`` below 1, and split fractions that are not
-    three values >= 0 summing to 1 within 1e-9.
+    Bad settings raise ValueError naming the field before any draw: a
+    count that is not an integer or is too small (``attr_count`` below 2,
+    the others below 1), and split fractions that are not three values
+    >= 0 summing to 1 within 1e-9.
     """
-    if attr_count < 2:
-        raise ValueError("attr_count must be >= 2")
-    if example_count < 1:
-        raise ValueError("example_count must be >= 1")
-    if captions_per_example < 1:
-        raise ValueError(f"captions_per_example must be >= 1, got {captions_per_example!r}")
+    for name, value, least in [("attr_count", attr_count, 2), ("example_count", example_count, 1),
+                               ("captions_per_example", captions_per_example, 1)]:
+        if not (is_int(value) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     fractions = tuple(split_fractions)
     # NaN fails both comparisons, so it is rejected too
     if not (len(fractions) == 3 and all(f >= 0 for f in fractions)

@@ -18,7 +18,7 @@ from .model import (advance_rows, advance_u, check_sentence, feature_vector, gal
                     input_columns, recon_cross_entropy, recon_rows, sentence_loss,
                     sentence_states, sentences_of, stacked_drive, stacked_start, token_bases,
                     word_distribution_rows)
-from .numkit import SeededRng, multinomial_sample, sigmoid_clipped
+from .numkit import SeededRng, is_int, multinomial_sample, sigmoid_clipped
 
 
 @dataclass
@@ -29,15 +29,16 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.candidate_count < 1:
-            raise ValueError("candidate_count must be >= 1")
+        if not (is_int(self.candidate_count) and self.candidate_count >= 1):
+            raise ValueError("candidate_count must be an integer >= 1")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.length_hist:
             raise ValueError("length histogram is empty")
         if not 0 <= self.lam_recon < math.inf:   # NaN fails the comparison too
             raise ValueError(f"lam_recon must be >= 0 and finite, got {self.lam_recon!r}")
         weights = np.array([float(w) for w in self.length_hist.values()])
-        if not (all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-                    for n in self.length_hist)
+        if not (all(is_int(n) and n >= 1 for n in self.length_hist)
                 and np.all(weights >= 0) and 0 < weights.sum() < math.inf):
             raise ValueError("length_hist must map lengths >= 1 to finite weights >= 0 "
                              f"with a positive sum, got {self.length_hist!r}")
@@ -128,10 +129,10 @@ def sample_sentence(params, vocab, v, length, rng):
     return _encoded(vocab, ids[0])
 
 
-def score_candidate(params, vocab, v, sent, lam_recon, recon_kind="ce"):
+def score_candidate(params, vocab, v, sent, lam_recon):
     """Joint loss of a candidate: word NLL plus weighted reconstruction
     error, summed over steps (lower is better)."""
-    total, _ = sentence_loss(params, v, sent, lam_recon, vocab, recon_kind)
+    total, _ = sentence_loss(params, v, sent, lam_recon, vocab)
     return total.joint
 
 

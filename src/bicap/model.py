@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .numkit import sigmoid_clipped, softmax, _MASK64
+from .numkit import DEFAULT_SIGMOID_CLIP, is_int, sigmoid_clipped, softmax, _MASK64
 
 VARIANTS = ("rnn", "rnn_if", "full")
 
@@ -54,14 +54,14 @@ class ModelDims:
     u_dim: int = 100
     maxent_order: int = 3
     maxent_hash_size: int = 1 << 20
-    sigmoid_clip: float = 50.0
+    sigmoid_clip: float = DEFAULT_SIGMOID_CLIP
     variant: str = "full"
 
     def __post_init__(self):
         for name in ("vocab_size", "class_count", "v_dim", "s_dim", "u_dim", "maxent_order",
                      "maxent_hash_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
@@ -405,13 +405,12 @@ def word_distribution(params, s, u, context, vocab_classes):
     return out
 
 
-def check_sentence(dims, ids, eos_id=None, what="sentence"):
-    """Raise ValueError unless ``ids`` is nonempty, ends with ``eos_id``
-    (when given) and holds only ids in [0, vocab_size); the message names
-    the bad id."""
+def check_sentence(dims, ids, eos_id, what="sentence"):
+    """Raise ValueError unless ``ids`` is nonempty, ends with ``eos_id`` and
+    holds only ids in [0, vocab_size); the message names the bad id."""
     if not ids:
         raise ValueError(f"empty {what}")
-    if eos_id is not None and ids[-1] != eos_id:
+    if ids[-1] != eos_id:
         raise ValueError(f"{what} does not end with <eos>")
     bad = next((i for i in ids if not 0 <= i < dims.vocab_size), None)
     if bad is not None:

@@ -59,6 +59,11 @@ class SeededRng:
         self.generator.shuffle(seq)
 
 
+def is_int(value):
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import SeededRng, sigmoid_clip_mask
+from .numkit import SeededRng, is_int, sigmoid_clip_mask
 from .model import ONLINE_BLOCKS, block_shapes, output_pass, recon_losses, sentence_states
+
+LR_FLOOR_DIVISOR = 1024.0
 
 
 @dataclass
@@ -29,19 +31,18 @@ class TrainConfig:
     weight_decay: float = 0.0
     recon_kind: str = "ce"
     seed: int = 0
-    lr_floor_divisor: float = 1024.0
 
     def __post_init__(self):
         # NaN fails every comparison, so each check also rejects it
         checks = [
             ("learning_rate", 0 < self.learning_rate < math.inf, "positive and finite"),
-            ("bptt_unroll", self.bptt_unroll >= 1, ">= 1"),
+            ("bptt_unroll", is_int(self.bptt_unroll) and self.bptt_unroll >= 1, "an integer >= 1"),
             ("grad_clip", self.grad_clip > 0, "positive (inf turns the clamp off)"),
             ("lam_recon", 0 <= self.lam_recon < math.inf, ">= 0 and finite"),
-            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("max_epochs", is_int(self.max_epochs) and self.max_epochs >= 1, "an integer >= 1"),
             ("weight_decay", 0 <= self.weight_decay < math.inf, ">= 0 and finite"),
             ("recon_kind", self.recon_kind in ("ce", "mse"), "'ce' or 'mse'"),
-            ("lr_floor_divisor", self.lr_floor_divisor >= 1, ">= 1"),
+            ("seed", is_int(self.seed), "an integer"),
         ]
         for name, ok, need in checks:
             if not ok:
@@ -218,7 +219,7 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
 
     Shuffles (example, caption) pairs each epoch with a seeded stream;
     halves the learning rate whenever validation perplexity fails to beat
-    the best seen so far, floors it at initial/``lr_floor_divisor``, and
+    the best seen so far, floors it at initial/``LR_FLOOR_DIVISOR``, and
     stops after two consecutive failures at the floor (or ``max_epochs``).
     An epoch stops at its first non-finite sentence loss, unvalidated
     (``valid_ppl`` NaN). A non-finite train loss or validation perplexity
@@ -238,7 +239,7 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
 
     shuffle_rng = SeededRng(config.seed).derive("shuffle")
     lr = config.learning_rate
-    floor = config.learning_rate / config.lr_floor_divisor
+    floor = config.learning_rate / LR_FLOOR_DIVISOR
     history = TrainHistory()
     best_ppl = math.inf
     best_params = params.copy()
@@ -287,10 +288,10 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     return best_params, history
 
 
-def grad_check(params, vocab, example, caption_index=0, eps=1e-5,
-               lam_recon=1.0, recon_kind="ce"):
+def grad_check(params, vocab, example, eps=1e-5, recon_kind="ce"):
     """Max relative error of BPTT gradients against central finite
-    differences of the sentence loss, over every free scalar parameter.
+    differences of the joint loss (reconstruction weight 1) of the
+    example's first caption, over every free scalar parameter.
 
     Uses full unrolling and no gradient clamp so the comparison exercises
     raw derivatives; masked W_vs rows are fixed zeros, not free parameters,
@@ -298,14 +299,12 @@ def grad_check(params, vocab, example, caption_index=0, eps=1e-5,
     """
     from .model import sentence_loss
 
-    sent = example.captions[caption_index]
-    v = example.features
-    unroll = len(sent.ids)
-    grads, _ = sentence_gradients(params, vocab, v, sent, lam_recon, unroll,
-                                  grad_clip=None, recon_kind=recon_kind)
+    sent, v = example.captions[0], example.features
+    grads, _ = sentence_gradients(params, vocab, v, sent, 1.0, len(sent.ids),
+                                  recon_kind=recon_kind)
 
     def loss_at():
-        total, _ = sentence_loss(params, v, sent, lam_recon, vocab, recon_kind)
+        total, _ = sentence_loss(params, v, sent, 1.0, vocab, recon_kind)
         return total.joint
 
     worst = 0.0

@@ -230,6 +230,98 @@ def test_train_settings_table_is_the_library_defaults_and_the_flags():
         assert getattr(args, key) == value and type(getattr(args, key)) is type(value), key
 
 
+SPLITS = ("train", "valid", "test")
+# Each subcommand's flags: option -> (dest, default, required, choices, type, action).
+SUBCOMMAND_FLAGS = {
+    "synth": {
+        "--attrs": ("attrs", None, True, None, int, "_StoreAction"),
+        "--n": ("n", None, True, None, int, "_StoreAction"),
+        "--seed": ("seed", 0, False, None, int, "_StoreAction"),
+        "--out": ("out", None, True, None, None, "_StoreAction"),
+        "--captions": ("captions", 2, False, None, int, "_StoreAction"),
+        "--train-frac": ("train_frac", 0.7, False, None, float, "_StoreAction"),
+        "--valid-frac": ("valid_frac", 0.15, False, None, float, "_StoreAction"),
+    },
+    "train": {
+        "--data": ("data", None, True, None, None, "_StoreAction"),
+        "--out": ("out", None, True, None, None, "_StoreAction"),
+        "--config": ("config", None, False, None, None, "_StoreAction"),
+        "--variant": ("variant", None, False, ("rnn", "rnn_if", "full"), str, "_StoreAction"),
+        "--s-dim": ("s_dim", None, False, None, int, "_StoreAction"),
+        "--u-dim": ("u_dim", None, False, None, int, "_StoreAction"),
+        "--class-count": ("class_count", None, False, None, int, "_StoreAction"),
+        "--maxent-order": ("maxent_order", None, False, None, int, "_StoreAction"),
+        "--maxent-hash-size": ("maxent_hash_size", None, False, None, int, "_StoreAction"),
+        "--sigmoid-clip": ("sigmoid_clip", None, False, None, float, "_StoreAction"),
+        "--lr": ("learning_rate", None, False, None, float, "_StoreAction"),
+        "--epochs": ("max_epochs", None, False, None, int, "_StoreAction"),
+        "--unroll": ("bptt_unroll", None, False, None, int, "_StoreAction"),
+        "--grad-clip": ("grad_clip", None, False, None, float, "_StoreAction"),
+        "--lambda-recon": ("lambda_recon", None, False, None, float, "_StoreAction"),
+        "--weight-decay": ("weight_decay", None, False, None, float, "_StoreAction"),
+        "--recon-kind": ("recon_kind", None, False, ("ce", "mse"), str, "_StoreAction"),
+        "--seed": ("seed", 0, False, None, int, "_StoreAction"),
+        "--log": ("log", None, False, None, None, "_StoreAction"),
+    },
+    "generate": {
+        "--model": ("model", None, True, None, None, "_StoreAction"),
+        "--data": ("data", None, True, None, None, "_StoreAction"),
+        "--split": ("split", "test", False, SPLITS, None, "_StoreAction"),
+        "--candidates": ("candidates", 100, False, None, int, "_StoreAction"),
+        "--seed": ("seed", 0, False, None, int, "_StoreAction"),
+        "--out": ("out", None, True, None, None, "_StoreAction"),
+    },
+    "retrieve": {
+        "--model": ("model", None, True, None, None, "_StoreAction"),
+        "--data": ("data", None, True, None, None, "_StoreAction"),
+        "--split": ("split", "test", False, SPLITS, None, "_StoreAction"),
+        "--direction": ("direction", None, True, ("sentence", "image"), None, "_StoreAction"),
+        "--mode": ("mode", "t", False, ("t", "i", "ti"), None, "_StoreAction"),
+        "--protocol": ("protocol", "per-sentence", False, ("per-sentence", "concat"), None,
+                       "_StoreAction"),
+        "--combine": ("combine", "zscore", False, ("zscore", "rank"), None, "_StoreAction"),
+        "--out": ("out", None, True, None, None, "_StoreAction"),
+    },
+    "eval": {
+        "--model": ("model", None, True, None, None, "_StoreAction"),
+        "--data": ("data", None, True, None, None, "_StoreAction"),
+        "--split": ("split", "test", False, SPLITS, None, "_StoreAction"),
+        "--candidates": ("candidates", 100, False, None, int, "_StoreAction"),
+        "--seed": ("seed", 0, False, None, int, "_StoreAction"),
+        "--human-consistency": ("human_consistency", False, False, None, None,
+                                "_StoreTrueAction"),
+        "--out": ("out", None, True, None, None, "_StoreAction"),
+    },
+    "trace": {
+        "--model": ("model", None, True, None, None, "_StoreAction"),
+        "--data": ("data", None, True, None, None, "_StoreAction"),
+        "--example-id": ("example_id", None, True, None, None, "_StoreAction"),
+        "--caption-index": ("caption_index", 0, False, None, int, "_StoreAction"),
+        "--out": ("out", None, True, None, None, "_StoreAction"),
+    },
+    "gradcheck": {
+        "--seed": ("seed", 1, False, None, int, "_StoreAction"),
+        "--eps": ("eps", 1e-5, False, None, float, "_StoreAction"),
+        "--threshold": ("threshold", 1e-4, False, None, float, "_StoreAction"),
+    },
+}
+
+
+def test_every_subcommand_keeps_each_flag():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_FLAGS)
+    for command, parser in sub.choices.items():
+        flags = {}
+        for a in parser._actions:
+            if not isinstance(a, argparse._HelpAction):
+                assert len(a.option_strings) == 1, (command, a.option_strings)
+                choices = None if a.choices is None else tuple(a.choices)
+                flags[a.option_strings[0]] = (a.dest, a.default, a.required, choices, a.type,
+                                              type(a).__name__)
+        assert flags == SUBCOMMAND_FLAGS[command], command
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]

@@ -388,11 +388,16 @@ class _CountingRng(SeededRng):
     (dict(split_fractions=(0.7, 0.3, 1e-8)), "split_fractions"),     # 1e-8 over
     (dict(split_fractions=(0.7, 0.3)), "split_fractions"),
     (dict(split_fractions=(float("nan"), 0.5, 0.5)), "split_fractions"),
+    (dict(attr_count=2.5), "attr_count"),
+    (dict(attr_count=8.0), "attr_count"),
+    (dict(example_count=20.0), "example_count"),
+    (dict(example_count=True), "example_count"),
+    (dict(captions_per_example=2.0), "captions_per_example"),
 ])
 def test_synthetic_rejects_bad_settings_before_any_draw(kwargs, field):
     rng = _CountingRng(0)
     with pytest.raises(ValueError, match=field):
-        synthetic_records(8, 20, rng, **kwargs)
+        synthetic_records(**{"attr_count": 8, "example_count": 20, "rng": rng, **kwargs})
     assert rng.draws == 0
 
 

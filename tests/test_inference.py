@@ -156,6 +156,13 @@ def test_gen_config_rejects_bad_length_hist(hist):
         GenConfig(length_hist=hist)
 
 
+@pytest.mark.parametrize("field, value", [("candidate_count", 2.5), ("candidate_count", True),
+                                          ("seed", 1.5), ("seed", True)])
+def test_gen_config_rejects_non_integer_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        GenConfig(length_hist={3: 1}, **{field: value})
+
+
 def test_gen_config_accepts_zero_weights_with_positive_sum():
     cfg = GenConfig(length_hist={np.int64(3): 0, 5: 2.5}, lam_recon=0.0)
     assert all(sample_length(cfg.length_hist, SeededRng(k)) == 5 for k in range(5))

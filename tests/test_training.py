@@ -222,10 +222,10 @@ def test_lr_halves_on_injected_non_decreasing_validation():
     assert lrs == [0.8, 0.8, 0.4, 0.2, 0.1, 0.05]
 
 
-def test_lr_floor_and_two_strike_stop():
+def test_lr_floor_and_two_strike_stop(monkeypatch):
+    monkeypatch.setattr(training, "LR_FLOOR_DIVISOR", 4.0)
     dataset, params = _small_training_setup(n=12)
-    cfg = TrainConfig(learning_rate=0.8, max_epochs=50, seed=1,
-                      lr_floor_divisor=4.0)
+    cfg = TrainConfig(learning_rate=0.8, max_epochs=50, seed=1)
     fake = lambda epoch, p: 100.0
     _, history = train(params, dataset, cfg, valid_metric=fake)
     lrs = [e.lr for e in history.epochs]
@@ -325,7 +325,8 @@ def test_train_deterministic_given_seed():
     ("bptt_unroll", 0), ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", float("nan")),
     ("lam_recon", -0.5), ("lam_recon", float("nan")), ("lam_recon", float("inf")),
     ("max_epochs", 0), ("weight_decay", -0.1), ("weight_decay", float("nan")),
-    ("recon_kind", "l1"), ("lr_floor_divisor", 0.5), ("lr_floor_divisor", float("nan")),
+    ("recon_kind", "l1"), ("max_epochs", 1.5), ("max_epochs", True), ("bptt_unroll", 2.5),
+    ("bptt_unroll", True), ("seed", 1.5), ("seed", True),
 ])
 def test_bad_train_config_names_field(field, value):
     with pytest.raises(ValueError, match=field):
