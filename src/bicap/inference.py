@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EncodedSentence
-from .model import (advance_rows, advance_u, check_sentence, feature_vector, gallery_scores,
+from .model import (advance_rows, check_sentence, feature_vector, gallery_scores,
                     input_columns, recon_cross_entropy, recon_rows, sentence_loss,
                     sentence_states, sentences_of, stacked_drive, stacked_start, token_bases,
                     word_distribution_rows)
@@ -176,8 +176,9 @@ def recon_trajectory(params, vocab, item):
     for sent in sentences_of(item):
         check_sentence(dims, sent.ids, vocab.eos_id)
         u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
-        for prev in [sent.ids[-1]] + list(sent.ids[:-1]):
-            u = advance_u(params, u, prev)
+        for prev in [sent.ids[-1]] + list(sent.ids[:-1]):   # the u half of ``advance_rows``
+            u = sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
+                                dims.sigmoid_clip)
             us.append(u)
     return recon_rows(params, us)[1]
 
@@ -193,11 +194,15 @@ class RetrievalResult:
 
 def ranks_from_scores(scores, truth):
     """Per-query rankings from a (queries x gallery) score matrix; higher
-    scores rank first, ties keep the earlier gallery index. A query with no
-    ground-truth set, an empty one or one holding an index outside the
-    gallery raises ValueError naming the query; more sets than queries
-    raise ValueError naming both counts."""
+    scores rank first, ties keep the earlier gallery index, and -inf ranks
+    last. A score row holding NaN, a query with no ground-truth set, an
+    empty one or one holding an index outside the gallery raises
+    ValueError naming the query; more sets than queries raise ValueError
+    naming both counts."""
     scores = np.asarray(scores, dtype=np.float64)
+    nan_rows = np.flatnonzero(np.isnan(scores).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"query {nan_rows[0]} has a NaN score")
     if len(truth) < len(scores):
         raise ValueError(f"query {len(truth)} has no ground-truth set: {len(truth)} sets "
                          f"for {len(scores)} queries")
@@ -233,15 +238,17 @@ ZSCORE_DECIMALS = 9
 
 
 def _zscore_rows(m):
+    """Row-wise z-scores; a constant row scores 0, a row holding NaN stays NaN."""
     mean = m.mean(axis=1, keepdims=True)
     std = m.std(axis=1, keepdims=True)
-    return np.where(std > 0, (m - mean) / np.where(std > 0, std, 1.0), 0.0)
+    return np.where(std != 0, (m - mean) / np.where(std != 0, std, 1.0), 0.0)
 
 
 def _rank_rows(m):
-    """Row-wise fractional ranks (higher score -> higher rank value)."""
+    """Row-wise fractional ranks (higher score -> higher rank value); NaN
+    scores stay NaN."""
     order = np.argsort(np.argsort(m, axis=1, kind="stable"), axis=1, kind="stable")
-    return order.astype(np.float64)
+    return np.where(np.isnan(m), np.nan, order)
 
 
 def _is_sentence_item(x):

@@ -589,14 +589,6 @@ def output_pass(params, tr, lr, limit, on_step=None):
     return OutputPass(x, dz, residual, residual_err, me_steps, slots)
 
 
-def advance_u(params, u, prev):
-    """The u half of ``advance_rows`` for one (u_dim,) state: u after token
-    ``prev``. For the paths that step u alone or share one u state among
-    many s rows."""
-    return sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
-                           params.dims.sigmoid_clip)
-
-
 def stacked_start(params):
     """The sentence-boundary state of ``reset_state`` as one [s | u] row
     (s alone without u)."""
@@ -756,6 +748,20 @@ def sentences_of(item):
     return item if isinstance(item, (list, tuple)) else [item]
 
 
+def unique_rows(feats):
+    """(rows, inverse) of an (N, dim) matrix, as ``np.unique(feats, axis=0,
+    return_inverse=True)`` gives them: the distinct rows in lexicographic
+    order, and the (N,) index of each row among them. One ``np.lexsort``
+    and a compare of neighbours, not a sort of the rows as records."""
+    order = np.lexsort(feats.T[::-1])
+    srt = feats[order]
+    new = np.ones(len(feats), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    inverse = np.empty(len(feats), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return srt[new], inverse
+
+
 def gallery_scores(params, feats, items, vocab_classes):
     """Word NLL of each item under each row of an (N, v_dim) feature
     matrix, as an (items, N) matrix, and each item's (T, v_dim) word-driven
@@ -765,14 +771,16 @@ def gallery_scores(params, feats, items, vocab_classes):
 
     Only s sees the features, through ``W_vs @ v + b_s``, computed once per
     call for each distinct row. A sentence's loop steps the recurrence
-    alone, storing the s rows and the shared u state of each step, and
-    ``score_states`` scores them afterwards. Row i of the NLL equals the
-    summed ``sentence_loss(params, feats[i], sent, 0.0,
-    vocab_classes)[0].word_nll`` up to rounding. BLAS may round identical
-    rows of a product differently by where they sit, so repeated rows (all
-    rows, for ``rnn``, which ignores the features) are scored once: exact
-    ties stay exact, as in the scalar path. A row holding NaN or inf raises
-    ValueError naming its index.
+    alone: each step sums the pre-activations of every s row and of the
+    shared u state, in ``advance_rows``' order, into one buffer, clamps it
+    with one ``sigmoid_clipped`` call and stores the states, which
+    ``score_states`` scores afterwards. Row i of the NLL equals the summed
+    ``sentence_loss(params, feats[i], sent, 0.0, vocab_classes)[0].word_nll``
+    up to rounding. BLAS may round identical rows of a product differently
+    by where they sit, so repeated rows (all rows, for ``rnn``, which
+    ignores the features) are scored once: exact ties stay exact, as in the
+    scalar path. A row holding NaN or inf raises ValueError naming its
+    index.
     """
     dims = params.dims
     feats = np.asarray(feats, dtype=np.float64)
@@ -783,12 +791,15 @@ def gallery_scores(params, feats, items, vocab_classes):
     if bad.size:
         raise ValueError(f"feature row {bad[0]} holds NaN or inf")
     if dims.uses_v:
-        rows, inverse = np.unique(feats, axis=0, return_inverse=True)
+        rows, inverse = unique_rows(feats)
         drive = rows @ params.W_vs.T + params.b_s
     else:
         inverse = np.zeros(len(feats), dtype=np.int64)
         drive = params.b_s[None, :]
-    start = reset_state(params)
+    start, n = reset_state(params), drive.size
+    # one step's pre-activations: the s rows, then the shared u state (none without u)
+    pre = np.empty(n + (dims.u_dim if dims.uses_u else 0))
+    s_pre, u_pre = pre[:n].reshape(drive.shape), pre[n:]
     nll, recons = np.zeros((len(items), len(drive))), []
     for k, item in enumerate(items):
         us = []
@@ -796,19 +807,24 @@ def gallery_scores(params, feats, items, vocab_classes):
             check_sentence(dims, sent.ids, vocab_classes.eos_id)
             s, u = np.broadcast_to(start.s, drive.shape), start.u
             inputs = [sent.ids[-1]] + list(sent.ids[:-1])
-            ss = np.empty((len(inputs),) + drive.shape)
-            for t, prev in enumerate(inputs):   # the s half of ``advance_rows``; u is shared
-                s = sigmoid_clipped(params.W_ws.T[prev] + s @ params.W_ss.T + drive,
-                                    dims.sigmoid_clip, out=ss[t])
-                u = advance_u(params, u, prev) if dims.uses_u else None
-                us.append(u)
+            ss, uu = np.empty((len(inputs),) + drive.shape), np.empty((len(inputs), len(u_pre)))
+            for t, prev in enumerate(inputs):
+                np.add(params.W_ws.T[prev], s @ params.W_ss.T, out=s_pre)
+                s_pre += drive
+                if dims.uses_u:
+                    np.add(params.W_wu.T[prev], params.W_uu @ u, out=u_pre)
+                    u_pre += params.b_u
+                sigmoid_clipped(pre, dims.sigmoid_clip, out=pre)
+                ss[t], uu[t] = s_pre, u_pre
+                s, u = ss[t], uu[t]
+            us.append(uu)
             step = np.repeat(np.arange(len(ss)), len(drive))
             nll[k] += score_states(params, vocab_classes, ss.reshape(len(step), -1),
-                                   np.array(us[-len(ss):]) if dims.uses_u else None, sent.ids,
+                                   uu if dims.uses_u else None, sent.ids,
                                    token_bases(dims, np.array([inputs]))[0],
                                    step).reshape(len(ss), -1).sum(axis=0)
-        recons.append(recon_rows(params, us)[1] if dims.uses_u else None)
-    return nll[:, inverse.reshape(-1)], recons if dims.uses_u else None
+        recons.append(recon_rows(params, np.concatenate(us))[1] if dims.uses_u else None)
+    return nll[:, inverse], recons if dims.uses_u else None
 
 
 def sentence_forward(params, v, sent, vocab):
@@ -883,8 +899,8 @@ def load_checkpoint(path):
     the recorded one raise ValueError naming the path. So do block offsets
     that are not contiguous in block order, an ``nbytes`` other than its
     shape's, or a payload that does not end at the last block; these name
-    the block. Files written before the checksum existed have no
-    ``payload_sha256`` and load unchecked.
+    the block, as does a block holding NaN or inf. Files written before the
+    checksum existed have no ``payload_sha256`` and load unchecked.
     """
     from .corpus import ClassedVocabulary
 
@@ -920,6 +936,9 @@ def load_checkpoint(path):
         digest = meta.get("payload_sha256")
         if digest is not None and hashlib.sha256(payload).hexdigest() != digest:
             raise ValueError("payload sha256 does not match the recorded one")
+        bad = next((name for name, arr in blocks.items() if not np.isfinite(arr).all()), None)
+        if bad is not None:
+            raise ValueError(f"block {bad} holds NaN or inf")
         vocab = ClassedVocabulary.from_dict(meta["vocab"])
         if vocab.content_hash() != meta["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch")

@@ -361,6 +361,22 @@ def test_invalid_input_leaves_output_unwritten(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_checkpoint_with_non_finite_weights(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    assert run(*_train_args(data, ckpt, epochs=1)) == 0
+    params, vocab, meta = model.load_checkpoint(ckpt)
+    params.W_ss[0, 0] = float("nan")
+    model.save_checkpoint(ckpt, params, vocab, meta["lambda_recon"], meta["seed_lineage"])
+    capsys.readouterr()
+    report = tmp_path / "report.txt"
+    assert run("eval", "--model", ckpt, "--data", data, "--candidates", 2,
+               "--out", report) == 2
+    assert f"{ckpt}: bad checkpoint (ValueError: block W_ss holds NaN or inf)" in \
+        capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--train-frac", 0.9, "--valid-frac", 0.3], "split_fractions"),
     (["--train-frac", -0.1, "--valid-frac", 0.5], "split_fractions"),

@@ -14,7 +14,7 @@ from bicap.inference import (ZSCORE_DECIMALS, GenConfig, activation_trace,
                              sentence_retrieval_task)
 from bicap.model import (gallery_scores, init_params, maxent_bases, reset_state,
                          sentence_loss)
-from bicap.numkit import SeededRng, multinomial_sample
+from bicap.numkit import SeededRng, multinomial_sample, sigmoid_clipped
 from bicap.training import gradcheck_setup
 
 from conftest import (VARIANT_WIDTHS, class_of, recon_score, small_dims,
@@ -384,6 +384,39 @@ def test_ranks_reject_bad_ground_truth(truth, message):
         ranks_from_scores(np.eye(2), truth)
 
 
+def test_nan_scores_name_their_query_and_minus_inf_ranks_last():
+    scores = np.array([[0.3, -np.inf, 0.1], [0.2, np.nan, 0.5], [np.nan] * 3])
+    with pytest.raises(ValueError, match="query 1 has a NaN score"):
+        ranks_from_scores(scores, [{0}, {1}, {2}])
+    assert ranks_from_scores(scores[:1], [{1}]) == ([[0, 2, 1]], [3])
+    assert ranks_from_scores([[-np.inf, -np.inf]], [{1}]) == ([[0, 1]], [2])
+
+
+@pytest.mark.parametrize("direction", ["image", "sentence"])
+def test_nan_weights_fail_retrieval_in_every_mode(direction):
+    # NaN in W_ss reaches T only, NaN in W_uv reaches I only; every mode that
+    # reads a NaN matrix raises, and I, which never reads W_ss, still ranks
+    clean, vocab, example = gradcheck_setup("full", seed=1)
+    rng = np.random.default_rng(1)
+    feats = [example.features] + [rng.uniform(0.0, 1.0, 4) for _ in range(2)]
+    sents = [example.captions[0], encode(["w2"], vocab), encode(["w5", "w1"], vocab)]
+    if direction == "image":
+        queries, gallery, truth = sents[:1], feats, [{0}]
+    else:
+        queries, gallery, truth = feats, sents, [{0}, {1}, {2}]
+    for block, modes in (("W_ss", ("t", "ti")), ("W_uv", ("i", "ti"))):
+        params = clean.copy()
+        getattr(params, block)[...] = np.nan
+        for mode in modes:
+            for combine in ("zscore", "rank"):
+                with pytest.raises(ValueError, match="query 0 has a NaN score"):
+                    rank_retrieval(params, vocab, queries, gallery, truth, mode=mode,
+                                   combine=combine)
+        if block == "W_ss":
+            assert (rank_retrieval(params, vocab, queries, gallery, truth, mode="i")
+                    == rank_retrieval(clean, vocab, queries, gallery, truth, mode="i"))
+
+
 def test_aggregate_r_at_k_monotone_random_runs():
     rng = SeededRng(15)
     for _ in range(10):
@@ -591,6 +624,74 @@ def test_non_finite_features_name_their_row(value):
         rank_retrieval(params, vocab, list(feats), [sent], [{0}] * 3, mode="t")
     with pytest.raises(ValueError, match="NaN or inf"):
         sample_candidates(params, vocab, feats[2], np.full((2, 3), 0.5), 1.0)
+
+
+def _reference_gallery_scores(params, feats, items, vocab):
+    """``gallery_scores`` as it stepped before one clamp served s and u: the
+    rows deduped by ``np.unique``, each step's s rows clamped alone, then the
+    shared u state stepped and clamped on its own."""
+    dims = params.dims
+    if dims.uses_v:
+        rows, inverse = np.unique(feats, axis=0, return_inverse=True)
+        drive = rows @ params.W_vs.T + params.b_s
+    else:
+        inverse = np.zeros(len(feats), dtype=np.int64)
+        drive = params.b_s[None, :]
+    start = reset_state(params)
+    nll, recons = np.zeros((len(items), len(drive))), []
+    for k, item in enumerate(items):
+        us = []
+        for sent in _sentences(item):
+            s, u = np.broadcast_to(start.s, drive.shape), start.u
+            inputs = [sent.ids[-1]] + list(sent.ids[:-1])
+            ss = np.empty((len(inputs),) + drive.shape)
+            for t, prev in enumerate(inputs):
+                s = sigmoid_clipped(params.W_ws.T[prev] + s @ params.W_ss.T + drive,
+                                    dims.sigmoid_clip, out=ss[t])
+                if dims.uses_u:
+                    u = sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
+                                        dims.sigmoid_clip)
+                    us.append(u)
+            step = np.repeat(np.arange(len(ss)), len(drive))
+            nll[k] += model.score_states(params, vocab, ss.reshape(len(step), -1),
+                                         np.array(us[-len(ss):]) if dims.uses_u else None,
+                                         sent.ids, model.token_bases(dims, np.array([inputs]))[0],
+                                         step).reshape(len(ss), -1).sum(axis=0)
+        recons.append(model.recon_rows(params, us)[1] if dims.uses_u else None)
+    return nll[:, inverse.reshape(-1)], recons
+
+
+@pytest.mark.parametrize("width", [6, 32])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_gallery_scores_bytes_match_the_reference_loop(variant, width):
+    params, vocab, example = gradcheck_setup(variant, seed=width, s_dim=width, u_dim=width)
+    _random_tables(params, SeededRng(width).derive("tables"))
+    rng = np.random.default_rng(width)
+    for name, arr in params.named_blocks():   # init_params leaves the biases at zero
+        if name.startswith("b_"):
+            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    grid = rng.integers(0, 3, (6, 4)) / 2.0
+    feats = np.vstack([grid, grid[[4, 0, 0, 2]], rng.uniform(0.0, 1.0, (3, 4))])
+    items = [example.captions[0], encode([], vocab), encode(["w2", "w7", "w7"], vocab),
+             (encode(["w5"], vocab), example.captions[0], encode(["w0", "w9"], vocab))]
+    for gallery in (feats, feats[rng.permutation(len(feats))], feats[:1]):
+        nll, recons = gallery_scores(params, gallery, items, vocab)
+        want_nll, want_recons = _reference_gallery_scores(params, gallery, items, vocab)
+        assert nll.tobytes() == want_nll.tobytes()
+        if params.dims.uses_u:
+            assert [r.tobytes() for r in recons] == [r.tobytes() for r in want_recons]
+        else:
+            assert recons is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_grid_feature, min_size=0, max_size=12))
+def test_unique_rows_matches_np_unique(rows):
+    feats = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    got, inverse = model.unique_rows(feats)
+    want, want_inverse = np.unique(feats, axis=0, return_inverse=True)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)

@@ -681,6 +681,20 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_with_non_finite_weights_names_the_block(tmp_path, value):
+    # the sha256 proves only that the bytes are the ones written
+    vocab = _vocab5()
+    params = init_params(small_dims(vocab, v_dim=3), SeededRng(30))
+    params.W_ss[0, 0] = value
+    params.b_v[-1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad checkpoint (ValueError: "
+                                                   "block W_ss holds NaN or inf)")):
+        load_checkpoint(path)
+
+
 def _saved_checkpoint(tmp_path):
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(30))
