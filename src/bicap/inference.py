@@ -238,10 +238,13 @@ ZSCORE_DECIMALS = 9
 
 
 def _zscore_rows(m):
-    """Row-wise z-scores; a constant row scores 0, a row holding NaN stays NaN."""
-    mean = m.mean(axis=1, keepdims=True)
-    std = m.std(axis=1, keepdims=True)
-    return np.where(std != 0, (m - mean) / np.where(std != 0, std, 1.0), 0.0)
+    """Row-wise z-scores. A constant row scores 0, and so does a row holding
+    +-inf (its std is NaN); a row holding NaN stays NaN."""
+    with np.errstate(invalid="ignore"):     # inf - inf, in a row holding +-inf
+        mean = m.mean(axis=1, keepdims=True)
+        std = m.std(axis=1, keepdims=True)
+        z = np.where(std > 0, (m - mean) / np.where(std > 0, std, 1.0), 0.0)
+    return np.where(np.isnan(m).any(axis=1, keepdims=True), np.nan, z)
 
 
 def _rank_rows(m):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bicap import model
+from bicap import inference, model
 from bicap.corpus import EncodedSentence, build_vocab, encode
 from bicap.inference import (ZSCORE_DECIMALS, GenConfig, activation_trace,
                              aggregate_ranks, generate, image_retrieval_task,
@@ -390,6 +390,21 @@ def test_nan_scores_name_their_query_and_minus_inf_ranks_last():
         ranks_from_scores(scores, [{0}, {1}, {2}])
     assert ranks_from_scores(scores[:1], [{1}]) == ([[0, 2, 1]], [3])
     assert ranks_from_scores([[-np.inf, -np.inf]], [{1}]) == ([[0, 1]], [2])
+
+
+@pytest.mark.parametrize("combine, want", [("rank", [2, 0, 1]), ("zscore", [2, 1, 0])])
+def test_ti_names_a_nan_query_and_ranks_minus_inf_by_its_combine(monkeypatch, combine, want):
+    # rank averaging ranks T's -inf last; the z-scored sum counts a T row
+    # holding -inf as 0, so I alone orders the gallery
+    t = np.array([[-1.0, -np.inf, -2.0], [-1.0, -2.0, -3.0]])
+    i = np.array([[-3.0, -2.0, -1.0], [-1.0, -2.0, np.nan]])
+    monkeypatch.setattr(inference, "score_matrices",
+                        lambda params, vocab, queries, gallery: (t[:len(queries)],
+                                                                 i[:len(queries)]))
+    with pytest.raises(ValueError, match="query 1 has a NaN score"):
+        rank_retrieval(None, None, [0, 1], [0, 1, 2], [{0}, {0}], mode="ti", combine=combine)
+    got = rank_retrieval(None, None, [0], [0, 1, 2], [{1}], mode="ti", combine=combine)
+    assert got.ranked_ids == [want] and got.ranks == [want.index(1) + 1]
 
 
 @pytest.mark.parametrize("direction", ["image", "sentence"])
