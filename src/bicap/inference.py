@@ -284,9 +284,12 @@ def score_matrices(params, vocab, queries, gallery):
     task. Queries of sentences (or groups of sentences) rank a gallery of
     feature vectors, and feature-vector queries rank a sentence gallery;
     the I matrix is None for variants without the visual memory. Both come
-    from one ``gallery_scores`` call."""
-    if not queries:
+    from one ``gallery_scores`` call. Queries and gallery may be lists or
+    arrays."""
+    if len(queries) == 0:
         raise ValueError("the query list is empty")
+    if len(gallery) == 0:
+        raise ValueError("the gallery is empty")
     image_queries = not _is_sentence_item(queries[0])
     items = gallery if image_queries else queries
     bad = next((k for k, x in enumerate(items) if not _is_sentence_item(x)), None)
@@ -317,8 +320,6 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
     reconstruction error, 'ti' their per-query combination (z-scored sum
     by default, fractional rank averaging with ``combine='rank'``).
     """
-    if not gallery:
-        raise ValueError("gallery is empty")
     if len(truth) != len(queries):
         raise ValueError("one ground-truth set per query required")
     t_loglik, i_scores = score_matrices(params, vocab, queries, gallery)

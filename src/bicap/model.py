@@ -104,6 +104,7 @@ ONLINE_BLOCKS = frozenset({"W_sc", "W_uc", "W_sw", "W_uw", "b_c", "b_w",
 
 # Stored states per block of ``score_states`` (and captions per chunk of
 # ``metrics.pair_word_nll``): bounds every array that spans the vocabulary.
+# A ``score_gallery_states`` block holds no more logits than such a block.
 ROW_SLICE = 256
 
 
@@ -698,48 +699,82 @@ def word_distribution_rows(params, s, u, bases, vocab_classes):
     return q[class_ids].T, p.T
 
 
-def score_states(params, vocab_classes, s, u, targets, bases, step=None):
+def _target_nll(z, c, rows):
+    """NLL of one target class and word per column of a block of logits,
+    which it overwrites. Axis 0 of ``z`` holds the class logits (its first
+    ``c`` rows), then member logits, of which only each column's target
+    class may be finite; ``rows`` is the (2, columns) class and member row
+    of each column's target. One log-softmax runs over the classes and one
+    over the members."""
+    # the fancy index copies the targets before zc and zw shift in place
+    (tc, tw), (zc, zw) = z[rows, np.arange(z.shape[1])], (z[:c], z[c:])
+    mc, mw = zc.max(axis=0), zw.max(axis=0)
+    zc -= mc
+    zw -= mw
+    return ((np.log(np.exp(zc, out=zc).sum(axis=0)) - (tc - mc))
+            + (np.log(np.exp(zw, out=zw).sum(axis=0)) - (tw - mw)))
+
+
+def score_states(params, vocab_classes, s, u, targets, bases):
     """Word NLL of stored recurrence states: entry i of the (M,) result is
-    the NLL of a target word under the output layer at state i.
+    the NLL of ``targets[i]`` under the output layer at state i.
 
     Row i of the (M, s_dim) matrix ``s`` is a state as ``advance_rows``
-    returns it. Without ``step``, the u rows ``u`` (M, u_dim), ``targets``
-    and the (M, order, 2) ``token_bases`` entries ``bases`` hold one entry
-    per state. With the (M,) index ``step`` they hold one entry per step,
-    which state i reads at ``step[i]``, and the ``context_logits`` are
-    built once per step. ``u`` is None without the visual memory.
-
-    The states run in blocks of at most ``ROW_SLICE``. A block takes the s
-    product and adds the ``context_logits`` of its entries, with -inf at
-    every word outside the entry's target class. Then one log-softmax runs
-    over the classes and one over each state's target class, and the
-    targets are read out.
+    returns it, with its row of the u rows ``u`` (M, u_dim; None without
+    the visual memory) and of the (M, order, 2) ``token_bases`` entries
+    ``bases``. The states run in blocks of at most ``ROW_SLICE``. A block
+    takes the s product and adds the ``context_logits`` of its entries,
+    with -inf at every word outside the entry's target class, and
+    ``_target_nll`` reads the targets out.
     """
     c, sd = params.dims.class_count, params.dims.s_dim
     targets = np.asarray(targets, dtype=np.int64)
     g = vocab_classes.id_class[targets]
     picks = np.stack([g, c + targets])        # (2, entries): class and word row of each target
-
-    def entry_logits(entries):
-        z = context_logits(params, u if u is None else u[entries], bases[entries])
-        z[c:][vocab_classes.id_class[:, None] != g[entries]] = -np.inf
-        return z
-
-    if step is not None:
-        step_logits = entry_logits(slice(None))
     nll = np.empty(len(s))
     for start in range(0, len(s), ROW_SLICE):
         blk = slice(start, start + ROW_SLICE)
-        entry = blk if step is None else step[blk]
-        z = params.A[:, :sd] @ s[blk].T
-        z += entry_logits(blk) if step is None else step_logits[:, entry]
-        # (classes + vocab, block) logits: the softmaxes reduce over axis 0
-        (zc, zw), (tc, tw) = (z[:c], z[c:]), z[picks[:, entry], np.arange(z.shape[1])]
-        mc, mw = zc.max(axis=0), zw.max(axis=0)
-        zc -= mc
-        zw -= mw
-        nll[blk] = ((np.log(np.exp(zc, out=zc).sum(axis=0)) - (tc - mc))
-                    + (np.log(np.exp(zw, out=zw).sum(axis=0)) - (tw - mw)))
+        ctx = context_logits(params, u if u is None else u[blk], bases[blk])
+        ctx[c:][vocab_classes.id_class[:, None] != g[blk]] = -np.inf
+        z = params.A[:, :sd] @ s[blk].T     # (classes + vocab, block)
+        z += ctx
+        nll[blk] = _target_nll(z, c, picks[:, blk])
+    return nll
+
+
+def score_gallery_states(params, vocab_classes, ss, uu, targets, bases):
+    """Word NLL of a sentence's gallery states as a (T, N) array: entry
+    [t, i] is the NLL of ``targets[t]`` at state ``ss[t, i]``.
+
+    ``ss`` is the step-major (T, N, s_dim) store of ``gallery_scores``,
+    ``uu`` the (T, u_dim) u rows that every image shares (None without u)
+    and ``bases`` the (T, order, 2) ``token_bases`` of the steps. Only each
+    step's target class is scored, so a word costs classes + class size
+    logits, not classes + vocab. The steps go into one stable sort by
+    target class, and the ``context_logits`` are built once. Each class's
+    steps then take the product of the class's ``class_columns`` rows of
+    ``params.A`` with their states, as a (classes + class size, steps, N)
+    block, add their context logits, broadcast over the images, and
+    ``_target_nll`` reads the targets out. A block holds at least one step
+    and otherwise no more logits than a block of ``score_states``.
+    """
+    c, sd, n = params.dims.class_count, params.dims.s_dim, ss.shape[1]
+    targets = np.asarray(targets, dtype=np.int64)
+    g = vocab_classes.id_class[targets]
+    order = np.argsort(g, kind="stable")
+    ss, targets, g = ss[order], targets[order], g[order]
+    picks = np.stack([g, c + targets - vocab_classes.class_starts[g]])   # rows of class_columns[g]
+    ctx = context_logits(params, uu, bases)[:, order]
+    nll = np.empty(ss.shape[:2])
+    cuts = (np.flatnonzero(g[1:] != g[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(g)]):
+        cols = vocab_classes.class_columns[g[lo]]
+        a, per = params.A[cols, :sd], max(1, len(params.A) * ROW_SLICE // (len(cols) * n))
+        for b in range(lo, hi, per):
+            e = slice(b, min(b + per, hi))
+            z = (a @ ss[e].reshape(-1, sd).T).reshape(len(cols), -1, n)
+            z += ctx[cols, e, None]
+            nll[order[e]] = _target_nll(z, c, picks[:, e])
     return nll
 
 
@@ -774,7 +809,7 @@ def gallery_scores(params, feats, items, vocab_classes):
     alone: each step sums the pre-activations of every s row and of the
     shared u state, in ``advance_rows``' order, into one buffer, clamps it
     with one ``sigmoid_clipped`` call and stores the states, which
-    ``score_states`` scores afterwards. Row i of the NLL equals the summed
+    ``score_gallery_states`` scores afterwards. Row i of the NLL equals the summed
     ``sentence_loss(params, feats[i], sent, 0.0, vocab_classes)[0].word_nll``
     up to rounding. BLAS may round identical rows of a product differently
     by where they sit, so repeated rows (all rows, for ``rnn``, which
@@ -787,6 +822,8 @@ def gallery_scores(params, feats, items, vocab_classes):
     if feats.ndim != 2 or (dims.uses_v and feats.shape[1] != dims.v_dim):
         raise ValueError(f"features must be an (N, {dims.v_dim}) matrix, "
                          f"got shape {feats.shape}")
+    if len(feats) == 0:
+        raise ValueError("the gallery is empty")
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise ValueError(f"feature row {bad[0]} holds NaN or inf")
@@ -818,11 +855,9 @@ def gallery_scores(params, feats, items, vocab_classes):
                 ss[t], uu[t] = s_pre, u_pre
                 s, u = ss[t], uu[t]
             us.append(uu)
-            step = np.repeat(np.arange(len(ss)), len(drive))
-            nll[k] += score_states(params, vocab_classes, ss.reshape(len(step), -1),
-                                   uu if dims.uses_u else None, sent.ids,
-                                   token_bases(dims, np.array([inputs]))[0],
-                                   step).reshape(len(ss), -1).sum(axis=0)
+            nll[k] += score_gallery_states(params, vocab_classes, ss, uu if dims.uses_u else None,
+                                           sent.ids, token_bases(dims, np.array([inputs]))[0]
+                                           ).sum(axis=0)
         recons.append(recon_rows(params, np.concatenate(us))[1] if dims.uses_u else None)
     return nll[:, inverse], recons if dims.uses_u else None
 

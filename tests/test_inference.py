@@ -667,11 +667,10 @@ def _reference_gallery_scores(params, feats, items, vocab):
                     u = sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
                                         dims.sigmoid_clip)
                     us.append(u)
-            step = np.repeat(np.arange(len(ss)), len(drive))
-            nll[k] += model.score_states(params, vocab, ss.reshape(len(step), -1),
-                                         np.array(us[-len(ss):]) if dims.uses_u else None,
-                                         sent.ids, model.token_bases(dims, np.array([inputs]))[0],
-                                         step).reshape(len(ss), -1).sum(axis=0)
+            nll[k] += model.score_gallery_states(params, vocab, ss,
+                                                 np.array(us[-len(ss):]) if dims.uses_u else None,
+                                                 sent.ids, model.token_bases(dims, np.array([inputs]))[0]
+                                                 ).sum(axis=0)
         recons.append(model.recon_rows(params, us)[1] if dims.uses_u else None)
     return nll[:, inverse.reshape(-1)], recons
 
@@ -697,6 +696,131 @@ def test_gallery_scores_bytes_match_the_reference_loop(variant, width):
             assert [r.tobytes() for r in recons] == [r.tobytes() for r in want_recons]
         else:
             assert recons is None
+
+
+def _full_vocab_gallery_states(params, vocab, ss, uu, targets, bases):
+    """``model.score_gallery_states`` as gallery scoring ran before it: each
+    of the (T, N, s_dim) states builds all classes + vocab logits, with -inf
+    at the words outside its step's target class, in blocks of
+    ``ROW_SLICE`` states, and one log-softmax runs over the classes and one
+    over the vocabulary."""
+    c, sd = params.dims.class_count, params.dims.s_dim
+    targets = np.asarray(targets, dtype=np.int64)
+    g = vocab.id_class[targets]
+    picks = np.stack([g, c + targets])
+    step_logits = model.context_logits(params, uu, bases)
+    step_logits[c:][vocab.id_class[:, None] != g] = -np.inf
+    s, step = ss.reshape(-1, sd), np.repeat(np.arange(len(ss)), ss.shape[1])
+    nll = np.empty(len(s))
+    for start in range(0, len(s), model.ROW_SLICE):
+        blk = slice(start, start + model.ROW_SLICE)
+        z = params.A[:, :sd] @ s[blk].T
+        z += step_logits[:, step[blk]]
+        (zc, zw), (tc, tw) = (z[:c], z[c:]), z[picks[:, step[blk]], np.arange(z.shape[1])]
+        mc, mw = zc.max(axis=0), zw.max(axis=0)
+        zc -= mc
+        zw -= mw
+        nll[blk] = ((np.log(np.exp(zc, out=zc).sum(axis=0)) - (tc - mc))
+                    + (np.log(np.exp(zw, out=zw).sum(axis=0)) - (tw - mw)))
+    return nll.reshape(ss.shape[:2])
+
+
+def _random_output_layer(params, seed):
+    """Random max-entropy tables and biases, so that every term of the
+    logits reaches the scores."""
+    if params.dims.maxent_order:
+        _random_tables(params, SeededRng(seed).derive("tables"))
+    rng = np.random.default_rng(seed)
+    for name, arr in params.named_blocks():   # init_params leaves the biases at zero
+        if name.startswith("b_"):
+            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    return params
+
+
+def _assert_matches_full_vocab_scoring(monkeypatch, params, vocab, feats, items, truth):
+    nll, _ = gallery_scores(params, feats, items, vocab)
+    modes = ("t", "ti") if params.dims.uses_u else ("t",)
+    ranked = [rank_retrieval(params, vocab, items, list(feats), truth, mode=m).ranked_ids
+              for m in modes]
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "score_gallery_states", _full_vocab_gallery_states)
+        want, _ = gallery_scores(params, feats, items, vocab)
+        want_ranked = [rank_retrieval(params, vocab, items, list(feats), truth, mode=m).ranked_ids
+                       for m in modes]
+    assert np.all(np.abs(nll - want) <= 1e-12 * np.abs(want))
+    assert ranked == want_ranked
+
+
+@pytest.mark.parametrize("lone_class", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_gallery_state_scorer_matches_full_vocabulary_scoring(monkeypatch, variant, order,
+                                                              lone_class):
+    params, vocab, example = gradcheck_setup(variant, seed=order, s_dim=32, u_dim=32,
+                                             maxent_order=order, maxent_hash_size=5)
+    if lone_class:   # <eos> alone in its class
+        vocab = with_one_member_class(vocab)
+    _random_output_layer(params, order)
+    rng = np.random.default_rng(order)
+    # each state's NLL, at steps whose target classes are out of order
+    targets = example.captions[0].ids
+    ss = rng.uniform(0.01, 0.99, (len(targets), 9, 32))
+    uu = rng.uniform(0.01, 0.99, (len(targets), 32)) if params.dims.uses_u else None
+    bases = model.token_bases(params.dims, np.array([[vocab.eos_id] + targets[:-1]]))[0]
+    got = model.score_gallery_states(params, vocab, ss, uu, targets, bases)
+    want = _full_vocab_gallery_states(params, vocab, ss, uu, targets, bases)
+    assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-12 * want)
+    feats = rng.uniform(0.0, 1.0, (9, 4))
+    items = [example.captions[0], encode([], vocab), encode(["w0", "w0", "w9"], vocab),
+             (encode(["w5"], vocab), encode(["w2", "w7", "w1", "w4"], vocab))]
+    _assert_matches_full_vocab_scoring(monkeypatch, params, vocab, feats, items,
+                                       [{k} for k in range(len(items))])
+
+
+@pytest.mark.parametrize("rows", [120, 700])
+@pytest.mark.parametrize("variant", ["rnn_if", "full"])   # rnn scores one row for any gallery
+def test_gallery_state_scorer_splits_a_class_into_bounded_blocks(monkeypatch, variant, rows):
+    # seven steps of one class: 4 per block at 120 images; at 700 one step
+    # exceeds a score_states block, and each block holds one step
+    params, vocab, _ = gradcheck_setup(variant, seed=rows, s_dim=32, u_dim=32)
+    _random_output_layer(params, rows)
+    feats = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, 4))
+    sent = encode(["w1", "w2", "w3", "w1", "w2", "w3", "w1"], vocab)
+    blocks = []
+
+    def recording(z, c, picks):
+        blocks.append(z.shape)
+        return target_nll(z, c, picks)
+
+    target_nll, cap = model._target_nll, len(params.A) * model.ROW_SLICE
+    monkeypatch.setattr(model, "_target_nll", recording)
+    nll, _ = gallery_scores(params, feats, [sent], vocab)
+    monkeypatch.undo()
+    groups = len(set(vocab.id_class[sent.ids].tolist()))
+    assert len(blocks) > groups
+    assert all(shape[1] >= 1 and (math.prod(shape) <= cap or shape[1] == 1) for shape in blocks)
+    _assert_matches_full_vocab_scoring(monkeypatch, params, vocab, feats, [sent, sent], [{0}, {1}])
+    for got, v in zip(nll[0, :5], feats):
+        assert abs(got - sentence_loss(params, v, sent, 0.0, vocab)[0].word_nll) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_gallery_scores_never_read_the_rows_of_unused_classes(variant):
+    params, vocab, example = gradcheck_setup(variant, seed=4, s_dim=32, u_dim=32)
+    _random_output_layer(params, 4)
+    sent = encode(["w1", "w3", "w2", "w2"], vocab)
+    used = set(vocab.id_class[sent.ids].tolist())
+    unused = [k for k in range(vocab.n_classes) if k not in used]
+    assert unused
+    c = vocab.n_classes
+    for k in unused:
+        params.A[c + vocab.class_starts[k]:c + vocab.class_bounds[k]] = np.nan
+    feats = np.random.default_rng(4).uniform(0.0, 1.0, (6, 4))
+    nll, _ = gallery_scores(params, feats, [sent, (sent, sent)], vocab)
+    assert np.isfinite(nll).all()
+    for got, v in zip(nll[0], feats):
+        want = sentence_loss(params, v, sent, 0.0, vocab)[0].word_nll
+        assert math.isfinite(want) and abs(got - want) <= 1e-12 * want
 
 
 @settings(max_examples=100, deadline=None)
@@ -728,6 +852,43 @@ def test_empty_query_list_is_rejected(tiny_dataset):
     _, gallery, _ = image_retrieval_task(tiny_dataset, "test")
     with pytest.raises(ValueError, match="query list is empty"):
         rank_retrieval(params, tiny_dataset.vocab, [], gallery, [])
+
+
+def test_empty_gallery_is_rejected():
+    params, vocab, example = gradcheck_setup("full", seed=5)
+    sent = example.captions[0]
+    with pytest.raises(ValueError, match="gallery is empty"):
+        gallery_scores(params, np.zeros((0, 4)), [sent], vocab)
+    for queries in ([sent], [example.features], example.features[None]):
+        with pytest.raises(ValueError, match="gallery is empty"):
+            score_matrices(params, vocab, queries, [])
+    with pytest.raises(ValueError, match="gallery is empty"):
+        rank_retrieval(params, vocab, [sent], np.zeros((0, 4)), [{0}])
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_array_and_list_features_rank_alike(variant):
+    # an (N, v_dim) array gallery or 2-D array of image queries ranks as
+    # the list of its rows and as plain lists of floats
+    params, vocab, example = gradcheck_setup(variant, seed=8)
+    feats = np.random.default_rng(8).uniform(0.0, 1.0, (4, 4))
+    sents = [example.captions[0], encode(["w2", "w7"], vocab), encode(["w5"], vocab),
+             encode(["w0", "w9", "w9"], vocab)]
+    truth = [{k} for k in range(len(sents))]
+    for mode in ("t", "i", "ti") if params.dims.uses_u else ("t",):
+        for queries, gallery in ((sents, feats), (feats, sents)):
+            got = [rank_retrieval(params, vocab, q, g, truth, mode=mode)
+                   for q, g in ((queries, gallery),
+                                *[(f(queries), f(gallery)) for f in (_rows_as_list, _rows_as_lists)])]
+            assert all((r.ranked_ids, r.ranks) == (got[0].ranked_ids, got[0].ranks) for r in got)
+
+
+def _rows_as_list(x):
+    return list(x) if isinstance(x, np.ndarray) else x
+
+
+def _rows_as_lists(x):
+    return x.tolist() if isinstance(x, np.ndarray) else x
 
 
 @pytest.mark.parametrize("bad", [-1, 12])
