@@ -13,7 +13,7 @@ from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, inp
 LOG2 = math.log(2.0)
 
 
-def _checked_features(dims, vocab, pairs):
+def checked_features(dims, vocab, pairs):
     """Features of the pairs as an (N, v_dim) matrix, (N, 0) for the rnn
     variant, which reads none. An empty caption, one without a final
     <eos>, an id outside the vocabulary or features that are not a finite
@@ -91,7 +91,7 @@ def pair_word_nll(params, vocab, pairs):
     multiset of pairs, never on their order. Bad pairs raise ValueError
     before any forward runs.
     """
-    feats = _checked_features(params.dims, vocab, pairs)
+    feats = checked_features(params.dims, vocab, pairs)
     order = sorted(range(len(pairs)), key=lambda i: (-len(pairs[i][1].ids),
                                                      pairs[i][1].ids, feats[i].tobytes()))
     out = [None] * len(pairs)

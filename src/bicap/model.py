@@ -466,18 +466,81 @@ def recon_losses(tr, v, recon_kind):
     return loss(v, tr.recon).tolist()
 
 
-@dataclass
-class SentenceTrace:
-    """One sentence's recurrence, computed before any output step. Row t
-    of a per-step array belongs to step t; ``act`` row t + 1 is the stacked
-    [s | u] state that step t produces, its first s_dim columns s, the rest
-    u (none without u). The reconstruction arrays are None without u."""
+@dataclass(eq=False)
+class CaptionPlan:
+    """What training or scoring one sentence needs that reads no weight,
+    built by ``caption_plans``. Row t of each array belongs to step t,
+    which feeds ``inputs[t]`` and predicts ``targets[t]``. Step t reads
+    only the ``sizes[t].sum()`` (classes + class size) logits of its
+    target's class: that many leading entries of ``cols[t]``, and of
+    ``slots[t, k]`` for each order k + 1 its history reaches (k < t + 2).
+    W is classes + the widest target class of the plan's block."""
 
+    ids: list            # the sentence's token ids
     inputs: np.ndarray   # (T,) token fed at each step (BOS = <eos>)
     targets: np.ndarray  # (T,) token predicted at each step
-    classes: list        # (class, lo, hi) of each target's class
-    columns: list        # ``class_columns`` of each target's class
+    classes: np.ndarray  # (T, 3): class, first id and end id of each target's class
     bases: np.ndarray    # (T, order, 2): ``token_bases`` of the inputs
+    picks: np.ndarray    # (T, 2): where a step's columns hold its target class and word
+    sizes: np.ndarray    # (T, 2): the class count and the class size, the two softmax segments
+    cols: np.ndarray     # (T, W): the target class's ``class_columns``
+    slots: np.ndarray    # (T, order, W): ``ModelParams.me`` slot of each column, per order
+
+
+def caption_plans(dims, vocab, sents):
+    """One ``CaptionPlan`` per sentence, from one batched pass over all of
+    them. A sentence that ``check_sentence`` rejects raises ValueError.
+
+    The ``token_bases`` come from one padded (sentences, steps) matrix of
+    fed tokens; every other array is built over the joined steps of all
+    sentences, and each plan holds its sentence's slice. Column j of a step
+    is class logit j for j < classes, then member j - classes of the target
+    class, whose ``me`` slot under an order's (class, word) bases
+    (``maxent_bases``) is (class base + j) mod hash size, or (word base +
+    word id) mod hash size in the ``me_word`` half, past the hash size.
+    Only the leading orders whose history a step has are valid; padding
+    past a step's width holds junk. The slot arrays hold steps x order x
+    (classes + widest class) entries.
+    """
+    for sent in sents:
+        check_sentence(dims, sent.ids, vocab.eos_id)
+    targets = np.array([i for sent in sents for i in sent.ids])
+    if targets.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got {targets.dtype}")
+    targets = targets.astype(np.int64, copy=False)
+    lengths = np.array([len(sent.ids) for sent in sents])
+    c, h = dims.class_count, dims.maxent_hash_size
+    # <eos> doubles as begin-of-sentence: each sentence is fed the <eos> that ends the one before
+    inputs = np.concatenate([targets[-1:], targets[:-1]])
+    live = np.arange(lengths.max()) < lengths[:, None]
+    fed = np.zeros(live.shape, dtype=np.int64)
+    fed[live] = inputs
+    bases = token_bases(dims, fed)[live]
+    g = vocab.id_class[targets]
+    lo, hi = vocab.class_starts[g], vocab.class_bounds[g]
+    # (steps, 7) columns: class rows (g, lo, hi), picks, sizes
+    table = np.array([g, lo, hi, g, c + targets - lo, np.full_like(g, c), hi - lo]).T
+    j = np.arange(c + table[:, 6].max())
+    member = j >= c
+    col_ids = np.where(member, j - c + lo[:, None], j)   # the class or word id of each column
+    slots = np.where(member, bases[..., 1:], bases[..., :1])
+    slots += col_ids[:, None]
+    slots %= max(h, 1)
+    slots[..., c:] += h
+    cols = col_ids + c * member
+    ends = lengths.cumsum().tolist()
+    return [CaptionPlan(sent.ids, inputs[a:b], targets[a:b], table[a:b, :3], bases[a:b],
+                        table[a:b, 3:5], table[a:b, 5:], cols[a:b], slots[a:b])
+            for sent, a, b in zip(sents, [0] + ends[:-1], ends)]
+
+
+@dataclass(eq=False)
+class SentenceTrace(CaptionPlan):
+    """One sentence's plan and its recurrence, computed before any output
+    step. ``act`` row t + 1 is the stacked [s | u] state that step t
+    produces, its first s_dim columns s, the rest u (none without u). The
+    reconstruction arrays are None without u."""
+
     act: np.ndarray      # (T + 1, s_dim [+ u_dim]): [s | u]_0 .. [s | u]_T
     pre: np.ndarray      # (T, s_dim [+ u_dim]) pre-activations
     pre_r: np.ndarray    # (T, v_dim)
@@ -491,38 +554,22 @@ def sentence_states(params, v, sent, vocab):
     sentence, so the whole recurrence can run before training moves the
     output blocks word by word. It steps one stacked [s | u] row through
     ``advance_rows``, from input columns gathered once, byte for byte as
-    ``_advance`` does. A sentence that ``check_sentence`` rejects raises
+    ``_advance`` does. ``sent`` is a ``CaptionPlan`` or a sentence, which
+    gets a plan of its own; one that ``check_sentence`` rejects raises
     ValueError."""
     dims, sd = params.dims, params.dims.s_dim
-    check_sentence(dims, sent.ids, vocab.eos_id)
-    inputs = np.array([sent.ids[-1]] + list(sent.ids[:-1]))  # <eos> doubles as begin-of-sentence
+    plan = sent if isinstance(sent, CaptionPlan) else caption_plans(dims, vocab, [sent])[0]
     drive = stacked_drive(params, feature_vector(dims, v))
-    pre = input_columns(params, inputs)   # row t holds pre-activations once step t has run
-    act = np.empty((len(inputs) + 1, pre.shape[1]))
+    pre = input_columns(params, plan.inputs)   # row t holds pre-activations once step t has run
+    act = np.empty((len(pre) + 1, pre.shape[1]))
     act[0] = stacked_start(params)
-    for t in range(len(inputs)):
+    for t in range(len(pre)):
         advance_rows(params, pre[t], act[t], drive, act[t + 1])
-    g = vocab.id_class[sent.ids].tolist()
-    classes = list(zip(g, vocab.class_starts[g].tolist(), vocab.class_bounds[g].tolist()))
-    return SentenceTrace(inputs, np.array(sent.ids), classes, [vocab.class_columns[k] for k in g],
-                         token_bases(dims, inputs[None])[0], act, pre,
-                         *(recon_rows(params, act[1:, sd:]) if dims.uses_u else (None, None)),
-                         word_nll=[])
+    pre_r, recon = recon_rows(params, act[1:, sd:]) if dims.uses_u else (None, None)
+    return SentenceTrace(**vars(plan), act=act, pre=pre, pre_r=pre_r, recon=recon, word_nll=[])
 
 
-def maxent_slots(dims, bases):
-    """(owner, slots) of every max-entropy feature of an (n, order, 2) array
-    of ``token_bases`` entries, in C order: its entry, and its (classes +
-    vocab) slots in ``ModelParams.me``, in the output layer's logit order:
-    the ``me_class`` slot of each class id, then the ``me_word`` slot of
-    each word id, offset by the hash size."""
-    owner, k = np.nonzero(bases[..., 0] >= 0)
-    h, (cbase, wbase) = dims.maxent_hash_size, bases[owner, k].T[..., None]
-    return owner, np.hstack([(cbase + np.arange(dims.class_count)) % h,
-                             (wbase + np.arange(dims.vocab_size)) % h + h])
-
-
-OutputPass = namedtuple("OutputPass", "x dz residual residual_err me_steps slots")
+OutputPass = namedtuple("OutputPass", "x dz residual residual_err")
 
 
 def output_pass(params, tr, lr, limit, on_step=None):
@@ -537,13 +584,13 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dz_k x_k^T and step t reads X A0^T - lr (X X^T)[t] @ dz, whose rows from
     t on are still zero. As s, u in [0, 1] and |dz| <= 1, the clamp acts only
     if ``limit < 1``; its residuals clip(piece) - piece are then carried
-    densely. Returns an ``OutputPass`` (in the layout of ``params.A``), with
-    the step and ``me`` slots of each (step, order) max-entropy feature.
+    densely. Returns an ``OutputPass`` (in the layout of ``params.A``).
 
     A step reads only the logits of its target's class columns
-    (``tr.columns``), gathered once with their max-entropy terms: the class
-    softmax and the member softmax then run in place on the two segments of
-    that one array, and fill its columns of the ``dz`` row.
+    (``tr.cols``), gathered once with the max-entropy terms of their
+    ``tr.slots``: the class softmax and the member softmax then run in place
+    on the two segments of that one array, and fill its columns of the
+    ``dz`` row.
     """
     dims, sd = params.dims, params.dims.s_dim
     c = dims.class_count
@@ -551,22 +598,17 @@ def output_pass(params, tr, lr, limit, on_step=None):
     z0, gram = x @ params.A.T, -lr * (x @ x.T)
     dz, residual, residual_err = np.zeros_like(z0), np.zeros_like(params.A), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
-    me_steps, slots = maxent_slots(dims, tr.bases)
-    g, lo, hi = np.array(tr.classes).T
-    picks = np.stack([g, c + tr.targets - lo], axis=1)   # where a step's columns hold its targets
-    picked, segments = np.empty(picks.shape), np.array([0, c])
-    sizes = np.stack([np.full_like(g, c), hi - lo], axis=1)   # of the two segments, per step
-    end = 0
-    for t, (cols, (gc, gw)) in enumerate(zip(tr.columns, picks.tolist())):
+    picked, segments = np.empty(tr.picks.shape), np.array([0, c])
+    for t, ((gc, gw), (_, n)) in enumerate(zip(tr.picks.tolist(), tr.sizes.tolist())):
+        cols = tr.cols[t, :c + n]
         z = z0[t] + gram[t] @ dz
         if clamped:
             z -= lr * (residual @ x[t])
         z = z[cols]
         if maxent:
-            start, end = end, end + min(dims.maxent_order, t + 2)   # the orders step t has
-            sl = slots[start:end].take(cols, axis=1)
+            sl = tr.slots[t, :t + 2, :c + n]   # the orders step t has
             z += np.add.reduce(params.me[sl], axis=0)
-        z -= np.maximum.reduceat(z, segments).repeat(sizes[t])
+        z -= np.maximum.reduceat(z, segments).repeat(tr.sizes[t])
         np.exp(z, out=z)
         zc, zw = z[:c], z[c:]
         zc /= np.add.reduce(zc)   # slice sums: add.reduceat sums in another order
@@ -587,7 +629,7 @@ def output_pass(params, tr, lr, limit, on_step=None):
             on_step(t, params)
     logs = np.log(picked)   # inf, not an error, where a probability is 0
     tr.word_nll = (-logs[:, 0] - logs[:, 1]).tolist()
-    return OutputPass(x, dz, residual, residual_err, me_steps, slots)
+    return OutputPass(x, dz, residual, residual_err)
 
 
 def stacked_start(params):

@@ -11,12 +11,14 @@ validation perplexity.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numkit import SeededRng, is_int, sigmoid_clip_mask
-from .model import ONLINE_BLOCKS, block_shapes, output_pass, recon_losses, sentence_states
+from .model import (ONLINE_BLOCKS, ROW_SLICE, block_shapes, caption_plans, output_pass,
+                    recon_losses, sentence_states)
 
 LR_FLOOR_DIVISOR = 1024.0
 
@@ -171,8 +173,10 @@ def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
     out = output_pass(params, tr, 0.0, math.inf)
     grads = params.zeros_like()
     grads.A[...] = out.dz.T @ out.x
-    if dims.maxent_order > 0:
-        np.add.at(grads.me, out.slots, out.dz[out.me_steps])
+    if dims.maxent_order > 0:   # dz is +0.0 outside a step's class columns
+        for t, width in enumerate(tr.sizes.sum(axis=1).tolist()):
+            sl = tr.slots[t, :t + 2, :width]
+            np.add.at(grads.me, sl, out.dz[t, tr.cols[t, :width]][None].repeat(len(sl), 0))
     _recurrent_chain(params, tr, v, _output_errors(params, out, 0.0), lam, unroll, recon_kind,
                      grads)
     clip_gradients(grads, grad_clip)
@@ -191,18 +195,34 @@ def apply_update(params, grads, lr, weight_decay=0.0):
     params.apply_vs_mask()
 
 
+def _batch_grads(params):
+    """A zero gradient container for the batch blocks: the ``B`` group."""
+    return params.zeros_like(names=[n for n, _ in block_shapes(params.dims)
+                                    if n not in ONLINE_BLOCKS])
+
+
+# What ``train`` hands ``train_sentence`` as a sentence: a caption plan, its
+# ids, and the ``_batch_grads`` container that every sentence of the call reuses.
+Planned = namedtuple("Planned", "plan ids grads")
+
+
 def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     """One sentence of mixed online/batch SGD; returns (joint loss, tokens).
 
-    The recurrence runs first: it reads only recurrent-side weights, which
-    move once, at the sentence end, by one backward chain. Output-side
-    weights then move after every word, so later steps of the same
-    sentence already see the updates; the dense blocks take them in one
-    product at the sentence end. ``on_step(t, params)`` runs after each
-    word's max-entropy update (schedule introspection).
+    ``sent`` is a sentence, a ``model.CaptionPlan`` or a ``Planned``, whose
+    container is zeroed and reused; the others get a fresh one. The
+    recurrence runs first: it reads only recurrent-side weights, which move
+    once, at the sentence end, by one backward chain. Output-side weights
+    then move after every word, so later steps of the same sentence already
+    see the updates; the dense blocks take them in one product at the
+    sentence end. ``on_step(t, params)`` runs after each word's max-entropy
+    update (schedule introspection).
     """
-    batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
-    batch_grads = params.zeros_like(names=batch_names)
+    if isinstance(sent, Planned):
+        sent, _, batch_grads = sent
+        batch_grads.B.fill(0.0)
+    else:
+        batch_grads = _batch_grads(params)
     clip = config.grad_clip
     tr = sentence_states(params, v, sent, vocab)
     out = output_pass(params, tr, lr, clip, on_step)
@@ -212,6 +232,15 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     clip_gradients(batch_grads, clip)
     apply_update(params, batch_grads, lr, weight_decay=config.weight_decay)
     return _joint_loss(tr, v, config.lam_recon, config.recon_kind), len(sent.ids)
+
+
+def _planned(dims, vocab, pairs, order, grads):
+    """(example, ``Planned``) of each pair in ``order``, planned one block
+    of ``ROW_SLICE`` pairs at a time as the loop reaches it."""
+    for start in range(0, len(order), ROW_SLICE):
+        block = [pairs[i] for i in order[start:start + ROW_SLICE]]
+        for (ex, _), plan in zip(block, caption_plans(dims, vocab, [cap for _, cap in block])):
+            yield ex, Planned(plan, plan.ids, grads)
 
 
 def train(params, dataset, config, valid_metric=None, log_fn=None):
@@ -227,8 +256,13 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     ``params``, so that training never goes on from NaN weights.
     Returns (best-validation parameters, history). ``valid_metric``
     overrides the perplexity computation (epoch, params) -> float.
+
+    Every training pair is checked before any weight moves; a bad caption
+    or feature vector raises ValueError naming its example. Each epoch's
+    shuffled pairs run in blocks of ``ROW_SLICE``, each with its
+    ``caption_plans`` built in one pass.
     """
-    from .metrics import perplexity
+    from .metrics import checked_features, perplexity
 
     vocab = dataset.vocab
     pairs = dataset.caption_pairs("train")
@@ -236,6 +270,8 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
         raise ValueError("training split is empty")
     if valid_metric is None and not dataset.caption_pairs("valid"):
         raise ValueError("validation split is empty")
+    checked_features(params.dims, vocab, pairs)
+    grads = _batch_grads(params)
 
     shuffle_rng = SeededRng(config.seed).derive("shuffle")
     lr = config.learning_rate
@@ -249,8 +285,8 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
         order = np.arange(len(pairs))
         shuffle_rng.shuffle(order)
         loss_sum, token_sum = 0.0, 0
-        for ex, cap in (pairs[i] for i in order):
-            joint, ntok = train_sentence(params, vocab, ex.features, cap, config, lr)
+        for ex, sent in _planned(params.dims, vocab, pairs, order, grads):
+            joint, ntok = train_sentence(params, vocab, ex.features, sent, config, lr)
             loss_sum += joint
             token_sum += ntok
             if not math.isfinite(joint):

@@ -347,6 +347,14 @@ def test_sentence_loss_requires_eos_termination():
                       1.0, vocab)
 
 
+def test_sentence_loss_rejects_non_integer_ids():
+    vocab = _vocab5()
+    params = init_params(small_dims(vocab, v_dim=3), SeededRng(1))
+    with pytest.raises(ValueError, match="token ids must be integers"):
+        sentence_loss(params, np.zeros(3), EncodedSentence(ids=[1.0, vocab.eos_id],
+                                                           tokens=["aa", "<eos>"]), 1.0, vocab)
+
+
 @pytest.mark.parametrize("variant", model.VARIANTS)
 def test_sentence_states_read_no_online_block(variant):
     from bicap.training import gradcheck_setup
@@ -368,6 +376,71 @@ def test_sentence_states_read_no_online_block(variant):
     model.output_pass(params, a, 0.0, math.inf)
     model.output_pass(perturbed, b, 0.0, math.inf)
     assert a.word_nll != b.word_nll
+
+
+def _full_vocabulary_slots(dims, bases):
+    """(owner, slots) of every max-entropy feature of an (n, order, 2)
+    ``token_bases`` array, in C order, over all (classes + vocab) logits:
+    the ``me_class`` slot of each class id, then the ``me_word`` slot of
+    each word id, offset by the hash size. The full-width layout that
+    ``caption_plans`` narrows to each step's class columns."""
+    owner, k = np.nonzero(bases[..., 0] >= 0)
+    h, (cbase, wbase) = dims.maxent_hash_size, bases[owner, k].T[..., None]
+    return owner, np.hstack([(cbase + np.arange(dims.class_count)) % h,
+                             (wbase + np.arange(dims.vocab_size)) % h + h])
+
+
+def _plan_sentences(vocab, seed):
+    rng = np.random.default_rng(seed)
+    return [encode([f"w{i}" for i in rng.integers(0, 10, n)], vocab) for n in (6, 0, 1, 13, 4)]
+
+
+def _step_columns(plan):
+    """Each step's class columns and their (orders it has, columns) slots,
+    without the padding of the plan's block."""
+    for t, (classes, size) in enumerate(plan.sizes.tolist()):
+        yield plan.cols[t, :classes + size], plan.slots[t, :t + 2, :classes + size]
+
+
+@pytest.mark.parametrize("one_member_class", [False, True])
+@pytest.mark.parametrize("hash_size", [5, 65536])
+@pytest.mark.parametrize("order", range(5))
+def test_plan_slots_are_the_class_columns_of_full_vocabulary_slots(order, hash_size,
+                                                                   one_member_class):
+    from bicap.training import gradcheck_setup
+    from conftest import with_one_member_class
+
+    params, vocab, _ = gradcheck_setup("full", maxent_order=order, maxent_hash_size=hash_size)
+    if one_member_class:   # <eos> alone in its class: a step of width classes + 1
+        vocab = with_one_member_class(vocab)
+    dims = params.dims
+    plans = model.caption_plans(dims, vocab, _plan_sentences(vocab, order))
+    for plan in plans:
+        owner, full = _full_vocabulary_slots(dims, plan.bases)
+        for t, (cols, slots) in enumerate(_step_columns(plan)):
+            g = vocab.id_class[plan.targets[t]]
+            assert cols.tolist() == vocab.class_columns[g].tolist()
+            want = full[owner == t][:, vocab.class_columns[g]]
+            assert len(want) == min(order, t + 2)
+            assert np.array_equal(slots, want)
+    assert any((p.sizes[:, 1] == 1).any() for p in plans) == one_member_class
+
+
+def test_one_sentence_plan_is_its_slice_of_a_block_plan():
+    from bicap.training import gradcheck_setup
+
+    params, vocab, _ = gradcheck_setup("full", maxent_order=4, maxent_hash_size=5)
+    sents = _plan_sentences(vocab, 7)
+    for sent, got in zip(sents, model.caption_plans(params.dims, vocab, sents)):
+        want, = model.caption_plans(params.dims, vocab, [sent])
+        assert got.ids is want.ids is sent.ids
+        for field in dataclasses.fields(model.CaptionPlan):
+            if field.name in ("ids", "cols", "slots"):   # the last two are padded per block
+                continue
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            assert x.tobytes() == y.tobytes() and x.shape == y.shape, field.name
+        for (c1, s1), (c2, s2) in zip(_step_columns(got), _step_columns(want), strict=True):
+            assert c1.tobytes() == c2.tobytes() and s1.tobytes() == s2.tobytes()
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)

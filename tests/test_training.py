@@ -310,6 +310,47 @@ def test_non_finite_sentence_stops_the_epoch_and_restores_params(monkeypatch):
         assert np.array_equal(arr, getattr(params, name)), name
 
 
+@pytest.mark.parametrize("fault", ["no_eos", "nan_features"])
+@pytest.mark.parametrize("where", [0, 13, -1])
+def test_bad_training_pair_raises_before_any_weight_moves(where, fault):
+    # a pair late in the shuffled order used to raise only after earlier
+    # sentences had moved the weights, without naming its example
+    dataset, params = _small_training_setup(n=30)
+    start = params.copy()
+    ex, cap = dataset.caption_pairs("train")[where]
+    if fault == "no_eos":
+        ex.captions[ex.captions.index(cap)] = corpus.EncodedSentence(cap.ids[:-1], cap.tokens[:-1])
+    else:
+        ex.features = np.where(np.arange(len(ex.features)) == 2, np.nan, ex.features)
+    with pytest.raises(ValueError, match=f"example {ex.id!r}"):
+        train(params, dataset, TrainConfig(max_epochs=1, seed=1), valid_metric=lambda e, p: 1.0)
+    for name, arr in start.named_blocks():
+        assert getattr(params, name).tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_training_across_plan_blocks_matches_sentence_by_sentence(monkeypatch, variant):
+    # plan blocks of 7 pairs split each epoch's 30-odd shuffled pairs; the
+    # weights must equal those of train_sentence fed one caption at a time
+    dataset, params = _small_training_setup(variant, n=20)
+    monkeypatch.setattr(training, "ROW_SLICE", 7)
+    pairs = dataset.caption_pairs("train")
+    assert len(pairs) > 3 * 7
+    cfg = TrainConfig(learning_rate=0.2, grad_clip=0.5, max_epochs=2, seed=5)
+    ref = params.copy()
+    history = train(params, dataset, cfg, valid_metric=lambda epoch, p: 1.0 / epoch)[1]
+    assert [e.lr for e in history.epochs] == [0.2, 0.2]
+    shuffle_rng = SeededRng(cfg.seed).derive("shuffle")
+    for _ in range(cfg.max_epochs):
+        order = np.arange(len(pairs))
+        shuffle_rng.shuffle(order)
+        for i in order:
+            ex, cap = pairs[i]
+            train_sentence(ref, dataset.vocab, ex.features, cap, cfg, cfg.learning_rate)
+    for name, arr in ref.named_blocks():
+        assert getattr(params, name).tobytes() == arr.tobytes(), name
+
+
 def test_train_deterministic_given_seed():
     dataset, params = _small_training_setup(n=20)
     cfg = TrainConfig(learning_rate=0.1, max_epochs=3, seed=11)
@@ -599,7 +640,8 @@ def test_states_match_reference_forward_under_online_updates(variant, width):
                 for k, cbase, wbase in bases:
                     expected[t, k - 1] = cbase, wbase
             assert states.bases.tobytes() == expected.tobytes()
-            assert states.classes == [(g, *r) for g, r in zip(ref.class_ids, ref.member_range)]
+            assert states.classes.tolist() == [[g, *r] for g, r in zip(ref.class_ids,
+                                                                       ref.member_range)]
             sd = params.dims.s_dim   # the halves of the stacked trace, as C-order bytes
             halves = {"s": states.act[:, :sd], "pre_s": states.pre[:, :sd],
                       "u": states.act[:, sd:], "pre_u": states.pre[:, sd:],
@@ -731,13 +773,14 @@ def test_flat_maxent_update_matches_per_word_2d_add_at(hash_size, limit):
     ref = params.copy()
     for sent in [example.captions[0]] + [encode([f"w{i}" for i in rng.integers(0, 10, 12)],
                                                 vocab) for _ in range(4)]:
-        out = model.output_pass(params, sentence_states(params, v, sent, vocab), lr, limit)
+        tr = sentence_states(params, v, sent, vocab)
+        out = model.output_pass(params, tr, lr, limit)
         for t, (_, lo, hi) in enumerate(sentence_states(ref, v, sent, vocab).classes):
             step = -lr * (out.dz[t].clip(-limit, limit) if limit < 1 else out.dz[t])
-            mine = out.me_steps == t
+            mine = tr.slots[t, :t + 2]   # (orders step t has, class columns)
             # me = [me_class | me_word]: the class slots, then the member slots
-            for slots, part in ((out.slots[mine][:, :c], step[:c]),
-                                (out.slots[mine][:, c + lo:c + hi], step[c + lo:c + hi])):
+            for slots, part in ((mine[:, :c], step[:c]),
+                                (mine[:, c:c + hi - lo], step[c + lo:c + hi])):
                 np.add.at(ref.me, slots, np.broadcast_to(part, slots.shape))
         for name in ("me_class", "me_word"):
             assert getattr(params, name).tobytes() == getattr(ref, name).tobytes(), name
