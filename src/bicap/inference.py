@@ -56,59 +56,80 @@ def sample_length(hist, rng):
 
 def sample_candidates(params, vocab, v, uniforms, lam_recon):
     """Sample and score one candidate per row of a (C, length) block of
-    uniform variates, all C candidates in one batched pass.
+    uniform variates in [0, 1), all C candidates in one batched pass.
 
     Candidate i takes its t-th token from that step's next-word
     distribution with <eos> and <unk> masked out and the rest
     renormalized, by the rule of ``multinomial_sample`` applied to
-    ``uniforms[i, t]``; one more step appends <eos>. It samples on the
-    (vocab, C) arrays under ``word_distribution_rows``' ``.T`` views. Each
-    step advances the C stacked [s | u] rows through ``advance_rows``, in
-    place of their gathered input columns, and keeps the picked
-    probabilities and the u rows; after the last step it adds up each
-    candidate's joint loss, as ``score_candidate`` computes it: the
+    ``uniforms[i, t]``; one more step appends <eos>. Candidates that share
+    a prefix share its state and its distribution, so each step runs on one
+    row per distinct prefix, its group, ordered as the sorted (group, id)
+    keys of the step before: the rows depend only on the set of prefixes.
+    Each step advances the group rows through ``advance_rows``, in place of
+    their gathered input columns, and samples on the (vocab, groups) arrays
+    under ``word_distribution_rows``' ``.T`` views, each candidate from its
+    group's cdf column with its own uniform. It keeps each candidate's picked
+    probabilities and each group's u row; after the last step it adds up
+    each candidate's joint loss, as ``score_candidate`` computes it: the
     unmasked word NLL of each token plus ``lam_recon`` times the
     reconstruction cross-entropy. Returns the (C, length + 1) ids and the
-    (C,) joint losses.
+    (C,) joint losses. A uniform that is NaN or outside [0, 1) raises
+    ValueError.
     """
-    dims, sd = params.dims, params.dims.s_dim
+    dims, sd, vs = params.dims, params.dims.s_dim, params.dims.vocab_size
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.ndim != 2 or uniforms.shape[1] < 1:
         raise ValueError("length must be >= 1")
+    if not np.all((uniforms >= 0.0) & (uniforms < 1.0)):   # NaN fails it too
+        raise ValueError("uniforms must lie in [0, 1)")
     count, length = uniforms.shape
     v = feature_vector(dims, v)
-    drive, prev = stacked_drive(params, v), stacked_start(params)
-    us = np.empty((length + 1, count, dims.u_dim)) if dims.uses_u else None
-    rows = np.arange(count)
+    drive, prev = stacked_drive(params, v), stacked_start(params)[None]
     fed = np.full((count, length + 2), vocab.eos_id)   # step t feeds column t: <eos>, then ids
     ids = fed[:, 1:]
     reach = max(dims.maxent_order - 1, 1)               # fed tokens the newest bases read
-    keep = ~np.isin(np.arange(dims.vocab_size), [vocab.eos_id, vocab.unk_id])[:, None]
+    keep = ~np.isin(np.arange(vs), [vocab.eos_id, vocab.unk_id])[:, None]
     picked = np.empty((2, length + 1, count))           # class and member probability of each pick
+    members = np.arange(count)
+    group = np.zeros(count, dtype=np.intp)              # each candidate's row at this step
+    parent = rep = np.zeros(1, dtype=np.intp)           # each row's previous row and a member
+    us, at, stored = [], np.empty((length + 1, count), dtype=np.intp), 0
     for t in range(length + 1):
-        pre = input_columns(params, fed[:, t])
-        prev = advance_rows(params, pre, prev, drive, pre)
+        if t:   # this step's rows: the distinct (row, id) keys of the last step, in sorted order
+            keys = group * vs + ids[:, t - 1]
+            mark = np.zeros(len(rep) * vs, dtype=bool)
+            mark[keys] = True
+            heads = np.flatnonzero(mark)
+            group, parent = heads.searchsorted(keys), heads // vs
+            rep = np.empty(len(heads), dtype=np.intp)
+            rep[group] = members                        # any member: they share the prefix
+        window = fed[rep, max(0, t + 1 - reach):t + 1]
+        pre = input_columns(params, window[:, -1])
+        prev = advance_rows(params, pre, prev[parent], drive, pre)
         u = prev[:, sd:] if dims.uses_u else None
         if u is not None:
-            us[t] = u                                   # contiguous for the reconstruction head
-        bases = token_bases(dims, fed[:, max(0, t + 1 - reach):t + 1])[:, -1]
-        qw, p = word_distribution_rows(params, prev[:, :sd], u, bases, vocab)
-        qw, p = qw.T, p.T                               # (vocab, C)
+            us.append(u)
+            at[t] = stored + group                      # row of each candidate's u in ``us``
+            stored += len(u)
+        qw, p = word_distribution_rows(params, prev[:, :sd], u,
+                                       token_bases(dims, window)[:, -1], vocab)
+        qw, p = qw.T, p.T                               # (vocab, rows)
         if t < length:
             dist = qw * p * keep
             mass = dist.sum(axis=0)
             if not mass.min() > 0.0:   # NaN fails it too
                 raise ValueError("no probability mass left after masking <eos>/<unk>")
-            cdf = np.add.accumulate(dist / mass, axis=0)
+            cdf = np.add.accumulate(dist / mass, axis=0).take(group, axis=1)
             draw = uniforms[:, t] * cdf[-1]
-            ids[:, t] = np.minimum((cdf <= draw).sum(axis=0), dims.vocab_size - 1)
+            ids[:, t] = np.minimum((cdf <= draw).sum(axis=0), vs - 1)
         w = ids[:, t]
-        picked[0, t], picked[1, t] = qw[w, rows], p[w, rows]
+        picked[0, t], picked[1, t] = qw[w, group], p[w, group]
     logs = np.log(picked)
     joint = -logs[0] - logs[1]                          # (length + 1, C)
     if dims.uses_u:
-        recon = sigmoid_clipped(us @ params.W_uv.T + params.b_v, dims.sigmoid_clip)
-        joint = joint + lam_recon * recon_cross_entropy(v, recon)
+        recon = sigmoid_clipped(np.concatenate(us) @ params.W_uv.T + params.b_v,
+                                dims.sigmoid_clip)
+        joint = joint + lam_recon * recon_cross_entropy(v, recon)[at]
     return ids, joint.sum(axis=0)
 
 

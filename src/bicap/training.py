@@ -257,8 +257,9 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     Returns (best-validation parameters, history). ``valid_metric``
     overrides the perplexity computation (epoch, params) -> float.
 
-    Every training pair is checked before any weight moves; a bad caption
-    or feature vector raises ValueError naming its example. Each epoch's
+    Every training pair, and every validation pair when ``valid_metric``
+    is None, is checked before any weight moves; a bad caption or feature
+    vector raises ValueError naming its example. Each epoch's
     shuffled pairs run in blocks of ``ROW_SLICE``, each with its
     ``caption_plans`` built in one pass.
     """
@@ -268,9 +269,12 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     pairs = dataset.caption_pairs("train")
     if not pairs:
         raise ValueError("training split is empty")
-    if valid_metric is None and not dataset.caption_pairs("valid"):
-        raise ValueError("validation split is empty")
     checked_features(params.dims, vocab, pairs)
+    if valid_metric is None:
+        valid = dataset.caption_pairs("valid")
+        if not valid:
+            raise ValueError("validation split is empty")
+        checked_features(params.dims, vocab, valid)
     grads = _batch_grads(params)
 
     shuffle_rng = SeededRng(config.seed).derive("shuffle")

@@ -321,6 +321,97 @@ def test_batched_generation_no_mass_left_is_loud():
         generate(params, vocab, None, GenConfig(length_hist={2: 1}, candidate_count=3))
 
 
+@pytest.mark.parametrize("bad", [1.0, math.nan, -0.5, math.inf, np.nextafter(0.0, -1.0)])
+def test_bad_uniforms_are_rejected(bad):
+    # a 1.0 used to sample <unk>, past the mask, and NaN or -0.5 id 0
+    params, vocab, example = gradcheck_setup("full", seed=2)
+    uniforms = np.full((3, 4), 0.5)
+    uniforms[1, 2] = bad
+    with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+        sample_candidates(params, vocab, example.features, uniforms, 1.0)
+
+
+def _grouped_setup(variant, seed):
+    """Bundle-width model on the 12-token vocabulary with random max-ent
+    tables, whose candidates share many prefixes."""
+    params, vocab, example = gradcheck_setup(variant, seed=seed, s_dim=32, u_dim=32,
+                                             maxent_hash_size=5)
+    return _random_tables(params, SeededRng(seed).derive("tables")), vocab, example.features
+
+
+def _advance_rows_recorder(monkeypatch):
+    """Wrap ``inference.advance_rows`` to record a copy of each step's new
+    rows."""
+    steps = []
+
+    def recording(params, pre, prev, drive, out):
+        out = model.advance_rows(params, pre, prev, drive, out)
+        steps.append(out.copy())
+        return out
+
+    monkeypatch.setattr(inference, "advance_rows", recording)
+    return steps
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+@pytest.mark.parametrize("length", [1, 5])
+def test_permuted_uniform_rows_permute_ids_and_scores(monkeypatch, variant, length):
+    # a step's rows are the distinct prefixes in sorted order, so they and
+    # every candidate's ids and score do not depend on the candidates' order
+    params, vocab, v = _grouped_setup(variant, seed=21)
+    uniforms = SeededRng(length).random((40, length))
+    perm = np.arange(40)
+    SeededRng(length).derive("order").shuffle(perm)
+    steps = _advance_rows_recorder(monkeypatch)
+    ids, scores = sample_candidates(params, vocab, v, uniforms, 1.0)
+    rows = steps[:]
+    steps.clear()
+    ids_p, scores_p = sample_candidates(params, vocab, v, uniforms[perm], 1.0)
+    assert [r.tobytes() for r in steps] == [r.tobytes() for r in rows]
+    assert ids_p.tobytes() == ids[perm].tobytes()
+    assert scores_p.tobytes() == scores[perm].tobytes()
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_identical_uniform_rows_give_identical_candidates(variant):
+    params, vocab, v = _grouped_setup(variant, seed=8)
+    length, rng = 5, SeededRng(8)
+    base = rng.random((12, length))
+    _, scores = sample_candidates(params, vocab, v, base, 1.0)
+    best = int(np.argmin(scores))
+    # the best row twice, after rows that score worse and between others
+    picks = [k for k in range(12) if k != best][:3] + [best] + [(best + 1) % 12, best]
+    uniforms = base[picks]
+    ids, scores = sample_candidates(params, vocab, v, uniforms, 1.0)
+    assert ids[3].tobytes() == ids[5].tobytes()
+    assert scores[3].tobytes() == scores[5].tobytes()
+    # each candidate draws from its own prefix's distribution: alone it draws the same
+    for row, want, score in zip(uniforms, ids, scores):
+        alone, alone_score = sample_candidates(params, vocab, v, row[None], 1.0)
+        assert alone[0].tolist() == want.tolist()
+        assert abs(alone_score[0] - score) <= 1e-12 * abs(score)
+
+    class Uniforms:   # a histogram of one length draws it whatever the uniform
+        def random(self, size=None):
+            return 0.0 if size is None else uniforms
+
+    res = generate(params, vocab, v, GenConfig(length_hist={length: 1},
+                                               candidate_count=len(picks)), rng=Uniforms())
+    assert res.candidate_scores == scores.tolist()
+    assert res.candidate_scores.index(min(res.candidate_scores)) == 3
+    assert res.score == res.candidate_scores[3] and res.sentence.ids == ids[3].tolist()
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_each_step_advances_one_row_per_distinct_prefix(monkeypatch, variant):
+    params, vocab, v = _grouped_setup(variant, seed=4)
+    steps = _advance_rows_recorder(monkeypatch)
+    ids, _ = sample_candidates(params, vocab, v, SeededRng(4).random((100, 6)), 1.0)
+    want = [len({tuple(row) for row in ids[:, :t].tolist()}) for t in range(7)]
+    assert [len(rows) for rows in steps] == want
+    assert want[0] == 1 and want[1] < want[-1] <= 100
+
+
 def test_recon_score_zero_weight_model():
     vocab = _vocab5()
     dims = small_dims(vocab, v_dim=3)

@@ -310,22 +310,37 @@ def test_non_finite_sentence_stops_the_epoch_and_restores_params(monkeypatch):
         assert np.array_equal(arr, getattr(params, name)), name
 
 
-@pytest.mark.parametrize("fault", ["no_eos", "nan_features"])
-@pytest.mark.parametrize("where", [0, 13, -1])
-def test_bad_training_pair_raises_before_any_weight_moves(where, fault):
-    # a pair late in the shuffled order used to raise only after earlier
-    # sentences had moved the weights, without naming its example
+def _assert_bad_pair_moves_no_weight(split, where, fault, valid_metric=None):
+    """Drop the <eos> of, or put a NaN into the features of, pair ``where``
+    of ``split``; ``train`` must raise ValueError naming its example and
+    leave every block byte-equal."""
     dataset, params = _small_training_setup(n=30)
     start = params.copy()
-    ex, cap = dataset.caption_pairs("train")[where]
+    ex, cap = dataset.caption_pairs(split)[where]
     if fault == "no_eos":
         ex.captions[ex.captions.index(cap)] = corpus.EncodedSentence(cap.ids[:-1], cap.tokens[:-1])
     else:
         ex.features = np.where(np.arange(len(ex.features)) == 2, np.nan, ex.features)
     with pytest.raises(ValueError, match=f"example {ex.id!r}"):
-        train(params, dataset, TrainConfig(max_epochs=1, seed=1), valid_metric=lambda e, p: 1.0)
+        train(params, dataset, TrainConfig(max_epochs=1, seed=1), valid_metric=valid_metric)
     for name, arr in start.named_blocks():
         assert getattr(params, name).tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("fault", ["no_eos", "nan_features"])
+@pytest.mark.parametrize("where", [0, 13, -1])
+def test_bad_training_pair_raises_before_any_weight_moves(where, fault):
+    # a pair late in the shuffled order used to raise only after earlier
+    # sentences had moved the weights, without naming its example
+    _assert_bad_pair_moves_no_weight("train", where, fault, valid_metric=lambda e, p: 1.0)
+
+
+@pytest.mark.parametrize("fault", ["no_eos", "nan_features"])
+@pytest.mark.parametrize("where", [0, -1])
+def test_bad_validation_pair_raises_before_any_weight_moves(where, fault):
+    # train's own validation perplexity used to reach a bad pair only after
+    # the first epoch had moved every block
+    _assert_bad_pair_moves_no_weight("valid", where, fault)
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)
