@@ -33,8 +33,6 @@ class GenConfig:
             raise ValueError("candidate_count must be an integer >= 1")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not self.length_hist:
-            raise ValueError("length histogram is empty")
         if not 0 <= self.lam_recon < math.inf:   # NaN fails the comparison too
             raise ValueError(f"lam_recon must be >= 0 and finite, got {self.lam_recon!r}")
         weights = np.array([float(w) for w in self.length_hist.values()])

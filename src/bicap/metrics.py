@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 
 from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, input_columns,
-                    score_states, stacked_drive, stacked_start, token_bases)
+                    stacked_drive, stacked_start, token_bases, word_distribution_rows)
 
 LOG2 = math.log(2.0)
 
@@ -16,8 +16,9 @@ LOG2 = math.log(2.0)
 def checked_features(dims, vocab, pairs):
     """Features of the pairs as an (N, v_dim) matrix, (N, 0) for the rnn
     variant, which reads none. An empty caption, one without a final
-    <eos>, an id outside the vocabulary or features that are not a finite
-    (v_dim,) vector raise ValueError naming the example.
+    <eos>, an id that is not an integer (a bool is not) or lies outside the
+    vocabulary, or features that are not a finite (v_dim,) vector raise
+    ValueError naming the example.
 
     One pass checks the stacked features and the concatenated ids of all
     pairs. Only if it fails are the pairs walked one by one, caption before
@@ -26,9 +27,12 @@ def checked_features(dims, vocab, pairs):
         feats = (np.array([ex.features for ex, _ in pairs], dtype=np.float64) if dims.uses_v
                  else np.empty((len(pairs), 0)))
         ends = np.cumsum([len(cap.ids) for _, cap in pairs])
-        ids = np.array(list(chain.from_iterable(cap.ids for _, cap in pairs)))
+        flat = list(chain.from_iterable(cap.ids for _, cap in pairs))
+        ids = np.array(flat)   # [True, 5] becomes int64, so the id types get ``is_int``'s test
         if (feats.shape == (len(pairs), dims.v_dim * dims.uses_v) and np.isfinite(feats).all()
                 and np.all(np.diff(ends, prepend=0) > 0) and ids.dtype.kind in "iu"
+                and all(issubclass(t, (int, np.integer)) and t is not bool
+                        for t in set(map(type, flat)))
                 and np.all(ids[ends - 1] == vocab.eos_id)
                 and 0 <= ids.min() and ids.max() < dims.vocab_size):
             return feats
@@ -52,9 +56,11 @@ def _rows_word_nll(params, vocab, feats, sents):
     [s | u] rows whose caption has not ended yet, which the sort makes a
     prefix of the previous step's rows, through one ``advance_rows`` call.
     Every state goes into one (states, dim) array, step after step, with
-    its input columns gathered once beforehand; ``score_states`` then
-    scores every stored state against its target, under the
-    ``token_bases`` of the (rows, steps) matrix of fed tokens.
+    its input columns gathered once beforehand. Afterwards
+    ``word_distribution_rows`` scores the stored states ``ROW_SLICE`` at a
+    time, under the ``token_bases`` of the (rows, steps) matrix of fed
+    tokens, and each state keeps its target's class and member probability;
+    the NLL is -log of each, as ``output_pass`` takes it.
     """
     dims, sd = params.dims, params.dims.s_dim
     lengths = np.array([len(ids) for ids in sents])
@@ -72,10 +78,18 @@ def _rows_word_nll(params, vocab, feats, sents):
         rows = act[end:end + n]
         prev = advance_rows(params, rows, prev[:n] if t else prev, drive[:n], rows)
         end += n
+    u = act[:, sd:] if dims.uses_u else None
+    bases, tgt = token_bases(dims, inputs).transpose(1, 0, 2, 3)[live], targets.T[live]
+    picked = np.empty((2, len(act)))                # class and member probability of each target
+    for start in range(0, len(act), ROW_SLICE):
+        blk = slice(start, start + ROW_SLICE)
+        qw, p = word_distribution_rows(params, act[blk, :sd], u if u is None else u[blk],
+                                       bases[blk], vocab)
+        at = np.arange(len(qw)), tgt[blk]
+        picked[:, blk] = qw[at], p[at]
+    logs = np.log(picked)   # inf, not an error, where a probability is 0
     nll = np.zeros((count, steps))
-    nll.T[live] = score_states(params, vocab, act[:, :sd], act[:, sd:] if dims.uses_u else None,
-                               targets.T[live],
-                               token_bases(dims, inputs).transpose(1, 0, 2, 3)[live])
+    nll.T[live] = -logs[0] - logs[1]
     return [nll[r, :k] for r, k in enumerate(lengths)]
 
 

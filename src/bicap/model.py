@@ -102,9 +102,10 @@ class ModelDims:
 ONLINE_BLOCKS = frozenset({"W_sc", "W_uc", "W_sw", "W_uw", "b_c", "b_w",
                            "me_class", "me_word"})
 
-# Stored states per block of ``score_states`` (and captions per chunk of
-# ``metrics.pair_word_nll``): bounds every array that spans the vocabulary.
-# A ``score_gallery_states`` block holds no more logits than such a block.
+# Stored states per ``word_distribution_rows`` call of perplexity (and captions
+# per chunk of ``metrics.pair_word_nll``): bounds every array that spans the
+# vocabulary. A ``score_gallery_states`` block holds no more logits than such
+# a call.
 ROW_SLICE = 256
 
 
@@ -408,14 +409,17 @@ def word_distribution(params, s, u, context, vocab_classes):
 
 def check_sentence(dims, ids, eos_id, what="sentence"):
     """Raise ValueError unless ``ids`` is nonempty, ends with ``eos_id`` and
-    holds only ids in [0, vocab_size); the message names the bad id."""
+    holds only integer ids (not bools) in [0, vocab_size); the message
+    names the bad id."""
     if not ids:
         raise ValueError(f"empty {what}")
     if ids[-1] != eos_id:
         raise ValueError(f"{what} does not end with <eos>")
-    bad = next((i for i in ids if not 0 <= i < dims.vocab_size), None)
-    if bad is not None:
-        raise ValueError(f"token id {bad} outside [0, {dims.vocab_size})")
+    for i in ids:
+        if type(i) is not int and not is_int(i):   # plain ints skip the call
+            raise ValueError(f"token ids must be integers, got {i!r}")
+        if not 0 <= i < dims.vocab_size:
+            raise ValueError(f"token id {i} outside [0, {dims.vocab_size})")
 
 
 def feature_vector(dims, v):
@@ -504,10 +508,7 @@ def caption_plans(dims, vocab, sents):
     """
     for sent in sents:
         check_sentence(dims, sent.ids, vocab.eos_id)
-    targets = np.array([i for sent in sents for i in sent.ids])
-    if targets.dtype.kind not in "iu":
-        raise ValueError(f"token ids must be integers, got {targets.dtype}")
-    targets = targets.astype(np.int64, copy=False)
+    targets = np.array([i for sent in sents for i in sent.ids], dtype=np.int64)
     lengths = np.array([len(sent.ids) for sent in sents])
     c, h = dims.class_count, dims.maxent_hash_size
     # <eos> doubles as begin-of-sentence: each sentence is fed the <eos> that ends the one before
@@ -744,10 +745,10 @@ def word_distribution_rows(params, s, u, bases, vocab_classes):
 def _target_nll(z, c, rows):
     """NLL of one target class and word per column of a block of logits,
     which it overwrites. Axis 0 of ``z`` holds the class logits (its first
-    ``c`` rows), then member logits, of which only each column's target
-    class may be finite; ``rows`` is the (2, columns) class and member row
-    of each column's target. One log-softmax runs over the classes and one
-    over the members."""
+    ``c`` rows), then the member logits of the columns' target class;
+    ``rows`` is the (2, columns) class and member row of each column's
+    target. One log-softmax runs over the classes and one over the
+    members."""
     # the fancy index copies the targets before zc and zw shift in place
     (tc, tw), (zc, zw) = z[rows, np.arange(z.shape[1])], (z[:c], z[c:])
     mc, mw = zc.max(axis=0), zw.max(axis=0)
@@ -755,33 +756,6 @@ def _target_nll(z, c, rows):
     zw -= mw
     return ((np.log(np.exp(zc, out=zc).sum(axis=0)) - (tc - mc))
             + (np.log(np.exp(zw, out=zw).sum(axis=0)) - (tw - mw)))
-
-
-def score_states(params, vocab_classes, s, u, targets, bases):
-    """Word NLL of stored recurrence states: entry i of the (M,) result is
-    the NLL of ``targets[i]`` under the output layer at state i.
-
-    Row i of the (M, s_dim) matrix ``s`` is a state as ``advance_rows``
-    returns it, with its row of the u rows ``u`` (M, u_dim; None without
-    the visual memory) and of the (M, order, 2) ``token_bases`` entries
-    ``bases``. The states run in blocks of at most ``ROW_SLICE``. A block
-    takes the s product and adds the ``context_logits`` of its entries,
-    with -inf at every word outside the entry's target class, and
-    ``_target_nll`` reads the targets out.
-    """
-    c, sd = params.dims.class_count, params.dims.s_dim
-    targets = np.asarray(targets, dtype=np.int64)
-    g = vocab_classes.id_class[targets]
-    picks = np.stack([g, c + targets])        # (2, entries): class and word row of each target
-    nll = np.empty(len(s))
-    for start in range(0, len(s), ROW_SLICE):
-        blk = slice(start, start + ROW_SLICE)
-        ctx = context_logits(params, u if u is None else u[blk], bases[blk])
-        ctx[c:][vocab_classes.id_class[:, None] != g[blk]] = -np.inf
-        z = params.A[:, :sd] @ s[blk].T     # (classes + vocab, block)
-        z += ctx
-        nll[blk] = _target_nll(z, c, picks[:, blk])
-    return nll
 
 
 def score_gallery_states(params, vocab_classes, ss, uu, targets, bases):
@@ -798,7 +772,7 @@ def score_gallery_states(params, vocab_classes, ss, uu, targets, bases):
     ``params.A`` with their states, as a (classes + class size, steps, N)
     block, add their context logits, broadcast over the images, and
     ``_target_nll`` reads the targets out. A block holds at least one step
-    and otherwise no more logits than a block of ``score_states``.
+    and otherwise no more logits than ``ROW_SLICE`` full distributions.
     """
     c, sd, n = params.dims.class_count, params.dims.s_dim, ss.shape[1]
     targets = np.asarray(targets, dtype=np.int64)

@@ -201,9 +201,9 @@ def _batch_grads(params):
                                     if n not in ONLINE_BLOCKS])
 
 
-# What ``train`` hands ``train_sentence`` as a sentence: a caption plan, its
-# ids, and the ``_batch_grads`` container that every sentence of the call reuses.
-Planned = namedtuple("Planned", "plan ids grads")
+# What ``train`` hands ``train_sentence`` as a sentence: a caption plan and the
+# ``_batch_grads`` container that every sentence of the call reuses.
+Planned = namedtuple("Planned", "plan grads")
 
 
 def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
@@ -219,7 +219,7 @@ def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
     update (schedule introspection).
     """
     if isinstance(sent, Planned):
-        sent, _, batch_grads = sent
+        sent, batch_grads = sent
         batch_grads.B.fill(0.0)
     else:
         batch_grads = _batch_grads(params)
@@ -240,7 +240,7 @@ def _planned(dims, vocab, pairs, order, grads):
     for start in range(0, len(order), ROW_SLICE):
         block = [pairs[i] for i in order[start:start + ROW_SLICE]]
         for (ex, _), plan in zip(block, caption_plans(dims, vocab, [cap for _, cap in block])):
-            yield ex, Planned(plan, plan.ids, grads)
+            yield ex, Planned(plan, grads)
 
 
 def train(params, dataset, config, valid_metric=None, log_fn=None):
@@ -335,11 +335,12 @@ def grad_check(params, vocab, example, eps=1e-5, recon_kind="ce"):
 
     Uses full unrolling and no gradient clamp so the comparison exercises
     raw derivatives; masked W_vs rows are fixed zeros, not free parameters,
-    and are skipped.
+    and are skipped. The caption's plan, which reads no weight, is built
+    once for every loss evaluation.
     """
     from .model import sentence_loss
 
-    sent, v = example.captions[0], example.features
+    sent, v = caption_plans(params.dims, vocab, example.captions[:1])[0], example.features
     grads, _ = sentence_gradients(params, vocab, v, sent, 1.0, len(sent.ids),
                                   recon_kind=recon_kind)
 

@@ -9,6 +9,7 @@ import pytest
 
 from bicap import cli, corpus, model, training
 from bicap.cli import load_config, main
+from bicap.numkit import SeededRng
 
 
 def run(*argv):
@@ -403,3 +404,85 @@ def test_eval_human_consistency_mode(tmp_path):
     assert run("eval", "--model", ckpt, "--data", data, "--human-consistency",
                "--out", report) == 0
     assert "human-consistency" in report.read_text()
+
+
+def _untrained_checkpoint(tmp_path, data):
+    """An untrained full-variant checkpoint for the dataset at ``data``."""
+    ds = corpus.load_dataset(data)
+    dims = model.ModelDims(vocab_size=len(ds.vocab), class_count=ds.vocab.n_classes,
+                           v_dim=ds.feature_dim, s_dim=8, u_dim=8, maxent_hash_size=64)
+    ckpt = tmp_path / "model.ckpt"
+    model.save_checkpoint(ckpt, model.init_params(dims, SeededRng(3)), ds.vocab, 1.0)
+    return ckpt
+
+
+def _rewrite_records(path, edit):
+    """Apply ``edit`` to every raw record of a dataset file, in place; its
+    manifest stays."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(edit(r)) + "\n" for r in records))
+
+
+def test_config_file_that_is_not_an_object_is_rejected(tmp_path, capsys):
+    data = _synth(tmp_path)
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text("[1, 2]")
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--data", data, "--out", out, "--config", cfg_path) == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "retrieve", "eval", "trace"])
+def test_dataset_of_another_feature_dim_is_rejected(tmp_path, capsys, command):
+    ckpt = _untrained_checkpoint(tmp_path, _synth(tmp_path, attrs=6))
+    other = _synth(tmp_path, attrs=7, name="other.jsonl")
+    out = tmp_path / "out.txt"
+    extra = {"retrieve": ["--direction", "image"], "trace": ["--example-id", "scene00000"]}
+    capsys.readouterr()
+    assert run(command, "--model", ckpt, "--data", other, "--out", out,
+               *extra.get(command, [])) == 2
+    assert ("dataset feature dim 7 does not match checkpoint v_dim 6"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_generate_and_eval_reject_an_empty_split(tmp_path, capsys, command):
+    data = _synth(tmp_path)
+    ckpt = _untrained_checkpoint(tmp_path, data)
+    _rewrite_records(data, lambda r: dict(r, split="train" if r["split"] == "test"
+                                          else r["split"]))
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert run(command, "--model", ckpt, "--data", data, "--out", out) == 2
+    assert "split 'test' is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_human_consistency_needs_an_example_with_two_captions(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = _untrained_checkpoint(tmp_path, data)
+    _rewrite_records(data, lambda r: dict(r, captions=r["captions"][:1]))
+    out = tmp_path / "hc.txt"
+    capsys.readouterr()
+    assert run("eval", "--model", ckpt, "--data", data, "--human-consistency",
+               "--out", out) == 2
+    assert ("human-consistency mode needs examples with >= 2 captions"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--example-id", "no-such-scene"], "no example with id 'no-such-scene'"),
+    (["--example-id", "scene00000", "--caption-index", 2], "caption index out of range"),
+    (["--example-id", "scene00000", "--caption-index", -1], "caption index out of range"),
+])
+def test_trace_rejects_an_unknown_example_or_caption(tmp_path, capsys, flags, message):
+    data = _synth(tmp_path)
+    ckpt = _untrained_checkpoint(tmp_path, data)
+    out = tmp_path / "trace.tsv"
+    capsys.readouterr()
+    assert run("trace", "--model", ckpt, "--data", data, "--out", out, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

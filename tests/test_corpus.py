@@ -128,6 +128,20 @@ def test_build_vocab_empty_corpus_rejected():
         build_vocab([])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(class_count=0), "class_count must be >= 1"),
+    (dict(min_count=0), "min_count must be >= 1"),
+])
+def test_build_vocab_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_vocab([["a", "b"]], **kwargs)
+
+
+def test_partition_of_no_masses_rejected():
+    with pytest.raises(ValueError, match="cannot partition an empty mass list"):
+        partition_by_mass([], 2)
+
+
 def test_equal_mass_classing_on_zipf_corpora():
     # random Zipf-like corpora; the heaviest class carries at most twice
     # the mass of the lightest
@@ -241,6 +255,48 @@ def test_load_dataset_missing_field_and_bad_split(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("features", [[1.0, 2.0, 3.0]], "features must be a flat nonempty array"),
+    ("features", [], "features must be a flat nonempty array"),
+    ("features", [1.0, -0.5, 0.0], "features must be finite and nonnegative"),
+    ("features", [1.0, float("nan"), 0.0], "features must be finite and nonnegative"),
+    ("features", [float("inf"), 0.0, 0.0], "features must be finite and nonnegative"),
+    ("captions", ["a cat", 3], "captions must be a nonempty list of strings"),
+    ("captions", "a cat", "captions must be a nonempty list of strings"),
+    ("captions", [], "captions must be a nonempty list of strings"),
+], ids=["nested", "empty", "negative", "nan", "inf", "not_string", "not_list", "no_captions"])
+def test_load_dataset_bad_record_field_names_line(tmp_path, field, value, message):
+    recs = _records3()
+    recs[1][field] = value
+    path = tmp_path / "bad.jsonl"
+    _write_jsonl(path, recs)   # json writes NaN and Infinity, which it reads back
+    with pytest.raises(ValueError, match=rf"bad\.jsonl: line 2: {message}"):
+        load_dataset(path)
+
+
+def test_dataset_without_train_records_is_rejected(tmp_path):
+    # normalization and the vocabulary both come from the train split
+    recs = [dict(r, split="valid") for r in _records3()]
+    path = tmp_path / "data.jsonl"
+    _write_jsonl(path, recs)
+    with pytest.raises(ValueError, match="no train records to derive the normalization"):
+        load_dataset(path)
+    with pytest.raises(ValueError, match="no train records to derive the normalization"):
+        write_dataset_file(recs, path)
+    write_dataset_file(_records3(), path)   # a manifest supplies the normalization
+    _write_jsonl(path, recs)
+    with pytest.raises(ValueError, match="no train captions to build a vocabulary"):
+        load_dataset(path)
+    assert len(load_dataset(path, vocab=build_vocab([["a", "cat"]])).examples) == 3
+
+
+def test_writing_an_empty_dataset_is_refused(tmp_path):
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match="refusing to write an empty dataset"):
+        write_dataset_file([], path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_normalization_idempotent(tmp_path):
     path = tmp_path / "data.jsonl"
     _write_jsonl(path, _records3())
@@ -316,6 +372,25 @@ def test_manifest_missing_field_rejected(tmp_path, field):
     assert str(manifest_file) in str(info.value)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("feature_dim", "three", "feature_dim is not an integer"),
+    ("feature_dim", None, "feature_dim is not an integer"),
+    ("per_dim_max", ["a", 0.0, 1.0], "per_dim_max is not a list of numbers"),
+    ("per_dim_max", [4.0, None, 1.0], "per_dim_max holds nan"),
+    ("per_dim_max", [4.0, [0.0], 1.0], "per_dim_max is not a list of numbers"),
+])
+def test_manifest_non_numeric_field_rejected(tmp_path, field, value, message):
+    path = tmp_path / "data.jsonl"
+    write_dataset_file(_records3(), path)
+    manifest_file = tmp_path / "data.jsonl.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest[field] = value
+    manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=message) as info:
+        load_dataset(path)
+    assert str(manifest_file) in str(info.value)
+
+
 def test_manifest_invalid_json_rejected(tmp_path):
     path = tmp_path / "data.jsonl"
     write_dataset_file(_records3(), path)
@@ -357,6 +432,20 @@ def test_synthetic_captions_match_feature_support():
 def test_synthetic_rejects_tiny_attr_count():
     with pytest.raises(ValueError):
         synthetic_records(1, 10, SeededRng(0))
+
+
+def test_attribute_names_extend_past_the_lexicon():
+    # wider synthetic corpora name the attributes past the 24-word lexicon objN
+    names = corpus.attribute_names(27)
+    assert names[:24] == corpus.ATTRIBUTE_LEXICON
+    assert names[24:] == ["obj0", "obj1", "obj2"]
+    assert len(set(names)) == 27
+    records = synthetic_records(27, 30, SeededRng(6))
+    assert all(len(r["features"]) == 27 for r in records)
+    for rec in records:
+        active = {names[i] for i, bit in enumerate(rec["features"]) if bit}
+        for cap in rec["captions"]:
+            assert {t for t in tokenize(cap) if t in set(names)} == active
 
 
 class _CountingRng(SeededRng):

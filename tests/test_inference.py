@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bicap.inference import (ZSCORE_DECIMALS, GenConfig, activation_trace,
                              recon_trajectory, sample_candidates, sample_length,
                              sample_sentence, score_candidate, score_matrices,
                              sentence_retrieval_task)
+from bicap.metrics import perplexity_of_pairs
 from bicap.model import (gallery_scores, init_params, maxent_bases, reset_state,
                          sentence_loss)
 from bicap.numkit import SeededRng, multinomial_sample, sigmoid_clipped
@@ -150,7 +152,7 @@ def test_gen_config_rejects_bad_lam_recon(lam_recon):
 
 @pytest.mark.parametrize("hist", [{3: 0}, {3: 0, 4: 0.0}, {0: 1}, {-2: 1}, {2.0: 1},
                                   {True: 1}, {"3": 1}, {3: -1}, {3: 1, 4: -0.5},
-                                  {3: math.nan}, {3: math.inf}, {3: 1, 4: math.inf}])
+                                  {3: math.nan}, {3: math.inf}, {3: 1, 4: math.inf}, {}])
 def test_gen_config_rejects_bad_length_hist(hist):
     with pytest.raises(ValueError, match="length_hist"):
         GenConfig(length_hist=hist)
@@ -329,6 +331,13 @@ def test_bad_uniforms_are_rejected(bad):
     uniforms[1, 2] = bad
     with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
         sample_candidates(params, vocab, example.features, uniforms, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (4,), (2, 3, 1)])
+def test_uniforms_not_a_candidates_by_length_block_are_rejected(shape):
+    params, vocab, example = gradcheck_setup("full", seed=2)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        sample_candidates(params, vocab, example.features, np.full(shape, 0.5), 1.0)
 
 
 def _grouped_setup(variant, seed):
@@ -551,6 +560,20 @@ def test_rank_retrieval_single_item_gallery(tiny_dataset):
     gallery = [examples[0].captions[0]]
     res = rank_retrieval(params, tiny_dataset.vocab, queries, gallery, [{0}], mode="t")
     assert res.r_at[1] == 100.0 and res.mean_rank == 1.0
+
+
+@pytest.mark.parametrize("truth, mode, combine, message", [
+    ([{0}], "t", "zscore", "one ground-truth set per query required"),
+    ([{0}, {1}, {2}], "t", "zscore", "one ground-truth set per query required"),
+    ([{0}, {1}], "ti", "sum", "combine must be 'zscore' or 'rank'"),
+    ([{0}, {1}], "it", "zscore", "mode must be 't', 'i' or 'ti'"),
+])
+def test_rank_retrieval_rejects_bad_settings(tiny_dataset, truth, mode, combine, message):
+    params = init_params(small_dims(tiny_dataset.vocab, v_dim=6), SeededRng(2))
+    examples = tiny_dataset.split("test")[:2]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rank_retrieval(params, tiny_dataset.vocab, [ex.captions[0] for ex in examples],
+                       [ex.features for ex in examples], truth, mode=mode, combine=combine)
 
 
 def test_rank_retrieval_runs_all_modes(tiny_dataset):
@@ -872,7 +895,7 @@ def test_gallery_state_scorer_matches_full_vocabulary_scoring(monkeypatch, varia
 @pytest.mark.parametrize("variant", ["rnn_if", "full"])   # rnn scores one row for any gallery
 def test_gallery_state_scorer_splits_a_class_into_bounded_blocks(monkeypatch, variant, rows):
     # seven steps of one class: 4 per block at 120 images; at 700 one step
-    # exceeds a score_states block, and each block holds one step
+    # exceeds ROW_SLICE full distributions, and each block holds one step
     params, vocab, _ = gradcheck_setup(variant, seed=rows, s_dim=32, u_dim=32)
     _random_output_layer(params, rows)
     feats = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, 4))
@@ -997,6 +1020,29 @@ def test_out_of_range_token_ids_are_rejected(bad):
         recon_trajectory(params, vocab, (example.captions[0], sent))
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, np.float64(3.0), np.array(3)],
+                         ids=["float", "whole_float", "bool", "numpy_bool", "numpy_float", "array"])
+def test_non_integer_token_ids_are_rejected(bad):
+    # a float id was truncated or raised a raw IndexError, and a bool scored
+    # as id 0 or 1; numpy coerces [True, 5] to int64, so no batched check may
+    # let one through
+    params, vocab, example = gradcheck_setup("full", seed=5)
+    sent = EncodedSentence(ids=[bad, vocab.token_to_id["w1"], vocab.eos_id], tokens=[])
+    message = f"token ids must be integers, got {bad!r}"
+    gallery = [example.features, example.features[::-1]]
+    calls = [lambda: gallery_scores(params, np.array(gallery), [sent], vocab),
+             lambda: rank_retrieval(params, vocab, [sent], gallery, [{0}], mode="ti"),
+             lambda: rank_retrieval(params, vocab, gallery[:1], [sent, example.captions[0]],
+                                    [{1}]),
+             lambda: sentence_loss(params, example.features, sent, 1.0, vocab),
+             lambda: recon_trajectory(params, vocab, (example.captions[0], sent)),
+             lambda: perplexity_of_pairs(params, vocab, [(example, example.captions[0]),
+                                                         (example, sent)])]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_caption_without_eos_is_rejected_by_both_reconstructions():
     # without the check the last word was fed as the begin-of-sentence token
     params, vocab, example = gradcheck_setup("full", seed=1)
@@ -1094,3 +1140,13 @@ def test_activation_trace_shape_and_range(tiny_dataset):
     assert len(lines) == T + 1
     assert lines[0].split("\t")[0] == "token"
     assert len(lines[1].split("\t")) == 1 + params.dims.s_dim + params.dims.u_dim
+
+
+def test_activation_trace_of_a_one_token_caption_has_zero_stability():
+    # the empty caption feeds <eos> once: one step, so no step-to-step change
+    params, vocab, example = gradcheck_setup("full", seed=12)
+    trace = activation_trace(params, vocab, example.features, encode([], vocab))
+    assert trace.tokens == ["<eos>"]
+    assert trace.s_rows.shape == (1, params.dims.s_dim)
+    assert trace.stability_s.tolist() == [0.0] * params.dims.s_dim
+    assert trace.stability_u.tolist() == [0.0] * params.dims.u_dim

@@ -81,7 +81,8 @@ def test_perplexity_empty_split_rejected():
 def _bad_caption(vocab, kind):
     w0 = vocab.token_to_id["w0"]
     ids = {"empty": [], "no_eos": [w0], "too_big": [w0, len(vocab), vocab.eos_id],
-           "negative": [-1, vocab.eos_id]}[kind]
+           "negative": [-1, vocab.eos_id], "float_id": [w0 + 0.7, vocab.eos_id],
+           "bool_id": [True, w0, vocab.eos_id]}[kind]
     return EncodedSentence(ids=ids, tokens=[])
 
 
@@ -90,6 +91,8 @@ def _bad_caption(vocab, kind):
     ("no_eos", "does not end with <eos>"),
     ("too_big", r"token id 12 outside \[0, 12\)"),
     ("negative", r"token id -1 outside \[0, 12\)"),
+    ("float_id", r"token ids must be integers, got \d+\.7"),
+    ("bool_id", "token ids must be integers, got True"),
     ("short_features", "dim 4"),
     ("matrix_features", "dim 4"),
     ("no_features", "dim 4"),
@@ -297,6 +300,11 @@ def test_bleu_brevity_tie_prefers_shorter_reference():
     value = bleu(cand, refs)
     no_pen = bleu(cand, [refs[0]])
     assert value >= no_pen
+
+
+def test_corpus_bleu_of_no_pairs_rejected():
+    with pytest.raises(ValueError, match="corpus_bleu over an empty corpus"):
+        corpus_bleu([])
 
 
 def test_corpus_bleu_single_pair_equals_sentence_bleu():

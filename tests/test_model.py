@@ -37,7 +37,7 @@ def test_dims_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("sigmoid_clip", float("nan")), ("sigmoid_clip", 0.0), ("sigmoid_clip", float("inf")),
-    ("s_dim", 0), ("s_dim", -2), ("u_dim", 0),
+    ("s_dim", 0), ("s_dim", -2), ("u_dim", 0), ("maxent_order", -1), ("maxent_hash_size", 0),
 ])
 def test_bad_dims_name_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -51,6 +51,17 @@ def test_init_masks_upper_half_of_vs():
     params = init_params(dims, SeededRng(0))
     assert np.all(params.W_vs[4:, :] == 0.0)
     assert np.any(params.W_vs[:4, :] != 0.0)
+
+
+def test_params_reject_a_block_of_the_wrong_shape():
+    vocab = _vocab5()
+    dims = small_dims(vocab, v_dim=3)
+    blocks = dict(init_params(dims, SeededRng(2)).named_blocks())
+    blocks["W_ss"] = blocks["W_ss"][:, :-1]
+    shape = (dims.s_dim, dims.s_dim)
+    with pytest.raises(ValueError, match=re.escape(f"block W_ss: expected shape {shape}, got "
+                                                   f"{(dims.s_dim, dims.s_dim - 1)}")):
+        model.ModelParams(dims, blocks)
 
 
 def test_init_deterministic():
@@ -552,15 +563,14 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def _dense_outputs(params, vocab, rng):
-    """``score_states`` and ``word_distribution_rows`` at fixed random
-    states, targets and contexts, as bytes."""
+    """``word_distribution_rows`` at fixed random states and contexts, as
+    bytes."""
     dims, n = params.dims, 6
     s = rng.uniform(0.01, 0.99, (n, dims.s_dim))
     u = rng.uniform(0.01, 0.99, (n, dims.u_dim)) if dims.uses_u else None
-    targets, fed = (rng.random((2, n)) * len(vocab)).astype(np.int64)
+    _, fed = (rng.random((2, n)) * len(vocab)).astype(np.int64)
     bases = token_bases(dims, fed[None])[0]
-    qw, p = model.word_distribution_rows(params, s, u, bases, vocab)
-    return [a.tobytes() for a in (model.score_states(params, vocab, s, u, targets, bases), qw, p)]
+    return [a.tobytes() for a in model.word_distribution_rows(params, s, u, bases, vocab)]
 
 
 def _output_blocks(dims, a):
@@ -831,13 +841,19 @@ def _rename_eos(meta):
     tokens[tokens.index("<eos>")] = "<end>"
 
 
+def _other_vocab_hash(meta):
+    meta["vocab_hash"] = "0" * 64
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_version, "unsupported version 2"),
     (_rename_block, "do not match the dims"),
     (_reshape_block, "do not match the dims"),
     (_grow_dims, "do not match the dims"),
     (_rename_eos, "lack the reserved token <eos>"),
-], ids=["version", "renamed_block", "reshaped_block", "other_dims", "no_eos_token"])
+    (_other_vocab_hash, "vocabulary hash mismatch"),
+], ids=["version", "renamed_block", "reshaped_block", "other_dims", "no_eos_token",
+        "vocab_hash"])
 def test_checkpoint_metadata_mismatch_names_path(tmp_path, edit, message):
     bad = tmp_path / "edited.ckpt"
     bad.write_bytes(_rewrite_meta(_saved_checkpoint(tmp_path), edit))

@@ -286,8 +286,8 @@ def test_non_finite_sentence_stops_the_epoch_and_restores_params(monkeypatch):
         calls.append(len(calls))
         if len(calls) == 3:  # the third sentence of epoch 1 poisons the weights
             params.W_ss[...] = np.nan
-            return float("nan"), len(sent.ids)
-        return 1.0, len(sent.ids)
+            return float("nan"), len(sent.plan.ids)
+        return 1.0, len(sent.plan.ids)
 
     def fake(epoch, p):
         validated.append(epoch)
@@ -311,23 +311,27 @@ def test_non_finite_sentence_stops_the_epoch_and_restores_params(monkeypatch):
 
 
 def _assert_bad_pair_moves_no_weight(split, where, fault, valid_metric=None):
-    """Drop the <eos> of, or put a NaN into the features of, pair ``where``
-    of ``split``; ``train`` must raise ValueError naming its example and
-    leave every block byte-equal."""
+    """Drop the <eos> of, shift the word ids by 0.7 of, make the first id
+    ``True`` in, or put a NaN into the features of, pair ``where`` of
+    ``split``; ``train`` must raise ValueError naming its example and leave
+    every block byte-equal."""
     dataset, params = _small_training_setup(n=30)
     start = params.copy()
     ex, cap = dataset.caption_pairs(split)[where]
-    if fault == "no_eos":
-        ex.captions[ex.captions.index(cap)] = corpus.EncodedSentence(cap.ids[:-1], cap.tokens[:-1])
-    else:
+    if fault == "nan_features":
         ex.features = np.where(np.arange(len(ex.features)) == 2, np.nan, ex.features)
+    else:
+        ids, tokens = {"no_eos": (cap.ids[:-1], cap.tokens[:-1]),
+                       "float_id": ([i + 0.7 for i in cap.ids[:-1]] + cap.ids[-1:], cap.tokens),
+                       "bool_id": ([True] + cap.ids[1:], cap.tokens)}[fault]
+        ex.captions[ex.captions.index(cap)] = corpus.EncodedSentence(ids, tokens)
     with pytest.raises(ValueError, match=f"example {ex.id!r}"):
         train(params, dataset, TrainConfig(max_epochs=1, seed=1), valid_metric=valid_metric)
     for name, arr in start.named_blocks():
         assert getattr(params, name).tobytes() == arr.tobytes(), name
 
 
-@pytest.mark.parametrize("fault", ["no_eos", "nan_features"])
+@pytest.mark.parametrize("fault", ["no_eos", "nan_features", "float_id", "bool_id"])
 @pytest.mark.parametrize("where", [0, 13, -1])
 def test_bad_training_pair_raises_before_any_weight_moves(where, fault):
     # a pair late in the shuffled order used to raise only after earlier
@@ -335,12 +339,24 @@ def test_bad_training_pair_raises_before_any_weight_moves(where, fault):
     _assert_bad_pair_moves_no_weight("train", where, fault, valid_metric=lambda e, p: 1.0)
 
 
-@pytest.mark.parametrize("fault", ["no_eos", "nan_features"])
+@pytest.mark.parametrize("fault", ["no_eos", "nan_features", "float_id", "bool_id"])
 @pytest.mark.parametrize("where", [0, -1])
 def test_bad_validation_pair_raises_before_any_weight_moves(where, fault):
     # train's own validation perplexity used to reach a bad pair only after
     # the first epoch had moved every block
     _assert_bad_pair_moves_no_weight("valid", where, fault)
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_empty_split_raises_before_any_weight_moves(split):
+    dataset, params = _small_training_setup(n=30)
+    start = params.copy()
+    dataset.examples = [ex for ex in dataset.examples if ex.split != split]
+    name = {"train": "training", "valid": "validation"}[split]
+    with pytest.raises(ValueError, match=f"{name} split is empty"):
+        train(params, dataset, TrainConfig(max_epochs=1, seed=1))
+    for block, arr in start.named_blocks():
+        assert getattr(params, block).tobytes() == arr.tobytes(), block
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)
