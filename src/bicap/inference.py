@@ -9,12 +9,13 @@ negated average feature-reconstruction error (I), or by their combination
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import EncodedSentence
-from .model import (advance_rows, check_sentence, feature_vector, gallery_scores,
+from .model import (advance_rows, feature_vector, gallery_scores,
                     input_columns, recon_cross_entropy, recon_rows, sentence_loss,
                     sentence_states, sentences_of, stacked_drive, stacked_start, token_bases,
                     word_distribution_rows)
@@ -186,14 +187,14 @@ def recon_trajectory(params, vocab, item):
     Only the visual-memory half of the network runs here: the trajectory
     never reads s or the observed features, which is what makes one model
     usable in both directions. A sentence that ``check_sentence`` rejects
-    (empty, no final <eos>, an id outside the vocabulary) raises.
+    (empty, no final <eos>, an id outside the vocabulary) raises, and so
+    does a group holding no sentence.
     """
     dims = params.dims
     if not dims.uses_u:
         raise ValueError(f"variant '{dims.variant}' has no reconstruction half")
     us = []
-    for sent in sentences_of(item):
-        check_sentence(dims, sent.ids, vocab.eos_id)
+    for sent in sentences_of(dims, item, vocab.eos_id, f"item {item!r}"):
         u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
         for prev in [sent.ids[-1]] + list(sent.ids[:-1]):   # the u half of ``advance_rows``
             u = sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
@@ -215,7 +216,8 @@ def ranks_from_scores(scores, truth):
     """Per-query rankings from a (queries x gallery) score matrix; higher
     scores rank first, ties keep the earlier gallery index, and -inf ranks
     last. A score row holding NaN, a query with no ground-truth set, an
-    empty one or one holding an index outside the gallery raises
+    empty one or one holding an index that is not an integer (a bool is
+    not) inside the gallery raises
     ValueError naming the query; more sets than queries raise ValueError
     naming both counts."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -227,28 +229,32 @@ def ranks_from_scores(scores, truth):
                          f"for {len(scores)} queries")
     if len(truth) > len(scores):
         raise ValueError(f"{len(truth)} ground-truth sets for {len(scores)} queries")
-    ranked_ids = []
-    ranks = []
+    ranked_ids, ranks = [], []
+    positions, pos = np.arange(scores.shape[1]), np.empty(scores.shape[1], dtype=np.int64)
     for qi in range(scores.shape[0]):
         if not truth[qi]:
             raise ValueError(f"query {qi} has no ground-truth item")
-        bad = [g for g in truth[qi] if not 0 <= g < scores.shape[1]]
+        bad = [g for g in truth[qi] if not (is_int(g) and 0 <= g < scores.shape[1])]
         if bad:
             raise ValueError(f"query {qi} has ground-truth index {bad[0]} outside the "
                              f"gallery [0, {scores.shape[1]})")
         order = np.argsort(-scores[qi], kind="stable")
         ranked_ids.append(order.tolist())
-        pos = {g: i for i, g in enumerate(order.tolist())}
-        ranks.append(1 + min(pos[g] for g in truth[qi]))
+        pos[order] = positions      # the inverse permutation: each index's place
+        ranks.append(1 + int(pos[list(truth[qi])].min()))
     return ranked_ids, ranks
 
 
 def aggregate_ranks(ranked_ids, ranks):
-    ranks_arr = np.asarray(ranks)
-    r_at = {k: 100.0 * float((ranks_arr <= k).mean()) for k in (1, 5, 10)}
-    return RetrievalResult(ranked_ids=ranked_ids, ranks=list(ranks),
-                           r_at=r_at, median_rank=float(np.median(ranks_arr)),
-                           mean_rank=float(ranks_arr.mean()))
+    """R@1, R@5, R@10, median and mean of integer ranks, computed in Python:
+    on integers the counts and sums are exact and each quotient is rounded
+    once, so they equal numpy's ``mean`` and ``median`` of the ranks."""
+    ranks = list(ranks)
+    srt, half = sorted(ranks), len(ranks) // 2     # srt[~half] is srt[half] at odd length
+    r_at = {k: 100.0 * (bisect_right(srt, k) / len(ranks)) for k in (1, 5, 10)}
+    return RetrievalResult(ranked_ids=ranked_ids, ranks=ranks, r_at=r_at,
+                           median_rank=(srt[half] + srt[~half]) / 2,
+                           mean_rank=sum(ranks) / len(ranks))
 
 
 # Decimals kept of a z-scored T+I sum: z-scores are O(1), and the batched and
@@ -259,10 +265,12 @@ ZSCORE_DECIMALS = 9
 def _zscore_rows(m):
     """Row-wise z-scores. A constant row scores 0, and so does a row holding
     +-inf (its std is NaN); a row holding NaN stays NaN."""
+    n = m.shape[1]
     with np.errstate(invalid="ignore"):     # inf - inf, in a row holding +-inf
-        mean = m.mean(axis=1, keepdims=True)
-        std = m.std(axis=1, keepdims=True)
-        z = np.where(std > 0, (m - mean) / np.where(std > 0, std, 1.0), 0.0)
+        # m.mean and m.std as numpy computes them, without their wrappers
+        d = m - np.add.reduce(m, axis=1, keepdims=True) / n
+        std = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / n)
+        z = np.where(std > 0, d / np.where(std > 0, std, 1.0), 0.0)
     return np.where(np.isnan(m).any(axis=1, keepdims=True), np.nan, z)
 
 
@@ -322,8 +330,8 @@ def score_matrices(params, vocab, queries, gallery):
     t_loglik, i_scores = -nll, None
     if trajs is not None:
         # mean log-reconstruction profile: the I score at v is v . a + (1 - v) . b
-        a = np.stack([np.log(traj).mean(axis=0) for traj in trajs])
-        b = np.stack([np.log(1.0 - traj).mean(axis=0) for traj in trajs])
+        a = np.array([np.add.reduce(np.log(traj), axis=0) / len(traj) for traj in trajs])
+        b = np.array([np.add.reduce(np.log(1.0 - traj), axis=0) / len(traj) for traj in trajs])
         i_scores = a @ f.T + b @ (1.0 - f).T
     if image_queries:
         return t_loglik.T, None if i_scores is None else i_scores.T

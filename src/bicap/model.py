@@ -751,11 +751,11 @@ def _target_nll(z, c, rows):
     members."""
     # the fancy index copies the targets before zc and zw shift in place
     (tc, tw), (zc, zw) = z[rows, np.arange(z.shape[1])], (z[:c], z[c:])
-    mc, mw = zc.max(axis=0), zw.max(axis=0)
+    mc, mw = np.maximum.reduce(zc, axis=0), np.maximum.reduce(zw, axis=0)
     zc -= mc
     zw -= mw
-    return ((np.log(np.exp(zc, out=zc).sum(axis=0)) - (tc - mc))
-            + (np.log(np.exp(zw, out=zw).sum(axis=0)) - (tw - mw)))
+    return ((np.log(np.add.reduce(np.exp(zc, out=zc), axis=0)) - (tc - mc))
+            + (np.log(np.add.reduce(np.exp(zw, out=zw), axis=0)) - (tw - mw)))
 
 
 def score_gallery_states(params, vocab_classes, ss, uu, targets, bases):
@@ -779,7 +779,7 @@ def score_gallery_states(params, vocab_classes, ss, uu, targets, bases):
     g = vocab_classes.id_class[targets]
     order = np.argsort(g, kind="stable")
     ss, targets, g = ss[order], targets[order], g[order]
-    picks = np.stack([g, c + targets - vocab_classes.class_starts[g]])   # rows of class_columns[g]
+    picks = np.array([g, c + targets - vocab_classes.class_starts[g]])   # rows of class_columns[g]
     ctx = context_logits(params, uu, bases)[:, order]
     nll = np.empty(ss.shape[:2])
     cuts = (np.flatnonzero(g[1:] != g[:-1]) + 1).tolist()
@@ -794,9 +794,16 @@ def score_gallery_states(params, vocab_classes, ss, uu, targets, bases):
     return nll
 
 
-def sentences_of(item):
-    """A retrieval item is one sentence or a group (concatenated protocol)."""
-    return item if isinstance(item, (list, tuple)) else [item]
+def sentences_of(dims, item, eos_id, name):
+    """The sentences of a retrieval item, which is one sentence or a group
+    (concatenated protocol), each checked by ``check_sentence``. A group
+    holding no sentence raises ValueError naming the item as ``name``."""
+    sents = item if isinstance(item, (list, tuple)) else [item]
+    if not sents:
+        raise ValueError(f"{name} holds no sentence")
+    for sent in sents:
+        check_sentence(dims, sent.ids, eos_id)
+    return sents
 
 
 def unique_rows(feats):
@@ -822,16 +829,19 @@ def gallery_scores(params, feats, items, vocab_classes):
 
     Only s sees the features, through ``W_vs @ v + b_s``, computed once per
     call for each distinct row. A sentence's loop steps the recurrence
-    alone: each step sums the pre-activations of every s row and of the
-    shared u state, in ``advance_rows``' order, into one buffer, clamps it
-    with one ``sigmoid_clipped`` call and stores the states, which
-    ``score_gallery_states`` scores afterwards. Row i of the NLL equals the summed
+    alone. One state store per call, sized to its longest sentence, holds
+    a row per step: each step sums the pre-activations of every s row and
+    of the shared u state, in ``advance_rows``' order, into its row and
+    clamps the row in place with one ``sigmoid_clipped`` call. The states
+    are views of the store, which ``score_gallery_states`` scores after
+    each sentence; only the u rows are copied out, for the reconstruction.
+    Row i of the NLL equals the summed
     ``sentence_loss(params, feats[i], sent, 0.0, vocab_classes)[0].word_nll``
     up to rounding. BLAS may round identical rows of a product differently
     by where they sit, so repeated rows (all rows, for ``rnn``, which
     ignores the features) are scored once: exact ties stay exact, as in the
-    scalar path. A row holding NaN or inf raises ValueError naming its
-    index.
+    scalar path. A row holding NaN or inf, and an item that is an empty
+    group, raise ValueError naming its index.
     """
     dims = params.dims
     feats = np.asarray(feats, dtype=np.float64)
@@ -849,29 +859,31 @@ def gallery_scores(params, feats, items, vocab_classes):
     else:
         inverse = np.zeros(len(feats), dtype=np.int64)
         drive = params.b_s[None, :]
+    groups = [sentences_of(dims, item, vocab_classes.eos_id, f"item {k}")
+              for k, item in enumerate(items)]
     start, n = reset_state(params), drive.size
-    # one step's pre-activations: the s rows, then the shared u state (none without u)
-    pre = np.empty(n + (dims.u_dim if dims.uses_u else 0))
-    s_pre, u_pre = pre[:n].reshape(drive.shape), pre[n:]
+    # row t: step t's s rows, then the shared u state (none without u)
+    store = np.empty((max((len(sent.ids) for sents in groups for sent in sents), default=0),
+                      n + (dims.u_dim if dims.uses_u else 0)))
+    ss, uu = store[:, :n].reshape((len(store),) + drive.shape), store[:, n:]
+    w_ws, w_ss, w_wu = params.W_ws.T, params.W_ss.T, params.W_wu.T if dims.uses_u else None
     nll, recons = np.zeros((len(items), len(drive))), []
-    for k, item in enumerate(items):
+    for k, sents in enumerate(groups):
         us = []
-        for sent in sentences_of(item):
-            check_sentence(dims, sent.ids, vocab_classes.eos_id)
+        for sent in sents:
             s, u = np.broadcast_to(start.s, drive.shape), start.u
             inputs = [sent.ids[-1]] + list(sent.ids[:-1])
-            ss, uu = np.empty((len(inputs),) + drive.shape), np.empty((len(inputs), len(u_pre)))
-            for t, prev in enumerate(inputs):
-                np.add(params.W_ws.T[prev], s @ params.W_ss.T, out=s_pre)
+            for prev, row, s_pre, u_pre in zip(inputs, store, ss, uu):
+                np.add(w_ws[prev], s @ w_ss, out=s_pre)
                 s_pre += drive
                 if dims.uses_u:
-                    np.add(params.W_wu.T[prev], params.W_uu @ u, out=u_pre)
+                    np.add(w_wu[prev], params.W_uu @ u, out=u_pre)
                     u_pre += params.b_u
-                sigmoid_clipped(pre, dims.sigmoid_clip, out=pre)
-                ss[t], uu[t] = s_pre, u_pre
-                s, u = ss[t], uu[t]
-            us.append(uu)
-            nll[k] += score_gallery_states(params, vocab_classes, ss, uu if dims.uses_u else None,
+                sigmoid_clipped(row, dims.sigmoid_clip, out=row)
+                s, u = s_pre, u_pre
+            u_rows = uu[:len(inputs)].copy() if dims.uses_u else None
+            us.append(u_rows)
+            nll[k] += score_gallery_states(params, vocab_classes, ss[:len(inputs)], u_rows,
                                            sent.ids, token_bases(dims, np.array([inputs]))[0]
                                            ).sum(axis=0)
         recons.append(recon_rows(params, np.concatenate(us))[1] if dims.uses_u else None)

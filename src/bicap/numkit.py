@@ -76,12 +76,20 @@ def sigmoid_clipped(z, clip=DEFAULT_SIGMOID_CLIP, out=None):
     below 1 (σ(-clip) is representable on the low side as is). With
     ``out``, a float64 array of the result's shape, the result is written
     there and ``out`` is returned.
+
+    The upper clamp runs only for ``clip < 37``. From z = 53·ln 2 ≈ 36.74
+    on, exp(-z) is at most 2**-53, half an ulp of 1, so ``1 + exp(-z)``
+    rounds to 1 (a tie goes to the even 1.0). So for ``clip >= 37`` every
+    z ≥ clip, +inf included, gives 1.0 and is capped to ``_BELOW_ONE``, as
+    σ(clip) is: the bytes equal the two-sided clamp's.
     """
     if clip <= 0:
         raise ValueError("clip must be positive")
     # np.minimum/np.maximum clamp as np.clip does (also on +-inf, +-0 and
     # NaN) without its Python wrapper; float32 input still gives float64
-    z = np.minimum(np.maximum(np.asarray(z, dtype=np.float64), -clip), clip)
+    z = np.maximum(np.asarray(z, dtype=np.float64), -clip)
+    if clip < 37:
+        z = np.minimum(z, clip, out=z)
     return np.minimum(1.0 / (1.0 + np.exp(-z)), _BELOW_ONE, out=out)
 
 

@@ -468,6 +468,17 @@ def test_ranks_identity_scores_rank_everything_first():
     assert res.mean_rank == 1.0 and res.median_rank == 1.0
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 99, 1000])
+def test_aggregate_ranks_equal_numpy_statistics(count):
+    ranks = np.random.default_rng(count).integers(1, 1001, count).tolist()
+    res = aggregate_ranks([], ranks)
+    arr = np.asarray(ranks)
+    assert res.ranks == ranks
+    assert res.r_at == {k: 100.0 * float((arr <= k).mean()) for k in (1, 5, 10)}
+    assert type(res.median_rank) is float and res.median_rank == float(np.median(arr))
+    assert type(res.mean_rank) is float and res.mean_rank == float(arr.mean())
+
+
 def test_ranks_require_ground_truth():
     with pytest.raises(ValueError):
         ranks_from_scores(np.eye(2), [{0}, set()])
@@ -478,7 +489,10 @@ def test_ranks_require_ground_truth():
     ([{-1}, {1}], "query 0 has ground-truth index -1 outside the gallery"),
     ([{0}], "query 1 has no ground-truth set: 1 sets for 2 queries"),
     ([{0}, {1}, {7}], "3 ground-truth sets for 2 queries"),
-], ids=["index_past_gallery", "negative_index", "short_truth", "long_truth"])
+    ([{0}, {1.0}], "query 1 has ground-truth index 1.0 outside the gallery"),
+    ([{True}, {1}], "query 0 has ground-truth index True outside the gallery"),
+], ids=["index_past_gallery", "negative_index", "short_truth", "long_truth", "float_index",
+        "bool_index"])
 def test_ranks_reject_bad_ground_truth(truth, message):
     with pytest.raises(ValueError, match=message):
         ranks_from_scores(np.eye(2), truth)
@@ -736,6 +750,15 @@ def test_gallery_scorer_rejects_bad_shapes():
     with pytest.raises(ValueError, match="eos"):
         gallery_scores(params, example.features[None],
                        [EncodedSentence(ids=sent.ids[:-1], tokens=sent.tokens)], vocab)
+    # an item holding no sentence: rnn scored it 0 under every image, and
+    # full failed inside numpy
+    rnn_params = gradcheck_setup("rnn", seed=5)[0]
+    for empty in ((), []):
+        for p in (params, rnn_params):
+            with pytest.raises(ValueError, match="item 1 holds no sentence"):
+                gallery_scores(p, example.features[None], [sent, empty], vocab)
+        with pytest.raises(ValueError, match=re.escape(f"item {empty!r} holds no sentence")):
+            recon_trajectory(params, vocab, empty)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -800,8 +823,14 @@ def test_gallery_scores_bytes_match_the_reference_loop(variant, width):
             arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
     grid = rng.integers(0, 3, (6, 4)) / 2.0
     feats = np.vstack([grid, grid[[4, 0, 0, 2]], rng.uniform(0.0, 1.0, (3, 4))])
+    # the last item is longer than every earlier one, so the state store must
+    # be sized from all of the call's sentences
+    longest = encode(["w1", "w4", "w8", "w3", "w3", "w6", "w0", "w9", "w2", "w5", "w7"], vocab)
     items = [example.captions[0], encode([], vocab), encode(["w2", "w7", "w7"], vocab),
-             (encode(["w5"], vocab), example.captions[0], encode(["w0", "w9"], vocab))]
+             (encode(["w5"], vocab), example.captions[0], encode(["w0", "w9"], vocab)), longest]
+    assert len(longest.ids) > max(len(sent.ids) for item in items[:-1]
+                                  for sent in model.sentences_of(params.dims, item, vocab.eos_id,
+                                                                 "item"))
     for gallery in (feats, feats[rng.permutation(len(feats))], feats[:1]):
         nll, recons = gallery_scores(params, gallery, items, vocab)
         want_nll, want_recons = _reference_gallery_scores(params, gallery, items, vocab)

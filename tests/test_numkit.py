@@ -22,17 +22,22 @@ def test_sigmoid_symmetry():
 def test_sigmoid_clips_large_arguments():
     out = sigmoid_clipped(np.array([1000.0]), clip=50.0)
     assert out[0] == pytest.approx(1.0 / (1.0 + math.exp(-50.0)), rel=1e-15)
-    # the clamp at its edge values, as np.clip gives it, for float64 and float32 input
-    edges = [math.inf, -math.inf, 0.0, -0.0, math.nan, 50.0, -50.0, 1000.0]
-    for z in (np.array(edges), np.array(edges, dtype=np.float32)):
-        want = np.minimum(1.0 / (1.0 + np.exp(-np.clip(z.astype(np.float64), -50.0, 50.0))),
-                          np.nextafter(1.0, 0.0))
-        out = sigmoid_clipped(z, clip=50.0)
-        assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
-        # written into a caller's array, byte-equal to the allocating call
-        buf = np.full(len(edges), 7.0)
-        assert sigmoid_clipped(z, clip=50.0, out=buf) is buf
-        assert buf.tobytes() == want.tobytes()
+    # the clamp at its edge values, as the two-sided np.clip gives it, for
+    # float64 and float32 input and clips on both sides of 37, from which on
+    # the upper clamp is skipped
+    near_cap = np.linspace(36.0, 60.0, 97)[1:-1]
+    for clip in (5.0, 36.5, 37.0, 50.0):
+        edges = np.concatenate([[math.inf, -math.inf, 0.0, -0.0, math.nan, clip, -clip,
+                                 1000.0, -1000.0], near_cap, -near_cap])
+        for z in (edges, edges.astype(np.float32)):
+            want = np.minimum(1.0 / (1.0 + np.exp(-np.clip(z.astype(np.float64), -clip, clip))),
+                              np.nextafter(1.0, 0.0))
+            out = sigmoid_clipped(z, clip=clip)
+            assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+            # written into a caller's array, byte-equal to the allocating call
+            buf = np.full(len(edges), 7.0)
+            assert sigmoid_clipped(z, clip=clip, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
 
 
 def test_sigmoid_rejects_bad_clip():
