@@ -6,6 +6,7 @@ normalization, and the synthetic captioned-scene generator used for
 desk-scale experiments.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -140,8 +141,6 @@ class ClassedVocabulary:
 
     def content_hash(self):
         """Stable hash of tokens, counts and class bounds (checkpoint guard)."""
-        import hashlib
-
         h = hashlib.sha256()
         for t, c in zip(self.tokens, self.counts):
             h.update(t.encode("utf-8"))

@@ -347,8 +347,6 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
     reconstruction error, 'ti' their per-query combination (z-scored sum
     by default, fractional rank averaging with ``combine='rank'``).
     """
-    if len(truth) != len(queries):
-        raise ValueError("one ground-truth set per query required")
     t_loglik, i_scores = score_matrices(params, vocab, queries, gallery)
     if mode in ("i", "ti") and i_scores is None:
         raise ValueError("I scoring needs the reconstruction half (full variant)")

@@ -3,7 +3,6 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -15,37 +14,29 @@ LOG2 = math.log(2.0)
 
 def checked_features(dims, vocab, pairs):
     """Features of the pairs as an (N, v_dim) matrix, (N, 0) for the rnn
-    variant, which reads none. An empty caption, one without a final
-    <eos>, an id that is not an integer (a bool is not) or lies outside the
-    vocabulary, or features that are not a finite (v_dim,) vector raise
-    ValueError naming the example.
+    variant, which reads none. A caption that fails ``check_sentence``, or
+    features that are not a finite (v_dim,) vector, raise ValueError
+    naming the example.
 
-    One pass checks the stacked features and the concatenated ids of all
-    pairs. Only if it fails are the pairs walked one by one, caption before
-    features, to name the first bad example."""
+    Every caption goes through ``check_sentence``; the features are stacked
+    and checked as one matrix. Only if that matrix fails is each pair's
+    ``feature_vector`` taken, after its caption, to name the first bad
+    example."""
     try:
         feats = (np.array([ex.features for ex, _ in pairs], dtype=np.float64) if dims.uses_v
                  else np.empty((len(pairs), 0)))
-        ends = np.cumsum([len(cap.ids) for _, cap in pairs])
-        flat = list(chain.from_iterable(cap.ids for _, cap in pairs))
-        ids = np.array(flat)   # [True, 5] becomes int64, so the id types get ``is_int``'s test
-        if (feats.shape == (len(pairs), dims.v_dim * dims.uses_v) and np.isfinite(feats).all()
-                and np.all(np.diff(ends, prepend=0) > 0) and ids.dtype.kind in "iu"
-                and all(issubclass(t, (int, np.integer)) and t is not bool
-                        for t in set(map(type, flat)))
-                and np.all(ids[ends - 1] == vocab.eos_id)
-                and 0 <= ids.min() and ids.max() < dims.vocab_size):
-            return feats
-    except (TypeError, ValueError):   # ragged or non-numeric features or ids
-        pass
-    rows = []
+        bad = not (feats.shape == (len(pairs), dims.v_dim * dims.uses_v)
+                   and np.isfinite(feats).all())
+    except (TypeError, ValueError):   # ragged or non-numeric features
+        bad = True
     for ex, cap in pairs:
         try:
             check_sentence(dims, cap.ids, vocab.eos_id, "caption")
-            rows.append(feature_vector(dims, ex.features) if dims.uses_v else ())
+            if bad:
+                feature_vector(dims, ex.features)
         except ValueError as exc:
             raise ValueError(f"example {ex.id!r}: {exc}") from None
-    return np.array(rows, dtype=np.float64)
+    return feats
 
 
 def _rows_word_nll(params, vocab, feats, sents):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .corpus import ClassedVocabulary
 from .numkit import DEFAULT_SIGMOID_CLIP, is_int, sigmoid_clipped, softmax, _MASK64
 
 VARIANTS = ("rnn", "rnn_if", "full")
@@ -965,8 +966,6 @@ def load_checkpoint(path):
     the block, as does a block holding NaN or inf. Files written before the
     checksum existed have no ``payload_sha256`` and load unchecked.
     """
-    from .corpus import ClassedVocabulary
-
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(CHECKPOINT_MAGIC):

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import CaptionedExample, build_vocab, encode
+from .metrics import checked_features, perplexity
 from .numkit import SeededRng, is_int, sigmoid_clip_mask
-from .model import (ONLINE_BLOCKS, ROW_SLICE, block_shapes, caption_plans, output_pass,
-                    recon_losses, sentence_states)
+from .model import (ONLINE_BLOCKS, ROW_SLICE, ModelDims, block_shapes, caption_plans,
+                    init_params, output_pass, recon_losses, sentence_loss, sentence_states)
 
 LR_FLOOR_DIVISOR = 1024.0
 
@@ -263,8 +265,6 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     shuffled pairs run in blocks of ``ROW_SLICE``, each with its
     ``caption_plans`` built in one pass.
     """
-    from .metrics import checked_features, perplexity
-
     vocab = dataset.vocab
     pairs = dataset.caption_pairs("train")
     if not pairs:
@@ -338,8 +338,6 @@ def grad_check(params, vocab, example, eps=1e-5, recon_kind="ce"):
     and are skipped. The caption's plan, which reads no weight, is built
     once for every loss evaluation.
     """
-    from .model import sentence_loss
-
     sent, v = caption_plans(params.dims, vocab, example.captions[:1])[0], example.features
     grads, _ = sentence_gradients(params, vocab, v, sent, 1.0, len(sent.ids),
                                   recon_kind=recon_kind)
@@ -370,9 +368,6 @@ def gradcheck_setup(variant, seed=1, v_dim=4, s_dim=6, u_dim=6, maxent_order=3,
     """Small controlled instance for derivative verification: a 12-token
     vocabulary (10 words + <eos> + <unk>), one captioned example, and
     freshly initialized parameters of the requested variant."""
-    from .corpus import CaptionedExample, build_vocab, encode
-    from .model import ModelDims, init_params
-
     words = [f"w{i}" for i in range(10)]
     sentences = [[words[i % 10] for i in range(j, j + 5)] for j in range(10)]
     vocab = build_vocab(sentences, class_count=4)

@@ -577,8 +577,8 @@ def test_rank_retrieval_single_item_gallery(tiny_dataset):
 
 
 @pytest.mark.parametrize("truth, mode, combine, message", [
-    ([{0}], "t", "zscore", "one ground-truth set per query required"),
-    ([{0}, {1}, {2}], "t", "zscore", "one ground-truth set per query required"),
+    ([{0}], "t", "zscore", "query 1 has no ground-truth set: 1 sets for 2 queries"),
+    ([{0}, {1}, {2}], "t", "zscore", "3 ground-truth sets for 2 queries"),
     ([{0}, {1}], "ti", "sum", "combine must be 'zscore' or 'rank'"),
     ([{0}, {1}], "it", "zscore", "mode must be 't', 'i' or 'ti'"),
 ])

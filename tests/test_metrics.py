@@ -82,7 +82,8 @@ def _bad_caption(vocab, kind):
     w0 = vocab.token_to_id["w0"]
     ids = {"empty": [], "no_eos": [w0], "too_big": [w0, len(vocab), vocab.eos_id],
            "negative": [-1, vocab.eos_id], "float_id": [w0 + 0.7, vocab.eos_id],
-           "bool_id": [True, w0, vocab.eos_id]}[kind]
+           "bool_id": [True, w0, vocab.eos_id],
+           "np_bool_id": [w0, np.True_, vocab.eos_id]}[kind]
     return EncodedSentence(ids=ids, tokens=[])
 
 
@@ -93,6 +94,7 @@ def _bad_caption(vocab, kind):
     ("negative", r"token id -1 outside \[0, 12\)"),
     ("float_id", r"token ids must be integers, got \d+\.7"),
     ("bool_id", "token ids must be integers, got True"),
+    ("np_bool_id", r"token ids must be integers, got (np\.)?True"),   # numpy 2 reprs np.True_
     ("short_features", "dim 4"),
     ("matrix_features", "dim 4"),
     ("no_features", "dim 4"),
@@ -115,10 +117,21 @@ def test_perplexity_bad_pair_names_example(kind, message):
     assert "'bad7'" in str(info.value)
 
 
+def test_numpy_ids_and_list_features_score_like_plain_ones():
+    params, vocab, good = gradcheck_setup("full", seed=2)
+    cap = good.captions[0]
+    numpy_ids = EncodedSentence(ids=[np.int64(i) for i in cap.ids], tokens=cap.tokens)
+    listed = CaptionedExample(id="listed", features=good.features.tolist(), captions=[],
+                              split="test")
+    want = [row.tobytes() for row in pair_word_nll(params, vocab, [(good, cap)] * 2)]
+    for pairs in ([(good, numpy_ids), (good, cap)], [(listed, cap), (good, cap)]):
+        assert [row.tobytes() for row in pair_word_nll(params, vocab, pairs)] == want
+
+
 @pytest.mark.parametrize("first, second", [("nan_features", "no_eos"), ("no_eos", "nan_features")])
 def test_perplexity_of_two_bad_pairs_names_the_earlier(first, second):
-    # the one-pass check finds both, and the per-pair walk names the
-    # earlier pair, whether its features or its caption are bad
+    # the pairs are checked in order, each caption before its features, so
+    # the earlier bad pair is named, whether its features or its caption are bad
     params, vocab, good = gradcheck_setup("full", seed=2)
     messages = {"nan_features": "NaN or inf", "no_eos": "does not end with <eos>"}
 
