@@ -3,13 +3,14 @@
 Generation follows the sample-and-rescore protocol: draw a sentence
 length from the empirical training distribution, sample that many tokens
 ``candidate_count`` times, keep the candidate with the lowest joint loss.
-Retrieval ranks a gallery by normalized sentence likelihood (T), by the
-negated average feature-reconstruction error (I), or by their combination
-(T+I).
+Retrieval ranks a gallery by sentence log-likelihood (T), which orders it
+as its softmax would without the softmax's underflow ties, by the negated
+average feature-reconstruction error (I), or by their combination (T+I).
 """
 
 import math
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,21 +288,26 @@ def _is_sentence_item(x):
         and all(isinstance(s, EncodedSentence) for s in x))
 
 
-def _feature_queries(dims, queries):
-    """Feature-vector queries, arrays or lists, as one (N, dim) matrix;
-    a query that is not a vector of dim ``v_dim`` (of the first query's
-    dim, for a variant that reads no features) raises ValueError naming
-    its index."""
+def _feature_rows(dims, items, name):
+    """Feature vectors, arrays or lists, as one (N, dim) matrix. One
+    ``np.asarray`` build of all items is the fast path; only if it fails or
+    has the wrong shape is each item taken alone, and the first that is not
+    a vector of dim ``v_dim`` (of the first item's dim, for a variant that
+    reads no features) raises ValueError naming ``name`` and its index."""
+    with suppress(TypeError, ValueError):   # ragged or non-numeric items
+        f = np.asarray(items, dtype=np.float64)
+        if f.ndim == 2 and (f.shape[1] == dims.v_dim or not dims.uses_v):
+            return f
     rows = []
-    for k, q in enumerate(queries):
+    for k, x in enumerate(items):
         try:
-            row = np.asarray(q, dtype=np.float64)
+            row = np.asarray(x, dtype=np.float64)
         except (TypeError, ValueError):
             row = None
         want = (dims.v_dim,) if dims.uses_v else rows[0].shape if rows else None
         if row is None or row.ndim != 1 or row.shape != (want or row.shape):
-            raise ValueError(f"query {k} is neither a sentence, a group of sentences nor "
-                             f"a feature vector" + (f" of dim {want[0]}" if want else ""))
+            raise ValueError(f"{name} {k} is not a feature vector"
+                             + (f" of dim {want[0]}" if want else ""))
         rows.append(row)
     return np.array(rows)
 
@@ -323,8 +329,8 @@ def score_matrices(params, vocab, queries, gallery):
     if bad is not None:
         raise ValueError(f"{'gallery item' if image_queries else 'query'} {bad} is "
                          "neither a sentence nor a group of sentences")
-    f = (_feature_queries(params.dims, queries) if image_queries
-         else np.asarray(gallery, dtype=np.float64))          # (feats, v_dim)
+    f = (_feature_rows(params.dims, queries, "query") if image_queries
+         else _feature_rows(params.dims, gallery, "gallery item"))   # (feats, v_dim)
     nll, trajs = gallery_scores(params, f, items, vocab)
     # (items x feats) matrices, oriented to (queries x gallery)
     t_loglik, i_scores = -nll, None
@@ -343,33 +349,29 @@ def rank_retrieval(params, vocab, queries, gallery, truth, mode="t",
     """Rank a gallery for every query and aggregate R@K, median and mean
     rank of the (first) ground-truth item.
 
-    ``mode``: 't' normalized sentence likelihood, 'i' negated average
+    ``mode``: 't' sentence log-likelihood, 'i' negated average
     reconstruction error, 'ti' their per-query combination (z-scored sum
-    by default, fractional rank averaging with ``combine='rank'``).
+    by default, fractional rank averaging with ``combine='rank'``). T ranks
+    by the log-likelihood itself, which orders the gallery as its per-query
+    softmax would, without the ties that the softmax's underflow and
+    rounding make. A bad ``mode`` or ``combine`` raises before any scoring.
     """
-    t_loglik, i_scores = score_matrices(params, vocab, queries, gallery)
-    if mode in ("i", "ti") and i_scores is None:
-        raise ValueError("I scoring needs the reconstruction half (full variant)")
-    if mode == "t":
-        # per-query normalization over the gallery (softmax of log-likelihood)
-        m = t_loglik.max(axis=1, keepdims=True)
-        e = np.exp(t_loglik - m)
-        scores = e / e.sum(axis=1, keepdims=True)
-    elif mode == "i":
-        scores = i_scores
-    elif mode == "ti":
-        if combine == "zscore":
-            # Over two items each z-scored row is +-1, so the sum ties
-            # exactly whenever T and I disagree; rounding keeps such ties
-            # exact, to be broken by gallery index rather than by BLAS noise.
-            scores = np.round(_zscore_rows(t_loglik) + _zscore_rows(i_scores),
-                              ZSCORE_DECIMALS)
-        elif combine == "rank":
-            scores = _rank_rows(t_loglik) + _rank_rows(i_scores)
-        else:
-            raise ValueError("combine must be 'zscore' or 'rank'")
-    else:
+    if mode not in ("t", "i", "ti"):
         raise ValueError("mode must be 't', 'i' or 'ti'")
+    if combine not in ("zscore", "rank"):
+        raise ValueError("combine must be 'zscore' or 'rank'")
+    t_loglik, i_scores = score_matrices(params, vocab, queries, gallery)
+    if mode != "t" and i_scores is None:
+        raise ValueError("I scoring needs the reconstruction half (full variant)")
+    if mode != "ti":
+        scores = t_loglik if mode == "t" else i_scores
+    elif combine == "zscore":
+        # Over two items each z-scored row is +-1, so the sum ties exactly
+        # whenever T and I disagree; rounding keeps such ties exact, to be
+        # broken by gallery index rather than by BLAS noise.
+        scores = np.round(_zscore_rows(t_loglik) + _zscore_rows(i_scores), ZSCORE_DECIMALS)
+    else:
+        scores = _rank_rows(t_loglik) + _rank_rows(i_scores)
     ranked_ids, ranks = ranks_from_scores(scores, truth)
     return aggregate_ranks(ranked_ids, ranks)
 

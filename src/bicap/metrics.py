@@ -98,7 +98,7 @@ def pair_word_nll(params, vocab, pairs):
     """
     feats = checked_features(params.dims, vocab, pairs)
     order = sorted(range(len(pairs)), key=lambda i: (-len(pairs[i][1].ids),
-                                                     pairs[i][1].ids, feats[i].tobytes()))
+                                                     tuple(pairs[i][1].ids), feats[i].tobytes()))
     out = [None] * len(pairs)
     for start in range(0, len(order), ROW_SLICE):
         chunk = order[start:start + ROW_SLICE]

@@ -590,6 +590,29 @@ def test_rank_retrieval_rejects_bad_settings(tiny_dataset, truth, mode, combine,
                        [ex.features for ex in examples], truth, mode=mode, combine=combine)
 
 
+def test_t_mode_ranks_by_log_likelihood_without_softmax_ties(monkeypatch):
+    # a softmax over the row would underflow both -900 and -800 to 0 and tie
+    # them, putting item 2 last by gallery index
+    monkeypatch.setattr(inference, "score_matrices",
+                        lambda params, vocab, queries, gallery: (
+                            np.array([[0.0, -900.0, -800.0]]), None))
+    got = rank_retrieval(None, None, [0], [0, 1, 2], [{2}], mode="t")
+    assert got.ranked_ids == [[0, 2, 1]] and got.ranks == [2]
+
+
+@pytest.mark.parametrize("mode, combine, message", [
+    ("it", "zscore", "mode must be 't', 'i' or 'ti'"),
+    ("t", "sum", "combine must be 'zscore' or 'rank'"),
+    ("i", None, "combine must be 'zscore' or 'rank'"),
+])
+def test_bad_mode_or_combine_raises_before_scoring(monkeypatch, mode, combine, message):
+    def score_matrices(*args):
+        raise AssertionError("scored before the settings were checked")
+    monkeypatch.setattr(inference, "score_matrices", score_matrices)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rank_retrieval(None, None, [0], [0, 1], [{0}], mode=mode, combine=combine)
+
+
 def test_rank_retrieval_runs_all_modes(tiny_dataset):
     params = init_params(small_dims(tiny_dataset.vocab, v_dim=6), SeededRng(2))
     queries, gallery, truth = sentence_retrieval_task(tiny_dataset, "test")
@@ -1101,6 +1124,25 @@ def test_image_queries_given_as_lists(variant):
                           ([gallery[0], feats[0]], "query 1"), ([None, feats[0]], "query 0")):
         with pytest.raises(ValueError, match=what):
             score_matrices(params, vocab, queries, gallery)
+
+
+@pytest.mark.parametrize("variant", ["full", "rnn"])
+def test_bad_gallery_row_names_its_item(variant):
+    # a ragged, string, sentence or nested row raises naming its item, not
+    # numpy's shape error; rnn reads no features, so its dim is the first
+    # row's, and a gallery of three-dim rows is fine
+    params, vocab, example = gradcheck_setup(variant, seed=8)
+    sent, feats = example.captions[0], list(np.random.default_rng(8).uniform(0.0, 1.0, (3, 4)))
+    cases = [([feats[0], feats[1][:3], feats[2]], 1), ([feats[0], feats[1], "w1"], 2),
+             ([feats[0], sent], 1), ([feats[0], [feats[1]], feats[2]], 1)]
+    if params.dims.uses_v:
+        cases.append(([f[:3] for f in feats], 0))
+    for gallery, bad in cases:
+        want = f"gallery item {bad} is not a feature vector of dim 4"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            rank_retrieval(params, vocab, [sent], gallery, [{0}])
+        with pytest.raises(ValueError, match=re.escape(want)):
+            score_matrices(params, vocab, [sent], gallery)
 
 
 def test_i_mode_rejected_without_visual_memory(tiny_dataset):

@@ -72,6 +72,15 @@ def test_perplexity_invariant_to_sentence_order():
     assert a == b
 
 
+def test_perplexity_of_tuple_and_list_ids_equals_that_of_lists():
+    # the canonical sort must not compare a tuple's ids with a list's
+    params, vocab, example = gradcheck_setup("full", seed=1)
+    cap = example.captions[0]
+    as_tuple = EncodedSentence(ids=tuple(cap.ids), tokens=cap.tokens)
+    want = perplexity_of_pairs(params, vocab, [(example, cap), (example, cap)])
+    assert perplexity_of_pairs(params, vocab, [(example, as_tuple), (example, cap)]) == want
+
+
 def test_perplexity_empty_split_rejected():
     params, vocab = _uniform_model(5)
     with pytest.raises(ValueError):
