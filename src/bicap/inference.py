@@ -20,7 +20,7 @@ from .model import (advance_rows, feature_vector, gallery_scores,
                     input_columns, recon_cross_entropy, recon_rows, sentence_loss,
                     sentence_states, sentences_of, stacked_drive, stacked_start, token_bases,
                     word_distribution_rows)
-from .numkit import SeededRng, is_int, multinomial_sample, sigmoid_clipped
+from .numkit import SeededRng, is_int, is_real, multinomial_sample, sigmoid_clipped
 
 
 @dataclass
@@ -35,11 +35,12 @@ class GenConfig:
             raise ValueError("candidate_count must be an integer >= 1")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.lam_recon < math.inf:   # NaN fails the comparison too
-            raise ValueError(f"lam_recon must be >= 0 and finite, got {self.lam_recon!r}")
-        weights = np.array([float(w) for w in self.length_hist.values()])
+        if not (is_real(self.lam_recon) and 0 <= self.lam_recon < math.inf):   # NaN fails too
+            raise ValueError(f"lam_recon must be a finite number >= 0, got {self.lam_recon!r}")
+        weights = self.length_hist.values()
         if not (all(is_int(n) and n >= 1 for n in self.length_hist)
-                and np.all(weights >= 0) and 0 < weights.sum() < math.inf):
+                and all(is_real(w) and w >= 0 for w in weights)
+                and 0 < sum(map(float, weights)) < math.inf):
             raise ValueError("length_hist must map lengths >= 1 to finite weights >= 0 "
                              f"with a positive sum, got {self.length_hist!r}")
 
@@ -276,10 +277,14 @@ def _zscore_rows(m):
 
 
 def _rank_rows(m):
-    """Row-wise fractional ranks (higher score -> higher rank value); NaN
-    scores stay NaN."""
-    order = np.argsort(np.argsort(m, axis=1, kind="stable"), axis=1, kind="stable")
-    return np.where(np.isnan(m), np.nan, order)
+    """Row-wise fractional ranks (higher score -> higher rank value): tied
+    scores share the mean of their places, -inf ranks lowest and NaN scores
+    stay NaN."""
+    ranks = np.empty(m.shape)
+    for row, out in zip(m, ranks):
+        ordered = np.sort(row)
+        out[:] = np.searchsorted(ordered, row, "left") + np.searchsorted(ordered, row, "right")
+    return np.where(np.isnan(m), np.nan, (ranks - 1) / 2)
 
 
 def _is_sentence_item(x):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .corpus import ClassedVocabulary
-from .numkit import DEFAULT_SIGMOID_CLIP, is_int, sigmoid_clipped, softmax, _MASK64
+from .numkit import DEFAULT_SIGMOID_CLIP, is_int, is_real, sigmoid_clipped, softmax, _MASK64
 
 VARIANTS = ("rnn", "rnn_if", "full")
 
@@ -79,8 +79,8 @@ class ModelDims:
             raise ValueError("maxent_order must be >= 0")
         if self.maxent_order > 0 and self.maxent_hash_size < 1:
             raise ValueError("maxent_hash_size must be >= 1")
-        if not 0 < self.sigmoid_clip < math.inf:
-            raise ValueError(f"sigmoid_clip must be positive and finite, "
+        if not (is_real(self.sigmoid_clip) and 0 < self.sigmoid_clip < math.inf):
+            raise ValueError(f"sigmoid_clip must be a positive finite number, "
                              f"got {self.sigmoid_clip!r}")
 
     @property
@@ -183,34 +183,35 @@ class ModelParams:
     blocks, of which ``W_in`` = [W_ws; W_wu] is one (s_dim [+ u_dim],
     vocab) view), and each block is a view into its group, reachable both
     as an attribute and through ``named_blocks``. A write through a block
-    or through its group shows in both. Given ``blocks``, their values are
-    copied in; otherwise every block is zero.
+    or through its group shows in both. The container holds the groups
+    named in ``groups``, every group the dims own when it is None; a name
+    the dims do not own raises ValueError. Given ``blocks``, the values of
+    the held blocks are copied in; otherwise every block is zero.
 
-    Gradient accumulators use the same container (``zeros_like``), which
-    may hold a subset of the blocks, made of whole groups.
+    Gradient accumulators use the same container (``zeros_like``): the
+    per-sentence batch gradients of training hold the ``B`` group alone.
     """
 
-    def __init__(self, dims, blocks=None, names=None):
-        self.dims = dims
-        shapes = dict(block_shapes(dims))
-        self._names = list(shapes) if names is None else list(names)
-        self._groups, views, wanted = [], {}, set(self._names)
-        for group, shape, members in storage_groups(dims):
-            held = [name in wanted for name, _, _ in members]
-            if not any(held):
-                continue
-            if not all(held):
-                raise ValueError(f"blocks {self._names} hold part of group {group}")
-            arr = np.zeros(shape)
-            for name, block_shape, index in members:
-                views[name] = arr[index].reshape(block_shape)
-            setattr(self, group, arr)
-            self._groups.append(group)
+    def __init__(self, dims, blocks=None, groups=None):
+        self.dims, views = dims, {}
+        layout = storage_groups(dims)
+        self._groups = [group for group, _, _ in layout if groups is None or group in groups]
+        unknown = [group for group in groups or () if group not in self._groups]
+        if unknown:
+            raise ValueError(f"no storage group {unknown[0]!r} in these dims, which own "
+                             f"{[group for group, _, _ in layout]}")
+        for group, shape, members in layout:
+            if group in self._groups:
+                arr = np.zeros(shape)
+                setattr(self, group, arr)
+                for name, block_shape, index in members:
+                    views[name] = arr[index].reshape(block_shape)
+        self._names = [name for name, _ in block_shapes(dims) if name in views]
         for name in self._names:
             view = views[name]
             if blocks is not None:
-                if blocks[name].shape != shapes[name]:
-                    raise ValueError(f"block {name}: expected shape {shapes[name]}, "
+                if blocks[name].shape != view.shape:
+                    raise ValueError(f"block {name}: expected shape {view.shape}, "
                                      f"got {blocks[name].shape}")
                 view[...] = blocks[name]
             setattr(self, name, view)
@@ -218,12 +219,10 @@ class ModelParams:
             self.W_in = self.B[:(dims.s_dim + dims.uses_u * dims.u_dim) * dims.vocab_size].reshape(
                 -1, dims.vocab_size)
 
-    @classmethod
-    def zeros(cls, dims, names=None):
-        return cls(dims, names=names)
-
-    def zeros_like(self, names=None):
-        return ModelParams.zeros(self.dims, names=names)
+    def zeros_like(self, groups=None):
+        """A zero container of the same dims holding ``groups``, every group
+        when None."""
+        return ModelParams(self.dims, groups=groups)
 
     def named_blocks(self):
         for name in self._names:
@@ -235,7 +234,7 @@ class ModelParams:
             yield name, getattr(self, name)
 
     def copy(self):
-        return ModelParams(self.dims, names=self._names).assign(self)
+        return ModelParams(self.dims, groups=self._groups).assign(self)
 
     def assign(self, other):
         """Copy the values of ``other``, a container of the same blocks, into
@@ -254,7 +253,7 @@ def init_params(dims, rng):
     """Uniform [-0.1, 0.1] weights, drawn in ``block_shapes`` order, zero
     biases, zero u0, zero max-entropy tables; the masked W_vs rows are
     zeroed. Deterministic given the seed."""
-    params = ModelParams.zeros(dims)
+    params = ModelParams(dims)
     for name, shape in block_shapes(dims):
         if name.startswith("W_"):
             getattr(params, name)[...] = rng.uniform(-0.1, 0.1, shape)

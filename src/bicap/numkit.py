@@ -64,6 +64,11 @@ def is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value):
+    """An int, float or numpy real scalar, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 

@@ -11,16 +11,15 @@ validation perplexity.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import CaptionedExample, build_vocab, encode
 from .metrics import checked_features, perplexity
-from .numkit import SeededRng, is_int, sigmoid_clip_mask
-from .model import (ONLINE_BLOCKS, ROW_SLICE, ModelDims, block_shapes, caption_plans,
-                    init_params, output_pass, recon_losses, sentence_loss, sentence_states)
+from .numkit import SeededRng, is_int, is_real, sigmoid_clip_mask
+from .model import (ROW_SLICE, ModelDims, caption_plans, init_params, output_pass,
+                    recon_losses, sentence_loss, sentence_states)
 
 LR_FLOOR_DIVISOR = 1024.0
 
@@ -37,6 +36,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "grad_clip", "lam_recon", "weight_decay"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         # NaN fails every comparison, so each check also rejects it
         checks = [
             ("learning_rate", 0 < self.learning_rate < math.inf, "positive and finite"),
@@ -197,52 +199,39 @@ def apply_update(params, grads, lr, weight_decay=0.0):
     params.apply_vs_mask()
 
 
-def _batch_grads(params):
-    """A zero gradient container for the batch blocks: the ``B`` group."""
-    return params.zeros_like(names=[n for n, _ in block_shapes(params.dims)
-                                    if n not in ONLINE_BLOCKS])
-
-
-# What ``train`` hands ``train_sentence`` as a sentence: a caption plan and the
-# ``_batch_grads`` container that every sentence of the call reuses.
-Planned = namedtuple("Planned", "plan grads")
-
-
-def train_sentence(params, vocab, v, sent, config, lr, on_step=None):
+def train_sentence(params, vocab, v, sent, config, lr, on_step=None, grads=None):
     """One sentence of mixed online/batch SGD; returns (joint loss, tokens).
 
-    ``sent`` is a sentence, a ``model.CaptionPlan`` or a ``Planned``, whose
-    container is zeroed and reused; the others get a fresh one. The
-    recurrence runs first: it reads only recurrent-side weights, which move
-    once, at the sentence end, by one backward chain. Output-side weights
-    then move after every word, so later steps of the same sentence already
-    see the updates; the dense blocks take them in one product at the
-    sentence end. ``on_step(t, params)`` runs after each word's max-entropy
-    update (schedule introspection).
+    ``sent`` is a sentence or a ``model.CaptionPlan``. The batch gradients
+    accumulate in ``grads``, a container of the ``B`` storage group, which
+    is zeroed first; without one, ``params.zeros_like(groups=("B",))`` makes
+    a fresh one. The recurrence runs first: it reads only recurrent-side
+    weights, which move once, at the sentence end, by one backward chain.
+    Output-side weights then move after every word, so later steps of the
+    same sentence already see the updates; the dense blocks take them in one
+    product at the sentence end. ``on_step(t, params)`` runs after each
+    word's max-entropy update (schedule introspection).
     """
-    if isinstance(sent, Planned):
-        sent, batch_grads = sent
-        batch_grads.B.fill(0.0)
-    else:
-        batch_grads = _batch_grads(params)
+    grads = params.zeros_like(groups=("B",)) if grads is None else grads
+    grads.B.fill(0.0)
     clip = config.grad_clip
     tr = sentence_states(params, v, sent, vocab)
     out = output_pass(params, tr, lr, clip, on_step)
     _recurrent_chain(params, tr, v, _output_errors(params, out, lr), config.lam_recon,
-                     config.bptt_unroll, config.recon_kind, batch_grads)
+                     config.bptt_unroll, config.recon_kind, grads)
     params.A -= lr * (out.dz.T @ out.x + out.residual)
-    clip_gradients(batch_grads, clip)
-    apply_update(params, batch_grads, lr, weight_decay=config.weight_decay)
+    clip_gradients(grads, clip)
+    apply_update(params, grads, lr, weight_decay=config.weight_decay)
     return _joint_loss(tr, v, config.lam_recon, config.recon_kind), len(sent.ids)
 
 
-def _planned(dims, vocab, pairs, order, grads):
-    """(example, ``Planned``) of each pair in ``order``, planned one block
+def _planned(dims, vocab, pairs, order):
+    """(example, caption plan) of each pair in ``order``, planned one block
     of ``ROW_SLICE`` pairs at a time as the loop reaches it."""
     for start in range(0, len(order), ROW_SLICE):
         block = [pairs[i] for i in order[start:start + ROW_SLICE]]
         for (ex, _), plan in zip(block, caption_plans(dims, vocab, [cap for _, cap in block])):
-            yield ex, Planned(plan, grads)
+            yield ex, plan
 
 
 def train(params, dataset, config, valid_metric=None, log_fn=None):
@@ -263,7 +252,8 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
     is None, is checked before any weight moves; a bad caption or feature
     vector raises ValueError naming its example. Each epoch's
     shuffled pairs run in blocks of ``ROW_SLICE``, each with its
-    ``caption_plans`` built in one pass.
+    ``caption_plans`` built in one pass, and every sentence accumulates its
+    batch gradients in one reused ``B``-group container.
     """
     vocab = dataset.vocab
     pairs = dataset.caption_pairs("train")
@@ -275,7 +265,7 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
         if not valid:
             raise ValueError("validation split is empty")
         checked_features(params.dims, vocab, valid)
-    grads = _batch_grads(params)
+    grads = params.zeros_like(groups=("B",))
 
     shuffle_rng = SeededRng(config.seed).derive("shuffle")
     lr = config.learning_rate
@@ -289,8 +279,8 @@ def train(params, dataset, config, valid_metric=None, log_fn=None):
         order = np.arange(len(pairs))
         shuffle_rng.shuffle(order)
         loss_sum, token_sum = 0.0, 0
-        for ex, sent in _planned(params.dims, vocab, pairs, order, grads):
-            joint, ntok = train_sentence(params, vocab, ex.features, sent, config, lr)
+        for ex, plan in _planned(params.dims, vocab, pairs, order):
+            joint, ntok = train_sentence(params, vocab, ex.features, plan, config, lr, grads=grads)
             loss_sum += joint
             token_sum += ntok
             if not math.isfinite(joint):

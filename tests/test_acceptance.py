@@ -193,8 +193,7 @@ def test_criterion_07_metric_oracles():
         sentences = [[f"w{i}"] for i in range(10)]
         vocab = build_vocab(sentences, class_count=1)
         assert len(vocab) == 12
-        params = model.ModelParams.zeros(small_dims(vocab, variant="rnn",
-                                                    maxent_order=0))
+        params = model.ModelParams(small_dims(vocab, variant="rnn", maxent_order=0))
         from bicap.corpus import CaptionedExample
         pairs = [(CaptionedExample(id="x", features=np.zeros(1), captions=[],
                                    split="test"), encode(["w0", "w3"], vocab))]

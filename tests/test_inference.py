@@ -78,7 +78,7 @@ def _chain_model():
     aa -> bb -> cc -> aa (and <eos> -> aa to start)."""
     vocab = _vocab5(class_count=1)
     dims = small_dims(vocab, variant="rnn", maxent_order=2, maxent_hash_size=4099)
-    params = model.ModelParams.zeros(dims)
+    params = model.ModelParams(dims)
     ids = {t: vocab.token_to_id[t] for t in ("aa", "bb", "cc")}
     cycle = {vocab.eos_id: ids["aa"], ids["aa"]: ids["bb"],
              ids["bb"]: ids["cc"], ids["cc"]: ids["aa"]}
@@ -143,7 +143,8 @@ def test_generate_candidate_count_one_returns_single_sample():
     assert len(res.candidate_scores) == 1
 
 
-@pytest.mark.parametrize("lam_recon", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("lam_recon", [math.nan, math.inf, -math.inf, -1.0, -1e-300, True,
+                                       "1.0"])
 def test_gen_config_rejects_bad_lam_recon(lam_recon):
     # a NaN weight would make every candidate score NaN and pick candidate 0
     with pytest.raises(ValueError, match="lam_recon"):
@@ -152,7 +153,8 @@ def test_gen_config_rejects_bad_lam_recon(lam_recon):
 
 @pytest.mark.parametrize("hist", [{3: 0}, {3: 0, 4: 0.0}, {0: 1}, {-2: 1}, {2.0: 1},
                                   {True: 1}, {"3": 1}, {3: -1}, {3: 1, 4: -0.5},
-                                  {3: math.nan}, {3: math.inf}, {3: 1, 4: math.inf}, {}])
+                                  {3: math.nan}, {3: math.inf}, {3: 1, 4: math.inf}, {},
+                                  {3: True}, {3: 1, 4: True}, {3: "1"}, {3: "x"}])
 def test_gen_config_rejects_bad_length_hist(hist):
     with pytest.raises(ValueError, match="length_hist"):
         GenConfig(length_hist=hist)
@@ -313,7 +315,7 @@ def test_batched_generation_no_mass_left_is_loud():
     # <eos> and <unk> take all the mass: their classes and their member
     # logits dwarf every other word's, whose probabilities underflow to 0.
     params, vocab, _ = gradcheck_setup("rnn", seed=3, maxent_order=0)
-    params = model.ModelParams.zeros(params.dims)
+    params = model.ModelParams(params.dims)
     for tid in (vocab.eos_id, vocab.unk_id):
         params.b_c[class_of(vocab, tid)] = 1000.0
         params.b_w[tid] = 1000.0
@@ -424,7 +426,7 @@ def test_each_step_advances_one_row_per_distinct_prefix(monkeypatch, variant):
 def test_recon_score_zero_weight_model():
     vocab = _vocab5()
     dims = small_dims(vocab, v_dim=3)
-    params = model.ModelParams.zeros(dims)
+    params = model.ModelParams(dims)
     sent = encode(["aa", "bb"], vocab)
     v = np.array([1.0, 0.0, 1.0])
     assert recon_score(params, vocab, sent, v) == pytest.approx(-3 * math.log(2.0), rel=1e-12)
@@ -519,6 +521,21 @@ def test_ti_names_a_nan_query_and_ranks_minus_inf_by_its_combine(monkeypatch, co
         rank_retrieval(None, None, [0, 1], [0, 1, 2], [{0}, {0}], mode="ti", combine=combine)
     got = rank_retrieval(None, None, [0], [0, 1, 2], [{1}], mode="ti", combine=combine)
     assert got.ranked_ids == [want] and got.ranks == [want.index(1) + 1]
+
+
+@pytest.mark.parametrize("combine", ["zscore", "rank"])
+def test_ti_ranks_a_duplicated_image_by_its_first_index(combine):
+    # an image and its copy score alike under T and I, so rank averaging
+    # gives both the mean of their places and the tie keeps gallery order,
+    # as the z-scored sum does
+    params, vocab, example = gradcheck_setup("full", seed=3)
+    f = example.features
+    gallery = [f, f.copy(), np.linspace(0.0, 1.0, 4)]
+    got = rank_retrieval(params, vocab, example.captions[:1], gallery, [{0}], mode="ti",
+                         combine=combine)
+    assert got.ranked_ids == [[2, 0, 1]] and got.ranks == [2]
+    ranks = inference._rank_rows(np.array([[1.0, -np.inf, 1.0, np.nan, -np.inf, 0.5, 1.0]]))
+    assert np.array_equal(ranks, [[4.0, 0.5, 4.0, np.nan, 0.5, 2.0, 4.0]], equal_nan=True)
 
 
 @pytest.mark.parametrize("direction", ["image", "sentence"])

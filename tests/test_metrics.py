@@ -21,7 +21,7 @@ def _uniform_model(n_words):
     vocab = build_vocab(sentences, class_count=1)
     assert len(vocab) == n_words
     dims = small_dims(vocab, variant="rnn", maxent_order=0)
-    params = model.ModelParams.zeros(dims)
+    params = model.ModelParams(dims)
     return params, vocab
 
 
@@ -41,7 +41,7 @@ def test_perfect_model_perplexity_is_one():
     sentences = [["w0"]]
     vocab = build_vocab(sentences, class_count=1)
     dims = small_dims(vocab, variant="rnn", maxent_order=0)
-    params = model.ModelParams.zeros(dims)
+    params = model.ModelParams(dims)
     params.b_w[vocab.eos_id] = 500.0  # certainty, to double precision
     pairs = _pairs(vocab, [[]])  # the sentence [<eos>] alone
     assert perplexity_of_pairs(params, vocab, pairs) == 1.0

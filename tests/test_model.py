@@ -38,6 +38,7 @@ def test_dims_validation():
 @pytest.mark.parametrize("field, value", [
     ("sigmoid_clip", float("nan")), ("sigmoid_clip", 0.0), ("sigmoid_clip", float("inf")),
     ("s_dim", 0), ("s_dim", -2), ("u_dim", 0), ("maxent_order", -1), ("maxent_hash_size", 0),
+    ("sigmoid_clip", True), ("sigmoid_clip", "50"),
 ])
 def test_bad_dims_name_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -101,7 +102,7 @@ def test_reset_state_neutral():
 def test_step_zero_weights_gives_neutral_recon():
     vocab = _vocab5()
     dims = small_dims(vocab, v_dim=3)
-    params = model.ModelParams.zeros(dims)
+    params = model.ModelParams(dims)
     state = reset_state(params)
     _, out = step(params, state, 0, np.array([1.0, 0.0, 1.0]), vocab)
     assert np.all(out.recon == 0.5)
@@ -626,8 +627,7 @@ def test_dense_blocks_are_views_of_one_output_matrix(tmp_path, variant):
     check_written(p, base)
 
     # batch-gradient containers hold no dense block, so no A
-    batch = [n for n, _ in model.block_shapes(dims) if n not in model.ONLINE_BLOCKS]
-    assert not hasattr(params.zeros_like(names=batch), "A")
+    assert not hasattr(params.zeros_like(groups=("B",)), "A")
 
     # copy(), load_checkpoint and the constructor each own their A
     path = tmp_path / "model.ckpt"
@@ -711,19 +711,23 @@ def test_storage_groups_contract(tmp_path, variant):
     twin.A[...] = params.A + 1.0
     assert twin.W_sc[0, 0] == params.W_sc[0, 0] + 1.0
 
-    # batch-gradient containers hold B alone
+    # batch-gradient containers hold B alone: the blocks off the online schedule
     batch = [n for n, _ in model.block_shapes(dims) if n not in model.ONLINE_BLOCKS]
-    grads = params.zeros_like(names=batch)
+    grads = params.zeros_like(groups=("B",))
     assert [name for name, _ in grads.named_groups()] == ["B"]
+    assert [name for name, _ in grads.named_blocks()] == batch
     assert not hasattr(grads, "A") and not hasattr(grads, "me")
-    with pytest.raises(ValueError, match="part of group"):
-        params.zeros_like(names=["W_sc"])
+    for unknown in ("W_sc", "C"):
+        with pytest.raises(ValueError, match=f"no storage group '{unknown}'"):
+            params.zeros_like(groups=("B", unknown))
+    with pytest.raises(ValueError, match="no storage group 'me'"):   # order 0 has no tables
+        model.ModelParams(dataclasses.replace(dims, maxent_order=0), groups=("me",))
 
     # group-wise clip and update equal a per-block loop, byte for byte
     rng = np.random.default_rng(3)
-    for names in (None, batch):
+    for groups in (None, ("B",)):
         for decay in (0.0, 0.01):
-            g = params.zeros_like(names=names)
+            g = params.zeros_like(groups=groups)
             for _, store in g.named_groups():
                 store[:] = rng.normal(0.0, 10.0, store.shape)
             want, got = params.copy(), params.copy()
@@ -737,7 +741,7 @@ def test_storage_groups_contract(tmp_path, variant):
             want.apply_vs_mask()
             apply_update(got, clip_gradients(g, 15.0), 0.3, weight_decay=decay)
             for name, arr in want.named_blocks():
-                assert getattr(got, name).tobytes() == arr.tobytes(), (names, decay, name)
+                assert getattr(got, name).tobytes() == arr.tobytes(), (groups, decay, name)
 
     # the checkpoint format is unchanged, and it loads into the groups
     path = tmp_path / "model.ckpt"

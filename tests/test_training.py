@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from bicap import corpus, model, training
 from bicap.corpus import encode
-from bicap.model import (ONLINE_BLOCKS, _advance, block_shapes, class_logits, init_params,
-                         maxent_bases, member_logits, reset_state, sentence_loss,
-                         sentence_states, shift_context)
+from bicap.model import (ONLINE_BLOCKS, _advance, class_logits, init_params, maxent_bases,
+                         member_logits, reset_state, sentence_loss, sentence_states,
+                         shift_context)
 from bicap.numkit import SeededRng, sigmoid_clip_mask, softmax
 from bicap.training import (TrainConfig, _dsig, apply_update, clip_gradients, grad_check,
                             gradcheck_setup, sentence_gradients, train, train_sentence)
@@ -282,12 +282,12 @@ def test_non_finite_sentence_stops_the_epoch_and_restores_params(monkeypatch):
     start = params.copy()
     calls, validated, restored = [], [], []
 
-    def blow_up(params, vocab, v, sent, config, lr):
+    def blow_up(params, vocab, v, sent, config, lr, grads=None):
         calls.append(len(calls))
         if len(calls) == 3:  # the third sentence of epoch 1 poisons the weights
             params.W_ss[...] = np.nan
-            return float("nan"), len(sent.plan.ids)
-        return 1.0, len(sent.plan.ids)
+            return float("nan"), len(sent.ids)
+        return 1.0, len(sent.ids)
 
     def fake(epoch, p):
         validated.append(epoch)
@@ -399,10 +399,18 @@ def test_train_deterministic_given_seed():
     ("max_epochs", 0), ("weight_decay", -0.1), ("weight_decay", float("nan")),
     ("recon_kind", "l1"), ("max_epochs", 1.5), ("max_epochs", True), ("bptt_unroll", 2.5),
     ("bptt_unroll", True), ("seed", 1.5), ("seed", True),
+    ("learning_rate", True), ("learning_rate", "0.1"), ("grad_clip", True), ("grad_clip", "15"),
+    ("lam_recon", False), ("lam_recon", "1"), ("weight_decay", False), ("weight_decay", "0"),
 ])
 def test_bad_train_config_names_field(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_train_config_takes_ints_and_numpy_floats():
+    cfg = TrainConfig(learning_rate=np.float64(0.1), grad_clip=15, lam_recon=np.float32(0.5),
+                      weight_decay=0)
+    assert (cfg.learning_rate, cfg.grad_clip, cfg.lam_recon, cfg.weight_decay) == (0.1, 15, 0.5, 0)
 
 
 def test_gradcheck_setup_matches_stated_size():
@@ -588,8 +596,7 @@ def _reference_gradients(params, vocab, v, sent, lam, unroll, recon_kind):
 
 
 def _reference_train_sentence(params, vocab, v, sent, config, lr):
-    batch_names = [n for n, _ in block_shapes(params.dims) if n not in ONLINE_BLOCKS]
-    batch_grads = params.zeros_like(names=batch_names)
+    batch_grads = params.zeros_like(groups=("B",))
     clip = config.grad_clip
     for t, tr in forward_steps(params, v, sent, vocab):
         dz_c, dz_w, lo, hi, e_s, e_u = _output_errors(params, tr, t)
