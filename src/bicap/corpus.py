@@ -249,7 +249,10 @@ def _parse_record(obj, where):
             raise ValueError(f"{where}: missing field '{key}'")
     if obj["split"] not in SPLITS:
         raise ValueError(f"{where}: split must be one of {SPLITS}")
-    feats = np.asarray(obj["features"], dtype=np.float64)
+    try:
+        feats = np.asarray(obj["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:   # a JSON object, or strings that are not numbers
+        raise ValueError(f"{where}: features must be an array of numbers") from exc
     if feats.ndim != 1 or feats.size == 0:
         raise ValueError(f"{where}: features must be a flat nonempty array")
     if not np.all(np.isfinite(feats)) or np.any(feats < 0):
@@ -267,9 +270,10 @@ def manifest_path(path):
 def _read_manifest(mpath, dim):
     """``per_dim_max`` of a sidecar manifest, checked against the data dim.
 
-    Malformed JSON, a missing field, a ``feature_dim`` other than ``dim``,
-    or a ``per_dim_max`` that is not ``dim`` finite values >= 0 raise
-    ValueError naming the manifest and the field.
+    Malformed JSON, a missing field, a ``feature_dim`` that is not a JSON
+    integer equal to ``dim`` (``8.0`` and ``"8"`` are not), or a
+    ``per_dim_max`` that is not ``dim`` finite values >= 0 raise ValueError
+    naming the manifest and the field.
     """
     with open(mpath, "r", encoding="utf-8") as fh:
         try:
@@ -279,14 +283,11 @@ def _read_manifest(mpath, dim):
     for name in ("feature_dim", "per_dim_max"):
         if not isinstance(manifest, dict) or name not in manifest:
             raise ValueError(f"{mpath}: manifest has no {name} field")
-    try:
-        feature_dim = int(manifest["feature_dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{mpath}: feature_dim is not an integer") from exc
+    feature_dim = manifest["feature_dim"]
+    if not is_int(feature_dim):
+        raise ValueError(f"{mpath}: feature_dim is not an integer, got {feature_dim!r}")
     if feature_dim != dim:
-        raise ValueError(
-            f"{mpath}: feature_dim {manifest['feature_dim']} does not match data dim {dim}"
-        )
+        raise ValueError(f"{mpath}: feature_dim {feature_dim} does not match data dim {dim}")
     try:
         norm_max = np.asarray(manifest["per_dim_max"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -312,12 +313,15 @@ def load_dataset(path, vocab=None, class_count=None):
     the training captions (``class_count`` passes through to it).
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc})") from exc
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
             records.append((_parse_record(obj, f"{path}: line {lineno}"), lineno))

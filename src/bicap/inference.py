@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import EncodedSentence
 from .model import (advance_rows, feature_vector, gallery_scores,
-                    input_columns, recon_cross_entropy, recon_rows, sentence_loss,
+                    input_columns, recon_cross_entropy, sentence_loss,
                     sentence_states, sentences_of, stacked_drive, stacked_start, token_bases,
                     word_distribution_rows)
 from .numkit import SeededRng, is_int, is_real, multinomial_sample, sigmoid_clipped
@@ -184,25 +184,19 @@ def generate(params, vocab, v, cfg, rng=None):
 
 
 def recon_trajectory(params, vocab, item):
-    """Per-step feature reconstructions driven by words alone.
-
-    Only the visual-memory half of the network runs here: the trajectory
-    never reads s or the observed features, which is what makes one model
-    usable in both directions. A sentence that ``check_sentence`` rejects
-    (empty, no final <eos>, an id outside the vocabulary) raises, and so
-    does a group holding no sentence.
+    """Per-step feature reconstructions of a sentence or a group of
+    sentences, driven by words alone: the word-driven reconstruction of
+    ``gallery_scores``, taken under one all-zero feature row. The
+    trajectory never reads s or the observed features, which is what
+    makes one model usable in both directions. A sentence that
+    ``check_sentence`` rejects (empty, no final <eos>, an id outside the
+    vocabulary) raises, and so does a group holding no sentence.
     """
     dims = params.dims
     if not dims.uses_u:
         raise ValueError(f"variant '{dims.variant}' has no reconstruction half")
-    us = []
-    for sent in sentences_of(dims, item, vocab.eos_id, f"item {item!r}"):
-        u = sigmoid_clipped(params.u0, dims.sigmoid_clip)
-        for prev in [sent.ids[-1]] + list(sent.ids[:-1]):   # the u half of ``advance_rows``
-            u = sigmoid_clipped(params.W_wu.T[prev] + params.W_uu @ u + params.b_u,
-                                dims.sigmoid_clip)
-            us.append(u)
-    return recon_rows(params, us)[1]
+    sents = sentences_of(dims, item, vocab.eos_id, f"item {item!r}")
+    return gallery_scores(params, np.zeros((1, dims.v_dim)), [sents], vocab)[1][0]
 
 
 @dataclass

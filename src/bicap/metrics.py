@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, input_columns,
-                    stacked_drive, stacked_start, token_bases, word_distribution_rows)
+from .model import (ROW_SLICE, advance_rows, check_sentence, feature_vector, fed_tokens,
+                    input_columns, stacked_drive, stacked_start, token_bases,
+                    word_distribution_rows)
 
 LOG2 = math.log(2.0)
 
@@ -49,21 +50,16 @@ def _rows_word_nll(params, vocab, feats, sents):
     Every state goes into one (states, dim) array, step after step, with
     its input columns gathered once beforehand. Afterwards
     ``word_distribution_rows`` scores the stored states ``ROW_SLICE`` at a
-    time, under the ``token_bases`` of the (rows, steps) matrix of fed
-    tokens, and each state keeps its target's class and member probability;
+    time, under the ``token_bases`` of the captions' ``fed_tokens``
+    layout, and each state keeps its target's class and member probability;
     the NLL is -log of each, as ``output_pass`` takes it.
     """
     dims, sd = params.dims, params.dims.s_dim
-    lengths = np.array([len(ids) for ids in sents])
-    count, steps = len(sents), int(lengths[0])
-    inputs = np.full((count, steps + 1), vocab.eos_id)   # <eos> doubles as begin-of-sentence
-    for r, ids in enumerate(sents):
-        inputs[r, 1:len(ids) + 1] = ids
-    inputs, targets = inputs[:, :-1], inputs[:, 1:]
-    live = lengths > np.arange(steps)[:, None]      # (steps, count): row r is live at step t
+    fed, live = fed_tokens(vocab.eos_id, sents)
+    inputs, targets, live = fed[:, :-1], fed[:, 1:], live.T   # (steps, rows), step-major
     act = input_columns(params, inputs.T[live])     # (states, dim), in step order
     prev = stacked_start(params)                    # shared by every row at step 0
-    drive = np.broadcast_to(stacked_drive(params, feats), (count, act.shape[1]))
+    drive = np.broadcast_to(stacked_drive(params, feats), (len(fed), act.shape[1]))
     end = 0
     for t, n in enumerate(live.sum(axis=1).tolist()):   # each step's states replace its columns
         rows = act[end:end + n]
@@ -79,9 +75,9 @@ def _rows_word_nll(params, vocab, feats, sents):
         at = np.arange(len(qw)), tgt[blk]
         picked[:, blk] = qw[at], p[at]
     logs = np.log(picked)   # inf, not an error, where a probability is 0
-    nll = np.zeros((count, steps))
+    nll = np.zeros(inputs.shape)
     nll.T[live] = -logs[0] - logs[1]
-    return [nll[r, :k] for r, k in enumerate(lengths)]
+    return [nll[r, :len(ids)] for r, ids in enumerate(sents)]
 
 
 def pair_word_nll(params, vocab, pairs):

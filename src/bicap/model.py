@@ -470,6 +470,20 @@ def recon_losses(tr, v, recon_kind):
     return loss(v, tr.recon).tolist()
 
 
+def fed_tokens(eos_id, sents):
+    """The teacher-forced layout of sentences given as token id lists:
+    (fed, live). Row r of the (rows, longest + 1) int64 ``fed`` holds
+    <eos>, which doubles as begin-of-sentence, then sentence r's ids, then
+    <eos> padding; step t feeds ``fed[r, t]`` and predicts ``fed[r, t + 1]``.
+    The (rows, longest) ``live`` mask marks each row's real steps. The ids
+    are not checked: callers run ``check_sentence``."""
+    lengths = np.array([len(ids) for ids in sents], dtype=np.int64)
+    live = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    fed = np.full((len(sents), live.shape[1] + 1), eos_id, dtype=np.int64)
+    fed[:, 1:][live] = [i for ids in sents for i in ids]
+    return fed, live
+
+
 @dataclass(eq=False)
 class CaptionPlan:
     """What training or scoring one sentence needs that reads no weight,
@@ -495,28 +509,24 @@ def caption_plans(dims, vocab, sents):
     """One ``CaptionPlan`` per sentence, from one batched pass over all of
     them. A sentence that ``check_sentence`` rejects raises ValueError.
 
-    The ``token_bases`` come from one padded (sentences, steps) matrix of
-    fed tokens; every other array is built over the joined steps of all
-    sentences, and each plan holds its sentence's slice. Column j of a step
-    is class logit j for j < classes, then member j - classes of the target
-    class, whose ``me`` slot under an order's (class, word) bases
-    (``maxent_bases``) is (class base + j) mod hash size, or (word base +
-    word id) mod hash size in the ``me_word`` half, past the hash size.
+    The inputs, targets and ``token_bases`` come from the one
+    ``fed_tokens`` layout of all sentences, read at its live steps; every
+    other array is built over those joined steps, and each plan holds its
+    sentence's slice. Column j of a step is class logit j for j < classes,
+    then member j - classes of the target class, whose ``me`` slot under an
+    order's (class, word) bases (``maxent_bases``) is (class base + j) mod
+    hash size, or (word base + word id) mod hash size in the ``me_word``
+    half, past the hash size.
     Only the leading orders whose history a step has are valid; padding
     past a step's width holds junk. The slot arrays hold steps x order x
     (classes + widest class) entries.
     """
     for sent in sents:
         check_sentence(dims, sent.ids, vocab.eos_id)
-    targets = np.array([i for sent in sents for i in sent.ids], dtype=np.int64)
-    lengths = np.array([len(sent.ids) for sent in sents])
+    fed, live = fed_tokens(vocab.eos_id, [sent.ids for sent in sents])
+    inputs, targets = fed[:, :-1][live], fed[:, 1:][live]
+    bases = token_bases(dims, fed[:, :-1])[live]
     c, h = dims.class_count, dims.maxent_hash_size
-    # <eos> doubles as begin-of-sentence: each sentence is fed the <eos> that ends the one before
-    inputs = np.concatenate([targets[-1:], targets[:-1]])
-    live = np.arange(lengths.max()) < lengths[:, None]
-    fed = np.zeros(live.shape, dtype=np.int64)
-    fed[live] = inputs
-    bases = token_bases(dims, fed)[live]
     g = vocab.id_class[targets]
     lo, hi = vocab.class_starts[g], vocab.class_bounds[g]
     # (steps, 7) columns: class rows (g, lo, hi), picks, sizes
@@ -529,7 +539,7 @@ def caption_plans(dims, vocab, sents):
     slots %= max(h, 1)
     slots[..., c:] += h
     cols = col_ids + c * member
-    ends = lengths.cumsum().tolist()
+    ends = live.sum(axis=1).cumsum().tolist()
     return [CaptionPlan(sent.ids, inputs[a:b], targets[a:b], table[a:b, :3], bases[a:b],
                         table[a:b, 3:5], table[a:b, 5:], cols[a:b], slots[a:b])
             for sent, a, b in zip(sents, [0] + ends[:-1], ends)]
@@ -823,18 +833,20 @@ def unique_rows(feats):
 def gallery_scores(params, feats, items, vocab_classes):
     """Word NLL of each item under each row of an (N, v_dim) feature
     matrix, as an (items, N) matrix, and each item's (T, v_dim) word-driven
-    reconstruction, which equals ``inference.recon_trajectory`` (None
+    reconstruction, which ``inference.recon_trajectory`` returns (None
     without u). An item is a sentence or a group of sentences, whose NLLs
     add up; the state resets between them.
 
     Only s sees the features, through ``W_vs @ v + b_s``, computed once per
-    call for each distinct row. A sentence's loop steps the recurrence
-    alone. One state store per call, sized to its longest sentence, holds
-    a row per step: each step sums the pre-activations of every s row and
-    of the shared u state, in ``advance_rows``' order, into its row and
-    clamps the row in place with one ``sigmoid_clipped`` call. The states
-    are views of the store, which ``score_gallery_states`` scores after
-    each sentence; only the u rows are copied out, for the reconstruction.
+    call for each distinct row. The sentences of all items are fed from one
+    ``fed_tokens`` layout, whose ``token_bases`` are built once per call. A
+    sentence's loop steps the recurrence alone. One state store per call
+    holds a row per step of the layout: each step sums the pre-activations
+    of every s row and of the shared u state, in ``advance_rows``' order,
+    into its row and clamps the row in place with one ``sigmoid_clipped``
+    call. The states are views of the store, which ``score_gallery_states``
+    scores after each sentence; only the u rows are copied out, for the
+    reconstruction.
     Row i of the NLL equals the summed
     ``sentence_loss(params, feats[i], sent, 0.0, vocab_classes)[0].word_nll``
     up to rounding. BLAS may round identical rows of a product differently
@@ -861,33 +873,31 @@ def gallery_scores(params, feats, items, vocab_classes):
         drive = params.b_s[None, :]
     groups = [sentences_of(dims, item, vocab_classes.eos_id, f"item {k}")
               for k, item in enumerate(items)]
+    owner = [k for k, sents in enumerate(groups) for _ in sents]
+    fed, live = fed_tokens(vocab_classes.eos_id, [sent.ids for sents in groups for sent in sents])
+    bases = token_bases(dims, fed[:, :-1])
     start, n = reset_state(params), drive.size
     # row t: step t's s rows, then the shared u state (none without u)
-    store = np.empty((max((len(sent.ids) for sents in groups for sent in sents), default=0),
-                      n + (dims.u_dim if dims.uses_u else 0)))
+    store = np.empty((live.shape[1], n + (dims.u_dim if dims.uses_u else 0)))
     ss, uu = store[:, :n].reshape((len(store),) + drive.shape), store[:, n:]
     w_ws, w_ss, w_wu = params.W_ws.T, params.W_ss.T, params.W_wu.T if dims.uses_u else None
-    nll, recons = np.zeros((len(items), len(drive))), []
-    for k, sents in enumerate(groups):
-        us = []
-        for sent in sents:
-            s, u = np.broadcast_to(start.s, drive.shape), start.u
-            inputs = [sent.ids[-1]] + list(sent.ids[:-1])
-            for prev, row, s_pre, u_pre in zip(inputs, store, ss, uu):
-                np.add(w_ws[prev], s @ w_ss, out=s_pre)
-                s_pre += drive
-                if dims.uses_u:
-                    np.add(w_wu[prev], params.W_uu @ u, out=u_pre)
-                    u_pre += params.b_u
-                sigmoid_clipped(row, dims.sigmoid_clip, out=row)
-                s, u = s_pre, u_pre
-            u_rows = uu[:len(inputs)].copy() if dims.uses_u else None
-            us.append(u_rows)
-            nll[k] += score_gallery_states(params, vocab_classes, ss[:len(inputs)], u_rows,
-                                           sent.ids, token_bases(dims, np.array([inputs]))[0]
-                                           ).sum(axis=0)
-        recons.append(recon_rows(params, np.concatenate(us))[1] if dims.uses_u else None)
-    return nll[:, inverse], recons if dims.uses_u else None
+    nll, us = np.zeros((len(items), len(drive))), [[] for _ in groups]
+    for k, ids, steps, sent_bases in zip(owner, fed.tolist(), live.sum(axis=1).tolist(), bases):
+        s, u = np.broadcast_to(start.s, drive.shape), start.u
+        for prev, row, s_pre, u_pre in zip(ids[:steps], store, ss, uu):
+            np.add(w_ws[prev], s @ w_ss, out=s_pre)
+            s_pre += drive
+            if dims.uses_u:
+                np.add(w_wu[prev], params.W_uu @ u, out=u_pre)
+                u_pre += params.b_u
+            sigmoid_clipped(row, dims.sigmoid_clip, out=row)
+            s, u = s_pre, u_pre
+        u_rows = uu[:steps].copy() if dims.uses_u else None
+        us[k].append(u_rows)
+        nll[k] += score_gallery_states(params, vocab_classes, ss[:steps], u_rows,
+                                       ids[1:steps + 1], sent_bases[:steps]).sum(axis=0)
+    recons = [recon_rows(params, np.concatenate(u))[1] for u in us] if dims.uses_u else None
+    return nll[:, inverse], recons
 
 
 def sentence_forward(params, v, sent, vocab):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bicap import corpus, inference, model, training
+from bicap import corpus, model, training
 from bicap.numkit import SeededRng
 
 
@@ -45,12 +45,26 @@ def with_one_member_class(vocab):
     return corpus.ClassedVocabulary(vocab.tokens, vocab.counts, [1] + bounds[1:])
 
 
+def step_recon(params, vocab, item, v):
+    """The word-driven reconstruction of a sentence or a group of sentences
+    from the scalar ``model.step`` chain: each sentence starts from
+    ``reset_state`` and is fed its final <eos> first, then its ids but the
+    last; row t is step t's ``StepOutput.recon``."""
+    rows = []
+    for sent in item if isinstance(item, (list, tuple)) else [item]:
+        state = model.reset_state(params)
+        for prev in [sent.ids[-1]] + list(sent.ids[:-1]):
+            state, out = model.step(params, state, prev, v, vocab)
+            rows.append(out.recon)
+    return np.array(rows)
+
+
 def recon_score(params, vocab, item, v):
     """Scalar I score of one (item, features) pair: the negated average
     per-step cross-entropy between the word-driven reconstruction
-    trajectory and ``v`` (higher is better)."""
-    traj = inference.recon_trajectory(params, vocab, item)
+    trajectory of ``step_recon`` and ``v`` (higher is better)."""
     v = np.asarray(v, dtype=np.float64)
+    traj = step_recon(params, vocab, item, v)
     return float(v @ np.log(traj).mean(axis=0) + (1.0 - v) @ np.log(1.0 - traj).mean(axis=0))
 
 

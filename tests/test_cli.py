@@ -447,6 +447,23 @@ def test_dataset_of_another_feature_dim_is_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("features", [{"a": 1.0}, "abc"], ids=["object", "string"])
+def test_non_numeric_features_name_their_line(tmp_path, capsys, features):
+    # a JSON object escaped as a TypeError traceback (exit 1), and a string
+    # gave numpy's message, which named neither file nor line
+    data = _synth(tmp_path)
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[4])
+    record["features"] = features
+    lines[4] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert run(*_train_args(data, out)) == 2
+    assert f"{data}: line 5: features must be an array of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "eval"])
 def test_generate_and_eval_reject_an_empty_split(tmp_path, capsys, command):
     data = _synth(tmp_path)

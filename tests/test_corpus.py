@@ -261,10 +261,13 @@ def test_load_dataset_missing_field_and_bad_split(tmp_path):
     ("features", [1.0, -0.5, 0.0], "features must be finite and nonnegative"),
     ("features", [1.0, float("nan"), 0.0], "features must be finite and nonnegative"),
     ("features", [float("inf"), 0.0, 0.0], "features must be finite and nonnegative"),
+    ("features", {"a": 1.0}, "features must be an array of numbers"),
+    ("features", "abc", "features must be an array of numbers"),
     ("captions", ["a cat", 3], "captions must be a nonempty list of strings"),
     ("captions", "a cat", "captions must be a nonempty list of strings"),
     ("captions", [], "captions must be a nonempty list of strings"),
-], ids=["nested", "empty", "negative", "nan", "inf", "not_string", "not_list", "no_captions"])
+], ids=["nested", "empty", "negative", "nan", "inf", "object", "string", "not_string", "not_list",
+        "no_captions"])
 def test_load_dataset_bad_record_field_names_line(tmp_path, field, value, message):
     recs = _records3()
     recs[1][field] = value
@@ -378,6 +381,11 @@ def test_manifest_missing_field_rejected(tmp_path, field):
     ("per_dim_max", ["a", 0.0, 1.0], "per_dim_max is not a list of numbers"),
     ("per_dim_max", [4.0, None, 1.0], "per_dim_max holds nan"),
     ("per_dim_max", [4.0, [0.0], 1.0], "per_dim_max is not a list of numbers"),
+    # int() read 3.9, 3.0 and "3" as the data's dim 3, so they loaded, and true as 1
+    ("feature_dim", 3.9, "feature_dim is not an integer, got 3.9"),
+    ("feature_dim", 3.0, "feature_dim is not an integer, got 3.0"),
+    ("feature_dim", "3", "feature_dim is not an integer, got '3'"),
+    ("feature_dim", True, "feature_dim is not an integer, got True"),
 ])
 def test_manifest_non_numeric_field_rejected(tmp_path, field, value, message):
     path = tmp_path / "data.jsonl"
@@ -389,6 +397,16 @@ def test_manifest_non_numeric_field_rejected(tmp_path, field, value, message):
     with pytest.raises(ValueError, match=message) as info:
         load_dataset(path)
     assert str(manifest_file) in str(info.value)
+
+
+def test_dataset_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    _write_jsonl(path, _records3())
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"dog", b"d\xffg", 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=r"data\.jsonl: line 2: not UTF-8 \(.*0xff"):
+        load_dataset(path)
 
 
 def test_manifest_invalid_json_rejected(tmp_path):

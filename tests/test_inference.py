@@ -19,7 +19,7 @@ from bicap.model import (gallery_scores, init_params, maxent_bases, reset_state,
 from bicap.numkit import SeededRng, multinomial_sample, sigmoid_clipped
 from bicap.training import gradcheck_setup
 
-from conftest import (VARIANT_WIDTHS, class_of, recon_score, small_dims,
+from conftest import (VARIANT_WIDTHS, class_of, recon_score, small_dims, step_recon,
                       with_one_member_class)
 
 
@@ -1026,8 +1026,9 @@ def test_gallery_reconstruction_is_the_word_driven_trajectory(variant):
     if variant != "full":
         assert recons == [None] * 3
         return
-    want = recon_trajectory(params, vocab, sent).tobytes()
+    want = step_recon(params, vocab, sent, example.features).tobytes()
     assert all(r[0].tobytes() == want for r in recons)
+    assert recon_trajectory(params, vocab, sent).tobytes() == want
 
 
 def test_empty_query_list_is_rejected(tiny_dataset):

@@ -316,6 +316,17 @@ def test_token_bases_match_scalar_reference(order, size):
         assert got.tobytes() == expected.tobytes()
 
 
+def test_fed_tokens_layout():
+    # <eos> (id 9 here) starts every row and pads it; step t feeds column t
+    # and predicts column t + 1, and live marks each row's real steps
+    fed, live = model.fed_tokens(9, [[3, 4, 9], [9], [5, 9]])
+    assert fed.dtype == np.int64
+    assert fed.tolist() == [[9, 3, 4, 9], [9, 9, 9, 9], [9, 5, 9, 9]]
+    assert live.tolist() == [[True, True, True], [True, False, False], [True, True, False]]
+    fed, live = model.fed_tokens(7, [])
+    assert fed.shape == (0, 1) and live.shape == (0, 0)
+
+
 def test_sentence_loss_minimal_sentence():
     vocab = _vocab5()
     params = init_params(small_dims(vocab, v_dim=3), SeededRng(1))
