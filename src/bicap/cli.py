@@ -28,13 +28,13 @@ def _write_text(path, text):
 def load_config(path, overrides, defaults):
     """Merge defaults <- config file <- explicit flags; reject unknown keys
     and file values whose type is not the default's (an int may stand for
-    a float, and for the None of a derived default; a bool for neither)."""
+    a float, and for the None of a derived default; a bool for neither).
+    A file that is not UTF-8 JSON raises ValueError naming it."""
     merged = dict(defaults)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = corpus.read_json_file(path)
         if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{path}: config file must hold a JSON object")
         unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import is_int
+from .numkit import is_int, is_real
 
 EOS = "<eos>"
 UNK = "<unk>"
@@ -202,9 +202,6 @@ class EncodedSentence:
     ids: list
     tokens: list
 
-    def __len__(self):
-        return len(self.ids)
-
 
 def encode(tokens, vocab):
     """Map tokens to ids (unknowns to <unk>) and append <eos>."""
@@ -241,17 +238,23 @@ SPLITS = ("train", "valid", "test")
 
 def _parse_record(obj, where):
     """Validate one raw record; ``where`` ("<file>: line N") prefixes every
-    error."""
+    error. The id must be a JSON string or integer, and every feature a
+    JSON number: a bool, ``null`` or a numeric string is none of these."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: record is not an object")
     for key in ("id", "features", "captions", "split"):
         if key not in obj:
             raise ValueError(f"{where}: missing field '{key}'")
+    if not (isinstance(obj["id"], str) or is_int(obj["id"])):
+        raise ValueError(f"{where}: id must be a string or an integer, got {obj['id']!r}")
     if obj["split"] not in SPLITS:
         raise ValueError(f"{where}: split must be one of {SPLITS}")
-    try:
-        feats = np.asarray(obj["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:   # a JSON object, or strings that are not numbers
+    feats = obj["features"]
+    if isinstance(feats, list) and not all(is_real(f) or isinstance(f, list) for f in feats):
+        raise ValueError(f"{where}: features must be an array of numbers")
+    try:   # a JSON object, a string, ragged lists or an integer beyond float64 fail here
+        feats = np.asarray(feats, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: features must be an array of numbers") from exc
     if feats.ndim != 1 or feats.size == 0:
         raise ValueError(f"{where}: features must be a flat nonempty array")
@@ -267,19 +270,28 @@ def manifest_path(path):
     return str(path) + ".manifest.json"
 
 
+def read_json_file(path):
+    """The JSON value of a file; one that is not UTF-8 or not JSON raises
+    ValueError naming the file."""
+    with open(path, "rb") as fh:
+        try:
+            return json.loads(fh.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+
+
 def _read_manifest(mpath, dim):
     """``per_dim_max`` of a sidecar manifest, checked against the data dim.
 
-    Malformed JSON, a missing field, a ``feature_dim`` that is not a JSON
-    integer equal to ``dim`` (``8.0`` and ``"8"`` are not), or a
-    ``per_dim_max`` that is not ``dim`` finite values >= 0 raise ValueError
-    naming the manifest and the field.
+    A file that is not UTF-8 JSON (``read_json_file``) raises ValueError
+    naming the manifest; so do a missing field, a ``feature_dim`` that is
+    not a JSON integer equal to ``dim`` (``8.0`` and ``"8"`` are not), or a
+    ``per_dim_max`` that is not ``dim`` finite values >= 0, also naming the
+    field.
     """
-    with open(mpath, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{mpath}: invalid JSON ({exc.msg})") from exc
+    manifest = read_json_file(mpath)
     for name in ("feature_dim", "per_dim_max"):
         if not isinstance(manifest, dict) or name not in manifest:
             raise ValueError(f"{mpath}: manifest has no {name} field")
@@ -290,7 +302,7 @@ def _read_manifest(mpath, dim):
         raise ValueError(f"{mpath}: feature_dim {feature_dim} does not match data dim {dim}")
     try:
         norm_max = np.asarray(manifest["per_dim_max"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: an int beyond float64
         raise ValueError(f"{mpath}: per_dim_max is not a list of numbers") from exc
     if norm_max.shape != (dim,):
         raise ValueError(

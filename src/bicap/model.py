@@ -490,18 +490,16 @@ class CaptionPlan:
     built by ``caption_plans``. Row t of each array belongs to step t,
     which feeds ``inputs[t]`` and predicts ``targets[t]``. Step t reads
     only the ``sizes[t].sum()`` (classes + class size) logits of its
-    target's class: that many leading entries of ``cols[t]``, and of
-    ``slots[t, k]`` for each order k + 1 its history reaches (k < t + 2).
-    W is classes + the widest target class of the plan's block."""
+    target's class ``picks[t, 0]``: the vocabulary's ``class_columns`` of
+    that class, and as many leading entries of ``slots[t, k]`` for each
+    order k + 1 its history reaches (k < t + 2). W is classes + the widest
+    target class of the plan's block."""
 
     ids: list            # the sentence's token ids
     inputs: np.ndarray   # (T,) token fed at each step (BOS = <eos>)
     targets: np.ndarray  # (T,) token predicted at each step
-    classes: np.ndarray  # (T, 3): class, first id and end id of each target's class
-    bases: np.ndarray    # (T, order, 2): ``token_bases`` of the inputs
-    picks: np.ndarray    # (T, 2): where a step's columns hold its target class and word
+    picks: np.ndarray    # (T, 2): the target's class, and its word's place in the class columns
     sizes: np.ndarray    # (T, 2): the class count and the class size, the two softmax segments
-    cols: np.ndarray     # (T, W): the target class's ``class_columns``
     slots: np.ndarray    # (T, order, W): ``ModelParams.me`` slot of each column, per order
 
 
@@ -512,11 +510,12 @@ def caption_plans(dims, vocab, sents):
     The inputs, targets and ``token_bases`` come from the one
     ``fed_tokens`` layout of all sentences, read at its live steps; every
     other array is built over those joined steps, and each plan holds its
-    sentence's slice. Column j of a step is class logit j for j < classes,
-    then member j - classes of the target class, whose ``me`` slot under an
-    order's (class, word) bases (``maxent_bases``) is (class base + j) mod
-    hash size, or (word base + word id) mod hash size in the ``me_word``
-    half, past the hash size.
+    sentence's slice. Column j of a step, the vocabulary's
+    ``class_columns`` entry j of the target class, is class logit j for
+    j < classes, then member j - classes of the target class, whose ``me``
+    slot under an order's (class, word) bases (``maxent_bases``) is (class
+    base + j) mod hash size, or (word base + word id) mod hash size in the
+    ``me_word`` half, past the hash size.
     Only the leading orders whose history a step has are valid; padding
     past a step's width holds junk. The slot arrays hold steps x order x
     (classes + widest class) entries.
@@ -529,19 +528,17 @@ def caption_plans(dims, vocab, sents):
     c, h = dims.class_count, dims.maxent_hash_size
     g = vocab.id_class[targets]
     lo, hi = vocab.class_starts[g], vocab.class_bounds[g]
-    # (steps, 7) columns: class rows (g, lo, hi), picks, sizes
-    table = np.array([g, lo, hi, g, c + targets - lo, np.full_like(g, c), hi - lo]).T
-    j = np.arange(c + table[:, 6].max())
+    table = np.array([g, c + targets - lo, np.full_like(g, c), hi - lo]).T   # picks, sizes
+    j = np.arange(c + table[:, 3].max())
     member = j >= c
     col_ids = np.where(member, j - c + lo[:, None], j)   # the class or word id of each column
     slots = np.where(member, bases[..., 1:], bases[..., :1])
     slots += col_ids[:, None]
     slots %= max(h, 1)
     slots[..., c:] += h
-    cols = col_ids + c * member
     ends = live.sum(axis=1).cumsum().tolist()
-    return [CaptionPlan(sent.ids, inputs[a:b], targets[a:b], table[a:b, :3], bases[a:b],
-                        table[a:b, 3:5], table[a:b, 5:], cols[a:b], slots[a:b])
+    return [CaptionPlan(sent.ids, inputs[a:b], targets[a:b], table[a:b, :2], table[a:b, 2:],
+                        slots[a:b])
             for sent, a, b in zip(sents, [0] + ends[:-1], ends)]
 
 
@@ -583,25 +580,25 @@ def sentence_states(params, v, sent, vocab):
 OutputPass = namedtuple("OutputPass", "x dz residual residual_err")
 
 
-def output_pass(params, tr, lr, limit, on_step=None):
+def output_pass(params, vocab, tr, lr, limit):
     """Class and member softmax of each step of a trace, where each step
     first adds ``-lr`` times its gradient pieces, clamped to [-limit,
     limit], to the output weights. Sets ``tr.word_nll``; ``lr=0`` scores.
 
-    The max-entropy tables move in place, then ``on_step(t, params)`` runs.
-    The dense blocks stay at A0 and take the steps in one product at the
-    sentence end: SGD on a linear layer is attention over its inputs (Irie
-    et al. 2022), so with rows x_t = [s_t, 1, u_t], A(t) = A0 - lr sum_{k<t}
-    dz_k x_k^T and step t reads X A0^T - lr (X X^T)[t] @ dz, whose rows from
-    t on are still zero. As s, u in [0, 1] and |dz| <= 1, the clamp acts only
-    if ``limit < 1``; its residuals clip(piece) - piece are then carried
-    densely. Returns an ``OutputPass`` (in the layout of ``params.A``).
+    The max-entropy tables move in place. The dense blocks stay at A0 and
+    take the steps in one product at the sentence end: SGD on a linear
+    layer is attention over its inputs (Irie et al. 2022), so with rows
+    x_t = [s_t, 1, u_t], A(t) = A0 - lr sum_{k<t} dz_k x_k^T and step t
+    reads X A0^T - lr (X X^T)[t] @ dz, whose rows from t on are still zero.
+    As s, u in [0, 1] and |dz| <= 1, the clamp acts only if ``limit < 1``;
+    its residuals clip(piece) - piece are then carried densely. Returns an
+    ``OutputPass`` (in the layout of ``params.A``).
 
-    A step reads only the logits of its target's class columns
-    (``tr.cols``), gathered once with the max-entropy terms of their
-    ``tr.slots``: the class softmax and the member softmax then run in place
-    on the two segments of that one array, and fill its columns of the
-    ``dz`` row.
+    A step reads only the logits of its target class's columns,
+    ``vocab.class_columns[tr.picks[t, 0]]``, gathered once with the
+    max-entropy terms of their ``tr.slots``: the class softmax and the
+    member softmax then run in place on the two segments of that one array,
+    and fill its columns of the ``dz`` row.
     """
     dims, sd = params.dims, params.dims.s_dim
     c = dims.class_count
@@ -610,14 +607,14 @@ def output_pass(params, tr, lr, limit, on_step=None):
     dz, residual, residual_err = np.zeros_like(z0), np.zeros_like(params.A), np.zeros_like(x)
     clamped, maxent = limit < 1.0, dims.maxent_order > 0
     picked, segments = np.empty(tr.picks.shape), np.array([0, c])
-    for t, ((gc, gw), (_, n)) in enumerate(zip(tr.picks.tolist(), tr.sizes.tolist())):
-        cols = tr.cols[t, :c + n]
+    for t, (gc, gw) in enumerate(tr.picks.tolist()):
+        cols = vocab.class_columns[gc]
         z = z0[t] + gram[t] @ dz
         if clamped:
             z -= lr * (residual @ x[t])
         z = z[cols]
         if maxent:
-            sl = tr.slots[t, :t + 2, :c + n]   # the orders step t has
+            sl = tr.slots[t, :t + 2, :len(cols)]   # the orders step t has
             z += np.add.reduce(params.me[sl], axis=0)
         z -= np.maximum.reduceat(z, segments).repeat(tr.sizes[t])
         np.exp(z, out=z)
@@ -636,8 +633,6 @@ def output_pass(params, tr, lr, limit, on_step=None):
         if maxent and lr:   # values of the index's shape: numpy 2.4.6 mis-broadcasts a 1-D one
             step = -lr * (z.clip(-limit, limit) if clamped else z)
             np.add.at(params.me, sl, step[None].repeat(len(sl), 0))
-        if on_step is not None:
-            on_step(t, params)
     logs = np.log(picked)   # inf, not an error, where a probability is 0
     tr.word_nll = (-logs[:, 0] - logs[:, 1]).tolist()
     return OutputPass(x, dz, residual, residual_err)
@@ -903,7 +898,7 @@ def gallery_scores(params, feats, items, vocab_classes):
 def sentence_forward(params, v, sent, vocab):
     """``sentence_states`` plus the output pass, at fixed weights."""
     tr = sentence_states(params, v, sent, vocab)
-    output_pass(params, tr, 0.0, math.inf)
+    output_pass(params, vocab, tr, 0.0, math.inf)
     return tr
 
 

@@ -156,34 +156,33 @@ def _recurrent_chain(params, tr, v, e, lam, unroll, recon_kind, g_batch):
 
 
 def clip_gradients(grads, limit):
-    """Per-element clamp to [-limit, limit], in place, byte-equal to ``np.clip``."""
-    if limit is None or not math.isfinite(limit):
+    """Per-element clamp to [-limit, limit], in place, byte-equal to
+    ``np.clip``; ``limit=inf`` leaves the gradients as they are."""
+    if not math.isfinite(limit):
         return grads
     for _, arr in grads.named_groups():
         np.minimum(np.maximum(arr, -limit, out=arr), limit, out=arr)
     return grads
 
 
-def sentence_gradients(params, vocab, v, sent, lam, unroll, grad_clip=None,
-                       recon_kind="ce"):
-    """Gradients of the whole-sentence joint loss at fixed parameters.
+def sentence_gradients(params, vocab, v, sent, lam, unroll, recon_kind="ce"):
+    """Gradients of the whole-sentence joint loss at fixed parameters,
+    unclamped (the finite-difference check validates raw derivatives;
+    ``clip_gradients`` clamps them).
 
-    Returns (gradients, total joint loss). ``grad_clip=None`` skips the
-    final per-element clamp (used by the finite-difference check, which
-    validates raw derivatives).
+    Returns (gradients, total joint loss).
     """
     dims = params.dims
     tr = sentence_states(params, v, sent, vocab)
-    out = output_pass(params, tr, 0.0, math.inf)
+    out = output_pass(params, vocab, tr, 0.0, math.inf)
     grads = params.zeros_like()
     grads.A[...] = out.dz.T @ out.x
     if dims.maxent_order > 0:   # dz is +0.0 outside a step's class columns
-        for t, width in enumerate(tr.sizes.sum(axis=1).tolist()):
-            sl = tr.slots[t, :t + 2, :width]
-            np.add.at(grads.me, sl, out.dz[t, tr.cols[t, :width]][None].repeat(len(sl), 0))
+        for t, cols in enumerate(vocab.class_columns[g] for g in tr.picks[:, 0].tolist()):
+            sl = tr.slots[t, :t + 2, :len(cols)]
+            np.add.at(grads.me, sl, out.dz[t, cols][None].repeat(len(sl), 0))
     _recurrent_chain(params, tr, v, _output_errors(params, out, 0.0), lam, unroll, recon_kind,
                      grads)
-    clip_gradients(grads, grad_clip)
     return grads, _joint_loss(tr, v, lam, recon_kind)
 
 
@@ -199,24 +198,23 @@ def apply_update(params, grads, lr, weight_decay=0.0):
     params.apply_vs_mask()
 
 
-def train_sentence(params, vocab, v, sent, config, lr, on_step=None, grads=None):
+def train_sentence(params, vocab, v, sent, config, lr, grads=None):
     """One sentence of mixed online/batch SGD; returns (joint loss, tokens).
 
     ``sent`` is a sentence or a ``model.CaptionPlan``. The batch gradients
     accumulate in ``grads``, a container of the ``B`` storage group, which
     is zeroed first; without one, ``params.zeros_like(groups=("B",))`` makes
     a fresh one. The recurrence runs first: it reads only recurrent-side
-    weights, which move once, at the sentence end, by one backward chain.
-    Output-side weights then move after every word, so later steps of the
-    same sentence already see the updates; the dense blocks take them in one
-    product at the sentence end. ``on_step(t, params)`` runs after each
-    word's max-entropy update (schedule introspection).
+    weights, which move once, at the sentence end, by one backward chain,
+    clamped by ``clip_gradients``. Output-side weights then move after every
+    word, so later steps of the same sentence already see the updates; the
+    dense blocks take them in one product at the sentence end.
     """
     grads = params.zeros_like(groups=("B",)) if grads is None else grads
     grads.B.fill(0.0)
     clip = config.grad_clip
     tr = sentence_states(params, v, sent, vocab)
-    out = output_pass(params, tr, lr, clip, on_step)
+    out = output_pass(params, vocab, tr, lr, clip)
     _recurrent_chain(params, tr, v, _output_errors(params, out, lr), config.lam_recon,
                      config.bptt_unroll, config.recon_kind, grads)
     params.A -= lr * (out.dz.T @ out.x + out.residual)

@@ -433,6 +433,25 @@ def test_config_file_that_is_not_an_object_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which, tail, message", [
+    ("manifest", b"\xff", "not UTF-8 ('utf-8' codec can't decode byte 0xff"),
+    ("config", b"\xff", "not UTF-8 ('utf-8' codec can't decode byte 0xff"),
+    ("config", b"{", "invalid JSON (Extra data)"),
+], ids=["manifest_not_utf8", "config_not_utf8", "config_not_json"])
+def test_unreadable_manifest_or_config_is_named(tmp_path, capsys, which, tail, message):
+    # the messages were the bare decode and JSON errors, naming no file
+    data = _synth(tmp_path)
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text("{}")
+    bad = Path(corpus.manifest_path(data)) if which == "manifest" else cfg_path
+    bad.write_bytes(bad.read_bytes() + tail)
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert run(*_train_args(data, out), "--config", cfg_path) == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "retrieve", "eval", "trace"])
 def test_dataset_of_another_feature_dim_is_rejected(tmp_path, capsys, command):
     ckpt = _untrained_checkpoint(tmp_path, _synth(tmp_path, attrs=6))
@@ -447,10 +466,11 @@ def test_dataset_of_another_feature_dim_is_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("features", [{"a": 1.0}, "abc"], ids=["object", "string"])
+@pytest.mark.parametrize("features", [{"a": 1.0}, "abc", [True, False] * 4],
+                         ids=["object", "string", "bools"])
 def test_non_numeric_features_name_their_line(tmp_path, capsys, features):
-    # a JSON object escaped as a TypeError traceback (exit 1), and a string
-    # gave numpy's message, which named neither file nor line
+    # a JSON object escaped as a TypeError traceback (exit 1), a string gave
+    # numpy's message, which named neither file nor line, and bools trained
     data = _synth(tmp_path)
     lines = data.read_text().splitlines()
     record = json.loads(lines[4])

@@ -266,8 +266,18 @@ def test_load_dataset_missing_field_and_bad_split(tmp_path):
     ("captions", ["a cat", 3], "captions must be a nonempty list of strings"),
     ("captions", "a cat", "captions must be a nonempty list of strings"),
     ("captions", [], "captions must be a nonempty list of strings"),
+    # JSON types that loaded before: bools as 0 and 1, numeric strings as their
+    # numbers, and ids as str(id); an integer beyond float64 raised OverflowError
+    ("features", [True, False, True], "features must be an array of numbers"),
+    ("features", ["4", "0", "0.5"], "features must be an array of numbers"),
+    ("features", [10 ** 400, 0, 0], "features must be an array of numbers"),
+    ("id", None, "id must be a string or an integer, got None"),
+    ("id", [1], r"id must be a string or an integer, got \[1\]"),
+    ("id", True, "id must be a string or an integer, got True"),
+    ("id", {"a": 1}, "id must be a string or an integer"),
 ], ids=["nested", "empty", "negative", "nan", "inf", "object", "string", "not_string", "not_list",
-        "no_captions"])
+        "no_captions", "bools", "numeric_strings", "int_beyond_float64", "id_null", "id_list",
+        "id_bool", "id_object"])
 def test_load_dataset_bad_record_field_names_line(tmp_path, field, value, message):
     recs = _records3()
     recs[1][field] = value
@@ -275,6 +285,14 @@ def test_load_dataset_bad_record_field_names_line(tmp_path, field, value, messag
     _write_jsonl(path, recs)   # json writes NaN and Infinity, which it reads back
     with pytest.raises(ValueError, match=rf"bad\.jsonl: line 2: {message}"):
         load_dataset(path)
+
+
+def test_integer_id_loads_as_its_string(tmp_path):
+    recs = _records3()
+    recs[1]["id"] = 5
+    path = tmp_path / "data.jsonl"
+    _write_jsonl(path, recs)
+    assert [ex.id for ex in load_dataset(path).examples] == ["r1", "5", "r3"]
 
 
 def test_dataset_without_train_records_is_rejected(tmp_path):
@@ -381,6 +399,7 @@ def test_manifest_missing_field_rejected(tmp_path, field):
     ("per_dim_max", ["a", 0.0, 1.0], "per_dim_max is not a list of numbers"),
     ("per_dim_max", [4.0, None, 1.0], "per_dim_max holds nan"),
     ("per_dim_max", [4.0, [0.0], 1.0], "per_dim_max is not a list of numbers"),
+    ("per_dim_max", [10 ** 400, 0.0, 1.0], "per_dim_max is not a list of numbers"),
     # int() read 3.9, 3.0 and "3" as the data's dim 3, so they loaded, and true as 1
     ("feature_dim", 3.9, "feature_dim is not an integer, got 3.9"),
     ("feature_dim", 3.0, "feature_dim is not an integer, got 3.0"),

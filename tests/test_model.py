@@ -396,8 +396,8 @@ def test_sentence_states_read_no_online_block(variant):
         assert type(x) is type(y), field.name
         assert x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y, field.name
     # the perturbation does reach the output steps
-    model.output_pass(params, a, 0.0, math.inf)
-    model.output_pass(perturbed, b, 0.0, math.inf)
+    model.output_pass(params, vocab, a, 0.0, math.inf)
+    model.output_pass(perturbed, vocab, b, 0.0, math.inf)
     assert a.word_nll != b.word_nll
 
 
@@ -418,11 +418,11 @@ def _plan_sentences(vocab, seed):
     return [encode([f"w{i}" for i in rng.integers(0, 10, n)], vocab) for n in (6, 0, 1, 13, 4)]
 
 
-def _step_columns(plan):
-    """Each step's class columns and their (orders it has, columns) slots,
-    without the padding of the plan's block."""
-    for t, (classes, size) in enumerate(plan.sizes.tolist()):
-        yield plan.cols[t, :classes + size], plan.slots[t, :t + 2, :classes + size]
+def _step_slots(plan):
+    """Each step's (orders it has, class columns) slots, without the
+    padding of the plan's block."""
+    for t, width in enumerate(plan.sizes.sum(axis=1).tolist()):
+        yield plan.slots[t, :t + 2, :width]
 
 
 @pytest.mark.parametrize("one_member_class", [False, True])
@@ -439,11 +439,13 @@ def test_plan_slots_are_the_class_columns_of_full_vocabulary_slots(order, hash_s
     dims = params.dims
     plans = model.caption_plans(dims, vocab, _plan_sentences(vocab, order))
     for plan in plans:
-        owner, full = _full_vocabulary_slots(dims, plan.bases)
-        for t, (cols, slots) in enumerate(_step_columns(plan)):
+        owner, full = _full_vocabulary_slots(dims, model.token_bases(dims, plan.inputs[None])[0])
+        for t, slots in enumerate(_step_slots(plan)):
             g = vocab.id_class[plan.targets[t]]
-            assert cols.tolist() == vocab.class_columns[g].tolist()
-            want = full[owner == t][:, vocab.class_columns[g]]
+            cols = vocab.class_columns[g].tolist()
+            # picks: the class's column and the target word's, among the class columns
+            assert plan.picks[t].tolist() == [g, cols.index(dims.class_count + plan.targets[t])]
+            want = full[owner == t][:, cols]
             assert len(want) == min(order, t + 2)
             assert np.array_equal(slots, want)
     assert any((p.sizes[:, 1] == 1).any() for p in plans) == one_member_class
@@ -458,12 +460,12 @@ def test_one_sentence_plan_is_its_slice_of_a_block_plan():
         want, = model.caption_plans(params.dims, vocab, [sent])
         assert got.ids is want.ids is sent.ids
         for field in dataclasses.fields(model.CaptionPlan):
-            if field.name in ("ids", "cols", "slots"):   # the last two are padded per block
+            if field.name in ("ids", "slots"):   # slots are padded per block
                 continue
             x, y = getattr(got, field.name), getattr(want, field.name)
             assert x.tobytes() == y.tobytes() and x.shape == y.shape, field.name
-        for (c1, s1), (c2, s2) in zip(_step_columns(got), _step_columns(want), strict=True):
-            assert c1.tobytes() == c2.tobytes() and s1.tobytes() == s2.tobytes()
+        for s1, s2 in zip(_step_slots(got), _step_slots(want), strict=True):
+            assert s1.tobytes() == s2.tobytes()
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)

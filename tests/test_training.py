@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bicap import corpus, model, training
 from bicap.corpus import encode
-from bicap.model import (ONLINE_BLOCKS, _advance, class_logits, init_params, maxent_bases,
-                         member_logits, reset_state, sentence_loss, sentence_states,
-                         shift_context)
+from bicap.model import (_advance, class_logits, init_params, maxent_bases, member_logits,
+                         reset_state, sentence_loss, sentence_states, shift_context)
 from bicap.numkit import SeededRng, sigmoid_clip_mask, softmax
 from bicap.training import (TrainConfig, _dsig, apply_update, clip_gradients, grad_check,
                             gradcheck_setup, sentence_gradients, train, train_sentence)
@@ -90,8 +89,9 @@ def test_truncation_changes_gradients():
 def test_bptt_clips_elementwise():
     params, vocab, example = gradcheck_setup("full", seed=6)
     sent = example.captions[0]
-    grads, _ = sentence_gradients(params, vocab, example.features, sent, 1.0,
-                                  unroll=5, grad_clip=1e-4)
+    grads, _ = sentence_gradients(params, vocab, example.features, sent, 1.0, unroll=5)
+    assert any(np.abs(arr).max() > 1e-4 for _, arr in grads.named_blocks())
+    clip_gradients(grads, 1e-4)
     for _, arr in grads.named_blocks():
         assert np.all(arr <= 1e-4) and np.all(arr >= -1e-4)
 
@@ -109,10 +109,9 @@ def test_clip_gradients_matches_np_clip_on_edge_values(limit):
     for name, arr in grads.named_blocks():
         assert arr.tobytes() == want[name].tobytes(), name
     raw = params.copy()
-    for off in (None, np.inf):
-        clip_gradients(raw, off)
-        assert all(arr.tobytes() == getattr(params, name).tobytes()
-                   for name, arr in raw.named_blocks())
+    assert clip_gradients(raw, np.inf) is raw
+    assert all(arr.tobytes() == getattr(params, name).tobytes()
+               for name, arr in raw.named_blocks())
 
 
 @pytest.mark.parametrize("recon_kind", ["ce", "mse"])
@@ -134,28 +133,6 @@ def test_training_runs_the_scoring_forward(variant, recon_kind):
         assert arr.tobytes() == getattr(start, name).tobytes(), name
 
 
-def test_online_schedule_mid_sentence_touches_only_output_blocks():
-    params, vocab, example = gradcheck_setup("full", seed=7)
-    start = params.copy()
-    sent = example.captions[0]
-    cfg = TrainConfig(learning_rate=0.05)
-    seen = []
-
-    def on_step(t, p):
-        if t == len(sent.ids) - 1:
-            return  # final step runs right before the batch update
-        changed = {n for n, arr in p.named_blocks()
-                   if not np.array_equal(arr, getattr(start, n))}
-        seen.append(changed)
-
-    train_sentence(params, vocab, example.features, sent, cfg,
-                   cfg.learning_rate, on_step=on_step)
-    assert seen, "sentence long enough to observe mid-sentence state"
-    for changed in seen:
-        assert changed <= ONLINE_BLOCKS
-    assert seen[-1]  # online blocks really did move mid-sentence
-
-
 def test_batch_blocks_update_once_per_sentence():
     # a single-step sentence makes the schedule equivalent to one plain
     # bptt step applied to every block
@@ -165,9 +142,8 @@ def test_batch_blocks_update_once_per_sentence():
     cfg = TrainConfig(learning_rate=0.05)
     expected = params.copy()
     grads, _ = sentence_gradients(expected, vocab, example.features, sent,
-                                  cfg.lam_recon, unroll=1,
-                                  grad_clip=cfg.grad_clip)
-    apply_update(expected, grads, cfg.learning_rate)
+                                  cfg.lam_recon, unroll=1)
+    apply_update(expected, clip_gradients(grads, cfg.grad_clip), cfg.learning_rate)
     train_sentence(params, vocab, example.features, sent, cfg, cfg.learning_rate)
     for name, arr in params.named_blocks():
         assert np.allclose(arr, getattr(expected, name), atol=1e-12), name
@@ -677,9 +653,12 @@ def test_states_match_reference_forward_under_online_updates(variant, width):
             for t, bases in enumerate(ref.bases):
                 for k, cbase, wbase in bases:
                     expected[t, k - 1] = cbase, wbase
-            assert states.bases.tobytes() == expected.tobytes()
-            assert states.classes.tolist() == [[g, *r] for g, r in zip(ref.class_ids,
-                                                                       ref.member_range)]
+            got = model.token_bases(params.dims, states.inputs[None])[0]
+            assert got.tobytes() == expected.tobytes()
+            c = params.dims.class_count
+            assert states.picks.tolist() == [[g, c + w - lo] for g, (lo, _), w in
+                                             zip(ref.class_ids, ref.member_range, ref.targets)]
+            assert states.sizes.tolist() == [[c, hi - lo] for lo, hi in ref.member_range]
             sd = params.dims.s_dim   # the halves of the stacked trace, as C-order bytes
             halves = {"s": states.act[:, :sd], "pre_s": states.pre[:, :sd],
                       "u": states.act[:, sd:], "pre_u": states.pre[:, sd:],
@@ -727,12 +706,13 @@ def test_online_clamp_matches_reference_at_bundle_width(bundle_pairs, variant, o
         _assert_blocks_close(params, ref_params)
 
 
-def _reference_output_pass(params, tr, lr, limit):
+def _reference_output_pass(params, vocab, tr, lr, limit):
     """``model.output_pass`` word by word, per table: ``numkit.softmax`` on
     the class and the member slice of the logits, ``np.log`` of each target
     probability, and one ``np.add.at`` into each max-entropy table. Returns
     (dz, word NLL list)."""
     dims = params.dims
+    bases = model.token_bases(dims, tr.inputs[None])[0]
     c, h, maxent = dims.class_count, dims.maxent_hash_size, dims.maxent_order > 0
     sd = dims.s_dim
     x = np.hstack([tr.act[1:, :sd], np.ones((len(tr.targets), 1))]
@@ -740,13 +720,15 @@ def _reference_output_pass(params, tr, lr, limit):
     z0, gram = x @ params.A.T, -lr * (x @ x.T)
     dz, residual = np.zeros_like(z0), np.zeros_like(params.A)
     nll = []
-    for t, ((g, lo, hi), target) in enumerate(zip(tr.classes, tr.targets)):
+    for t, target in enumerate(tr.targets):
+        g = vocab.id_class[target]
+        lo, hi = vocab.class_starts[g], vocab.class_bounds[g]
         z = z0[t] + gram[t] @ dz
         if limit < 1.0:
             z -= lr * (residual @ x[t])
         zc, zw = z[:c], z[c + lo:c + hi]
         if maxent:
-            live = tr.bases[t][tr.bases[t][:, 0] >= 0]   # (orders, 2) class and word bases
+            live = bases[t][bases[t][:, 0] >= 0]   # (orders, 2) class and word bases
             cs = (live[:, :1] + np.arange(c)) % h
             ws = (live[:, 1:] + np.arange(lo, hi)) % h
             zc, zw = zc + params.me_class[cs].sum(axis=0), zw + params.me_word[ws].sum(axis=0)
@@ -787,9 +769,9 @@ def test_output_pass_matches_per_word_reference_bytes(bundle_pairs, order, hash_
     ref = params.copy()
     for ex, sent in pairs[:20]:
         tr = sentence_states(params, ex.features, sent, vocab)
-        out = model.output_pass(params, tr, lr, limit)
-        dz, nll = _reference_output_pass(ref, sentence_states(ref, ex.features, sent, vocab),
-                                         lr, limit)
+        out = model.output_pass(params, vocab, tr, lr, limit)
+        ref_tr = sentence_states(ref, ex.features, sent, vocab)
+        dz, nll = _reference_output_pass(ref, vocab, ref_tr, lr, limit)
         assert out.dz.tobytes() == dz.tobytes()
         assert np.array(tr.word_nll).tobytes() == np.array(nll).tobytes()
         if order:
@@ -812,8 +794,9 @@ def test_flat_maxent_update_matches_per_word_2d_add_at(hash_size, limit):
     for sent in [example.captions[0]] + [encode([f"w{i}" for i in rng.integers(0, 10, 12)],
                                                 vocab) for _ in range(4)]:
         tr = sentence_states(params, v, sent, vocab)
-        out = model.output_pass(params, tr, lr, limit)
-        for t, (_, lo, hi) in enumerate(sentence_states(ref, v, sent, vocab).classes):
+        out = model.output_pass(params, vocab, tr, lr, limit)
+        for t, g in enumerate(vocab.id_class[tr.targets]):
+            lo, hi = vocab.class_starts[g], vocab.class_bounds[g]
             step = -lr * (out.dz[t].clip(-limit, limit) if limit < 1 else out.dz[t])
             mine = tr.slots[t, :t + 2]   # (orders step t has, class columns)
             # me = [me_class | me_word]: the class slots, then the member slots
